@@ -129,20 +129,10 @@ class PagesERConfig:
     # fewer after contraction): 10M edges bounds it at ~2 GB worst-case dict,
     # well under the driver heap; real near-dup workloads land ~50× lower.
     local_cluster_edge_threshold: int = 10_000_000
-    # second-chance gate above the edge threshold: an HLL estimate of the
-    # DISTINCT connected-node count (stages/cluster.approx_connected_nodes,
-    # one shuffle-free pass) decides between the contraction+driver-map
-    # path and fully-distributed labelprop. Dup-heavy web graphs run 30-70
-    # edges per node, so edges alone force labelprop where the driver map
-    # (one int per node) is nowhere near memory: 5M nodes ≈ 500 MB dict —
-    # conservative against the ±1% sketch error.
-    local_cluster_node_threshold: int = 5_000_000
     # labelprop rounds are O(|V|) traffic (stationary edges + pointer
     # jumping) — a generous budget is cheap; the changed-count early exit
     # stops at convergence (measured: 19 rounds on a 2M-edge fixture)
     max_cc_iterations: int = 50
-    score_batch_size: int = 4096
-    score_concurrency: int | None = None  # None → let Ray autoscale the pool
 
     def __post_init__(self):
         # cap 0 would silently drop EVERY pair (and a cap-starved partition

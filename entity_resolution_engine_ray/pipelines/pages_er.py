@@ -26,7 +26,7 @@ from entity_resolution_engine_ray.stages.extract import extract_stage
 from entity_resolution_engine_ray.stages.score import fused_edges_stage, gate_metrics
 from entity_resolution_engine_ray.state.checkpoint import CheckpointStore
 
-PIPELINE_VERSION = 4
+PIPELINE_VERSION = 5
 
 
 def run_pages_er(
@@ -78,14 +78,11 @@ def run_pages_er(
             features = store.write(features, "features", phash)
 
     # ---- stage 3+4: candidate pairs + score + gate, fused into one
-    # fat-block shuffle (stages/score.fused_edges_stage, ~4× less shuffle
-    # traffic than the slim pairgen + join + PairScorer chain). Semantics
-    # match the slim chain on every pinned fixture, with two documented
-    # divergences at the margins: cap truncation orders members by url_HASH
-    # (the chain orders by url string), so an over-cap sub-block may keep a
-    # different first-`cap` pair set; and Jaccard runs over 32-bit hashed
-    # token ids (exact parity with the serial oracle, which shares the
-    # hash — but a token-string scorer would differ on hash collisions).
+    # fat-block shuffle (stages/score.fused_edges_stage). Edges match the
+    # serial oracle exactly (test_edge_parity_exact); both order a capped
+    # sub-block's members by url_hash and run Jaccard over 32-bit hashed
+    # token ids, so a token-STRING scorer could differ only on id
+    # collisions.
     if resume and store.is_done("edges", phash):
         edges = store.read("edges")
         dropped = store.manifest("edges").get("dropped_pairs", 0)
@@ -143,15 +140,12 @@ def run_pages_er(
             # labelprop above the threshold
             method = cfg.cluster_method
             if method == "auto":
-                # edge count stays the gate: an HLL node-count second
-                # chance was built and MEASURED at 1M pages (28M approved
-                # edges, ~0.8M nodes — driver map trivially fits) and the
-                # contraction path still LOST to labelprop, 34.3 s vs
-                # 15.8 s: _forest_partition's per-edge Python union-find
-                # costs more than labelprop's ~19 vectorized rounds. See
-                # cluster.approx_connected_nodes for the sketch (kept —
-                # it is the right gate for memory SAFETY, just not for
-                # speed).
+                # edge count is the gate: an HLL node-count second chance
+                # was MEASURED at 1M pages (28M approved edges, ~0.8M
+                # nodes — driver map trivially fits) and the contraction
+                # path still LOST to labelprop, 34.3 s vs 15.8 s:
+                # _forest_partition's per-edge Python union-find costs more
+                # than labelprop's ~19 vectorized rounds
                 method = (
                     "local"
                     if approved.count() <= cfg.local_cluster_edge_threshold

@@ -7,16 +7,16 @@ matchers/teams_matcher.py:23-26, become actor state per SURVEY.md §7.2), then
 every batch is processed with shared state. All hashing is deterministic
 (multiply-shift with fixed seeds), so every actor computes identical keys.
 
-Outputs one features Dataset:
+Outputs one features Dataset (the ``features`` checkpoint schema):
 
-    url:string, warc_ts:timestamp, lang:string, title_norm:string,
-    tokens:string (unique sorted tokens, "\\x1f"-joined — a plain string
-    because Arrow hash-joins don't support list payload columns),
-    simhash:int64, band_keys:list<int64>
+    url:string, url_hash:int64, warc_ts:timestamp, lang:string,
+    title_norm:string, token_ids:list<int32> (sorted unique 32-bit token
+    ids — the scorer's Jaccard input), simhash:int64, band_keys:list<int64>
 
-``explode_block_rows`` then derives the lightweight (url, block_key) shuffle
-rows with a vectorized Arrow list-flatten — features are NOT duplicated per
-band (the heavy columns ship exactly once, into the score-stage join).
+Two vectorized Arrow list-flattens derive the exchange rows from it:
+``block_keys_stage`` (block_key only, for the hot/pairable count pass) and
+``fat_block_rows_stage`` (one ids-only feature row per band, for the fused
+pair+score exchange).
 """
 
 from __future__ import annotations
@@ -118,30 +118,6 @@ class FeatureExtractor:
             uniq = denc.dictionary.to_pylist()
             uh = self._hash_uniques(uniq)
             flat_h = uh.astype(np.uint64)[codes] if len(codes) else np.empty(0, dtype=np.uint64)
-            # per-doc "\x1f".join(sorted(set(tokens))): rank unique tokens
-            # once in Python-string order, dedupe (doc, rank) pairs, then
-            # ONE C++ binary_join over the rank-ordered string lists
-            order = np.argsort(np.asarray(uniq, dtype=object)) if uniq else np.empty(0, np.int64)
-            rank = np.empty(len(uniq), dtype=np.int64)
-            rank[order] = np.arange(len(uniq))
-            flat_ranks = rank[codes] if len(codes) else np.empty(0, np.int64)
-            doc_ids_ne = np.repeat(np.arange(n, dtype=np.int64), counts)
-            permr = np.lexsort((flat_ranks, doc_ids_ne))
-            dsr, rsr = doc_ids_ne[permr], flat_ranks[permr]
-            keepr = (
-                np.r_[True, (dsr[1:] != dsr[:-1]) | (rsr[1:] != rsr[:-1])]
-                if len(dsr)
-                else np.zeros(0, dtype=bool)
-            )
-            uniq_sorted = pa.array(np.asarray(uniq, dtype=object)[order], type=pa.string())
-            ucounts = np.bincount(dsr[keepr], minlength=n) if len(dsr) else np.zeros(n, np.int64)
-            tok_lists = pa.ListArray.from_arrays(
-                pa.array(np.r_[0, ucounts.cumsum()].astype(np.int32)),
-                uniq_sorted.take(pa.array(rsr[keepr], type=pa.int64()))
-                if len(dsr)
-                else pa.array([], type=pa.string()),
-            )
-            tokens_arr = pc.binary_join(tok_lists, "\x1f")
             tflat, tcounts = _split_canonical_ascii(titles_arr)
             title_arr = pc.binary_join(
                 pa.ListArray.from_arrays(
@@ -161,9 +137,6 @@ class FeatureExtractor:
                 flat_tokens[pos : pos + len(toks)] = toks
                 pos += len(toks)
             flat_h = hash_tokens_flat(flat_tokens, self.cache)
-            tokens_arr = pa.array(
-                ["\x1f".join(sorted(set(toks))) for toks in toks_per_doc], type=pa.string()
-            )
             title_arr = pa.array(
                 [" ".join(canonical_tokens(t)) for t in titles], type=pa.string()
             )
@@ -200,7 +173,6 @@ class FeatureExtractor:
                 "warc_ts": batch["warc_ts"],
                 "lang": batch["lang"],
                 "title_norm": title_arr,
-                "tokens": tokens_arr,
                 "token_ids": token_ids_arr,
                 "simhash": pa.array(simhashes, type=pa.int64()),
                 "band_keys": band_keys_arr,
@@ -239,27 +211,6 @@ def feature_stage(extracted_ds, cfg: PagesERConfig | None = None, concurrency=No
         fn_kwargs={"cfg": cfg},
         batch_format="pyarrow",
         batch_size=batch_size,
-    )
-
-
-def explode_block_rows(batch: pa.Table) -> pa.Table:
-    """(url, band_keys:list) → one (url, block_key) row per band, vectorized
-    via Arrow list offsets (no per-row Python)."""
-    keys = batch["band_keys"]
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    urls = batch["url"]
-    if isinstance(urls, pa.ChunkedArray):
-        urls = urls.combine_chunks()
-    flat = keys.flatten()
-    counts = np.diff(keys.offsets.to_numpy(zero_copy_only=False))
-    url_rep = urls.take(pa.array(np.repeat(np.arange(len(urls)), counts), type=pa.int64()))
-    return pa.table({"url": url_rep, "block_key": flat})
-
-
-def block_rows_stage(features_ds):
-    return features_ds.select_columns(["url", "band_keys"]).map_batches(
-        explode_block_rows, batch_format="pyarrow", zero_copy_batch=True
     )
 
 

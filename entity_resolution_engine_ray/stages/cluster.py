@@ -1,25 +1,29 @@
-"""Stage 5 — transitive clustering: distributed connected components.
+"""Stage 5 — transitive clustering: connected components over id edges.
 
-Iterative hash-partitioned min-label propagation over the approved-edge
-Dataset (the north rule's "distributed union-find"; cf. PAPERS.md "BTS:
-Load-Balanced Distributed Union-Find", ICDE 2024) accelerated with pointer
-jumping (label(v) ← label(label(v)), the hash-to-min shortcut):
-
-    labels(v) ← min(labels(v), min_{(u,v) ∈ E∪Eᵀ} labels(u), labels(labels(v)))
-
-Nodes are 64-bit stable hashes of urls (numeric min-aggregates shuffle far
-cheaper than strings); the url↔hash mapping rides along and is re-joined at
-the end. Entity ids downstream are content hashes of sorted member urls
+Nodes are 64-bit ids (url hashes for pages, doc ids for the dedup
+operators; numeric min-aggregates shuffle far cheaper than strings). Urls
+rejoin from the features side table after clustering (stages/merge), and
+entity ids downstream are content hashes of sorted member urls
 (functions/ids.cluster_entity_id), so label internals never leak.
 
-``cluster_edges(..., method=)``:
-- ``"labelprop"`` — the distributed path (default in the pipeline).
-- ``"local"``     — driver-side union-find; only valid when the edge list is
-  provably small (it is bounded by candidate pairs, not input rows).
-- ``"auto"``      — local below ``local_edge_threshold`` edges, else labelprop.
+Two entry points, both over ``(left_id, right_id)`` / ``(src, dst)`` int64
+edges:
 
-Each round is checkpoint-free but bounded: `max_iterations` guards
-pathological chains, and convergence is detected with a changed-label count.
+- ``cluster_label_map`` — distributed contraction (per-partition
+  union-find spanning forests) then a driver union → a driver-side
+  ``{node: root}`` map. Used when the connected-node set fits driver memory.
+- ``connected_components_labelprop_ids`` — fully distributed,
+  hash-partitioned min-label propagation (the north rule's "distributed
+  union-find"; cf. PAPERS.md "BTS: Load-Balanced Distributed Union-Find",
+  ICDE 2024) accelerated with pointer jumping (label(v) ← label(label(v)),
+  the hash-to-min shortcut):
+
+      labels(v) ← min(labels(v), min_{(u,v) ∈ E∪Eᵀ} labels(u), labels(labels(v)))
+
+The pages pipeline picks between them with ``PagesERConfig.cluster_method``
+and its approved-edge-count gate. Each labelprop round is checkpoint-free
+but bounded: `max_iterations` guards pathological chains, and convergence
+is detected with a changed-label count.
 """
 
 from __future__ import annotations
@@ -29,22 +33,6 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
-
-from entity_resolution_engine_ray.functions.similarity import stable_hash64
-from entity_resolution_engine_ray.oracle.serial import UnionFind
-
-
-def _hash_urls_batch(batch: pa.Table) -> pa.Table:
-    l = batch["left_url"].to_pylist()
-    r = batch["right_url"].to_pylist()
-    return pa.table(
-        {
-            "left_url": batch["left_url"],
-            "right_url": batch["right_url"],
-            "src": pa.array([stable_hash64(u) for u in l], type=pa.int64()),
-            "dst": pa.array([stable_hash64(u) for u in r], type=pa.int64()),
-        }
-    )
 
 
 def _swap(batch: pa.Table) -> pa.Table:
@@ -77,16 +65,6 @@ class _IntUnionFind:
         if ru != rv:
             lo, hi = (ru, rv) if ru < rv else (rv, ru)
             self.parent[hi] = lo
-
-
-@ray.remote
-def _lp_init(url_part: pa.Table) -> pa.Table:
-    """(url, node) partition → initial labels: label(v) = v over the unique
-    node set of this partition."""
-    import pyarrow.compute as pc
-
-    nodes = pc.unique(url_part["node"])
-    return pa.table({"node": nodes, "label": nodes})
 
 
 @ray.remote
@@ -267,23 +245,8 @@ def _lp_jump_answer(labels_part: pa.Table, *req_subparts: pa.Table) -> pa.Table:
     )
 
 
-@ray.remote(num_returns=2)
-def _lp_emit(url_part: pa.Table, labels_part: pa.Table):
-    u = url_part.to_pandas().drop_duplicates("url")
-    l = labels_part.to_pandas()
-    m = u.merge(l, on="node", how="inner")
-    out = pa.table(
-        {
-            "url": pa.array(m["url"].to_numpy(), type=pa.string()),
-            "cluster_label": pa.array(m["label"].to_numpy(dtype=np.int64), type=pa.int64()),
-        }
-    )
-    return out, out.num_rows
-
-
 def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -> list:
-    """The labelprop round loop shared by the url and int-id entry points:
-    stationary edge partitions, min-label propagation + pointer jumping +
+    """The labelprop round loop: stationary edge partitions, min-label propagation + pointer jumping +
     union hooking per round, exit at the exact changed==0 fixpoint.
 
     The convergence check is DELAYED BY ONE ROUND: each wave of tasks is
@@ -398,12 +361,22 @@ def connected_components_labelprop_ids(
     edges_ds, num_partitions=None, max_iterations: int = 50
 ):
     """int edges (src:int64, dst:int64) → labels (node:int64,
-    cluster_label:int64) over the connected node set — the id-keyed twin of
-    ``connected_components_labelprop`` for graphs whose nodes already ARE
-    64-bit ids (doc ids, url hashes). cluster_label = min node id of the
-    component (min-label fixpoint), so labels are stable and join-free to
-    interpret. Fully distributed: safe when the connected-node set exceeds
-    driver memory."""
+    cluster_label:int64) over the connected node set. cluster_label = min
+    node id of the component (min-label fixpoint), so labels are stable and
+    join-free to interpret. Only nodes that appear in an edge are labeled
+    (singletons are handled by the merge stage).
+
+    Fully distributed min-label propagation with STATIONARY edge partitions:
+    edges are hash-partitioned by src exactly once
+    (stages/exchange.exchange_partition_refs); every subsequent round moves
+    only the label/candidate tables — O(|V|) rows per round, not O(|E|).
+    Labels are partitioned by node with the same hash, so propagate
+    (edges_p ⋈ labels_p) and refine (cand_p ⋈ labels_p) are co-located
+    per-partition tasks; the only per-round exchange is the candidate split
+    by dst. Each round also pointer-jumps so long chains collapse in far
+    fewer than diameter rounds (measured: 19 rounds on a 2M-edge / 95k-node
+    web fixture with deep chain components). Safe when the connected-node
+    set exceeds driver memory."""
     from entity_resolution_engine_ray.stages.exchange import exchange_partition_refs
 
     edges = edges_ds.map_batches(_cast_int_edges, batch_format="pyarrow").materialize()
@@ -434,75 +407,6 @@ def connected_components_labelprop_ids(
     return rd.from_arrow_refs(keep)
 
 
-def connected_components_labelprop(
-    edges_ds, num_partitions=None, max_iterations: int = 50
-):
-    """edges (left_url, right_url) → labels (url, cluster_label:int64).
-
-    Fully distributed min-label propagation with STATIONARY edge partitions:
-    edges are hash-partitioned by src exactly once
-    (stages/exchange.exchange_partition_refs); every subsequent round moves
-    only the label/candidate tables — O(|V|) rows per round, not O(|E|).
-    Labels are partitioned by node with the same hash, so propagate
-    (edges_p ⋈ labels_p) and refine (cand_p ⋈ labels_p) are co-located
-    per-partition tasks; the only per-round exchange is the candidate split
-    by dst. Each round also pointer-jumps (label(v) ← label(label(v))) so
-    long chains collapse in far fewer than diameter rounds (measured: 19
-    rounds on a 2M-edge / 95k-node web fixture with deep chain components);
-    the changed-label count exits at the exact fixpoint.
-
-    Only urls that appear in an edge are labeled (singletons are handled by
-    the merge stage)."""
-    from entity_resolution_engine_ray.stages.exchange import exchange_partition_refs
-
-    hashed = edges_ds.map_batches(_hash_urls_batch, batch_format="pyarrow").materialize()
-    n_edges = hashed.count()
-    P = num_partitions or _lp_partitions(2 * n_edges)
-    if n_edges == 0:
-        # zero-row inputs skip the lazy map, leaking the source schema into
-        # the exchange — and an edge-less graph has no labels anyway
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "url": pa.array([], type=pa.string()),
-                    "cluster_label": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-
-    url_pairs = hashed.map_batches(
-        lambda t: pa.table(
-            {
-                "url": pa.concat_arrays(
-                    [t["left_url"].combine_chunks(), t["right_url"].combine_chunks()]
-                ),
-                "node": pa.concat_arrays(
-                    [t["src"].combine_chunks(), t["dst"].combine_chunks()]
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    directed = (
-        hashed.select_columns(["src", "dst"])
-        .union(hashed.select_columns(["src", "dst"]).map_batches(_swap, batch_format="pyarrow"))
-    )
-
-    # one-time partitioning: urls+labels by node, edges by src (same hash)
-    url_parts = exchange_partition_refs(url_pairs, ["node"], P)
-    edge_parts = exchange_partition_refs(directed, ["src"], P)
-    labels_parts = [_lp_init.remote(u) for u in url_parts]
-    labels_parts = _lp_run(edge_parts, labels_parts, P, max_iterations)
-
-    emitted = [_lp_emit.remote(u, l) for u, l in zip(url_parts, labels_parts)]
-    tables = [t for t, _ in emitted]
-    counts = ray.get([c for _, c in emitted])
-    keep = [t for t, n in zip(tables, counts) if n > 0]
-    if not keep:
-        keep = [tables[0]]
-    return rd.from_arrow_refs(keep)
-
-
 def _forest_partition(pdf: pd.DataFrame) -> pd.DataFrame:
     """Local union-find over one hash partition of (src, dst) edges → the
     partition's spanning forest as (node, root) pairs. The union of
@@ -518,69 +422,22 @@ def _forest_partition(pdf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"src": nodes[keep], "dst": roots[keep]})
 
 
-def approx_connected_nodes(edges_ds, p: int = 14) -> int:
-    """HyperLogLog estimate of the DISTINCT connected-node count of an
-    ids-only edge Dataset (left_id/right_id int64) — one streaming pass of
-    per-batch register partials (no shuffle, 16 KB per batch to the
-    driver), ±~1% at p=14.
-
-    Purpose: a memory-SAFETY gate for driver-side label maps (one int per
-    connected node). NOTE the measured speed result (r5): at 1M flagship
-    pages (28M approved edges, ~0.8M nodes) the contraction+driver path
-    this sketch could unlock still LOSES to labelprop, 34.3 s vs 15.8 s —
-    _forest_partition's per-edge Python union-find costs more than
-    labelprop's vectorized rounds — so the flagship keeps its edge-count
-    gate for SPEED and this estimator serves callers who need a
-    will-the-map-fit check. Ids are avalanche-mixed before the register
-    scan so NON-hashed integer ids (sequential doc ids) sketch correctly
-    too."""
-    from entity_resolution_engine_ray.functions.similarity import mix64
-    from entity_resolution_engine_ray.stages.sketch import _estimate, _registers
-
-    m = 1 << p
-    regs = np.zeros(m, dtype=np.int64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        lcol = "left_id" if "left_id" in t.schema.names else "src"
-        rcol = "right_id" if "right_id" in t.schema.names else "dst"
-        vals = np.concatenate(
-            [
-                t[lcol].to_numpy(zero_copy_only=False),
-                t[rcol].to_numpy(zero_copy_only=False),
-            ]
-        ).astype(np.int64)
-        idx, rho = _registers(mix64(vals).astype(np.uint64), p)
-        r = np.zeros(m, dtype=np.int64)
-        np.maximum.at(r, idx, rho)
-        return pa.table({"regs": pa.array([r.astype(np.int8).tobytes()], type=pa.binary())})
-
-    for b in edges_ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_size=1024, batch_format="pyarrow"
-    ):
-        for raw in b["regs"].to_pylist():
-            regs = np.maximum(regs, np.frombuffer(raw, dtype=np.int8).astype(np.int64))
-    return int(_estimate(regs))
-
-
 def cluster_label_map(edges_ds, num_partitions: int | None = None, contraction_rounds: int = 2) -> dict[int, int]:
-    """Distributed-contraction connected components → driver-side label map
-    {node_hash: component_root_hash} (root = min member hash).
+    """(left_id, right_id) int64 edges → driver-side label map
+    {node: component_root} (root = min member id) by distributed
+    contraction.
 
     Each round: hash-partition the edge list, run union-find LOCALLY per
     partition, keep only the spanning forest (≈|V| rows). One round
     typically shrinks web-dedup edge lists 10-30×; the final forest is
     unioned on the driver. The map's size is O(|V_connected|) — for inputs
-    where that exceeds driver memory use ``connected_components_labelprop``
-    (the fully-distributed path) instead."""
+    where that exceeds driver memory use
+    ``connected_components_labelprop_ids`` (the fully-distributed path)
+    instead."""
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
     def to_int_edges(t: pa.Table) -> pa.Table:
-        # prefer the precomputed id columns (fused edges carry them);
-        # fall back to the SHARED url-hash kernel (_hash_urls_batch) so the
-        # contraction and labelprop paths can never hash urls differently
-        if "left_id" in t.schema.names:
-            return pa.table({"src": t["left_id"], "dst": t["right_id"]})
-        return _hash_urls_batch(t).select(["src", "dst"])
+        return pa.table({"src": t["left_id"], "dst": t["right_id"]})
 
     hashed = edges_ds.map_batches(to_int_edges, batch_format="pyarrow").materialize()
     if hashed.count() == 0:
@@ -594,52 +451,3 @@ def cluster_label_map(edges_ds, num_partitions: int | None = None, contraction_r
         for u, v in zip(batch["src"].to_numpy(), batch["dst"].to_numpy()):
             uf.union(int(u), int(v))
     return {n: uf.find(n) for n in list(uf.parent)}
-
-
-def connected_components_local(edges_ds):
-    """Driver-side union-find fallback for provably-small edge sets."""
-    uf = UnionFind()
-    for batch in edges_ds.select_columns(["left_url", "right_url"]).iter_batches(
-        batch_size=65536, batch_format="pyarrow"
-    ):
-        for l, r in zip(batch["left_url"].to_pylist(), batch["right_url"].to_pylist()):
-            uf.union(l, r)
-    # every touched url is a parent-map key (find() setdefaults it) — no
-    # separate url set; strings are the driver-memory bound here
-    rows_url = sorted(uf.parent)
-    labels = [stable_hash64(uf.find(u)) for u in rows_url]
-    # label = hash of component-min url — same label space as labelprop? No:
-    # labelprop labels are min node hashes. Downstream only needs *grouping*,
-    # and entity ids are content hashes of members, so the label value is
-    # opaque either way.
-    return rd.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(rows_url, type=pa.string()),
-                "cluster_label": pa.array(labels, type=pa.int64()),
-            }
-        )
-    )
-
-
-def cluster_edges(
-    edges_ds,
-    method: str = "labelprop",
-    num_partitions=None,
-    max_iterations: int = 50,
-    local_edge_threshold: int = 2_000_000,
-):
-    if method not in ("auto", "local", "labelprop"):
-        raise ValueError(
-            f"cluster_edges: unknown method {method!r} (auto|local|labelprop)"
-        )
-    if method == "auto":
-        # materialize before the gate count: a lazy upstream would execute
-        # once for count() and AGAIN inside the chosen clusterer
-        edges_ds = edges_ds.materialize()
-        method = "local" if edges_ds.count() <= local_edge_threshold else "labelprop"
-    if method == "local":
-        return connected_components_local(edges_ds)
-    return connected_components_labelprop(
-        edges_ds, num_partitions=num_partitions, max_iterations=max_iterations
-    )

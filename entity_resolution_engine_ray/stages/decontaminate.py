@@ -99,8 +99,17 @@ _MATCHER_CACHE: dict[tuple, SnippetMatcher] = {}
 def cached_matcher(snippets_ref, group_size: int = 512) -> SnippetMatcher:
     """Per-worker-process matcher cache keyed by the broadcast ref — plain
     ``map_batches`` functions get once-per-process automaton construction
-    without an actor pool (elastic task scheduling keeps working)."""
-    key = (snippets_ref.hex() if hasattr(snippets_ref, "hex") else id(snippets_ref), group_size)
+    without an actor pool (elastic task scheduling keeps working).
+
+    A plain snippet list is keyed on its CONTENT: an ``id()`` key would
+    hand a later list that reuses a freed list's address the automaton
+    built for other snippets."""
+    import ray
+
+    if isinstance(snippets_ref, ray.ObjectRef):
+        key = (snippets_ref.hex(), group_size)
+    else:
+        key = (tuple(snippets_ref), group_size)
     m = _MATCHER_CACHE.get(key)
     if m is None:
         m = SnippetMatcher(snippets_ref, group_size)

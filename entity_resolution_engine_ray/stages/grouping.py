@@ -49,59 +49,26 @@ def auto_partitions(
     return int(min(target, small_cap, 65_536))
 
 
-def _add_partition_col(batch, key_cols: list[str], num_partitions: int):
-    """Arrow-native: only the key columns are pulled to numpy; the partition
-    id is appended zero-copy (no pandas conversion of the full batch). The
-    hash IS ``exchange._partition_hash`` — one shared kernel, so the
-    impl='exchange' / impl='sort' equivalence can never drift."""
-    import pyarrow as pa
-
-    from entity_resolution_engine_ray.stages.exchange import _partition_hash
-
-    pg = _partition_hash(batch, key_cols, num_partitions).astype(np.int32)
-    return batch.append_column("__pg", pa.array(pg, type=pa.int32()))
-
-
 def partition_map_groups(
     ds,
     key_cols: list[str],
     fn,
     num_partitions: int | None = None,
-    impl: str = "exchange",
     arrow_fns: bool = False,
 ):
     """Apply ``fn(pdf)`` once per hash partition of ``key_cols``; ``fn`` must
     itself group by ``key_cols`` (vectorized), tolerate an empty frame, and
-    return a DataFrame. ``num_partitions=None`` → ``auto_partitions()``
-    (scales with cluster CPUs; pass an explicit count or a row-count-derived
-    ``auto_partitions(n)`` when the input size is known).
+    return a DataFrame. Runs on the task-based hash exchange
+    (stages/exchange) — no sort, one pass. ``num_partitions=None`` sizes the
+    width from the input's actual row count (block metadata — free), not
+    just the CPU floor; pass an explicit count or a row-count-derived
+    ``auto_partitions(n)`` to pin it. ``arrow_fns=True``: ``fn`` takes and
+    returns ``pa.Table`` directly — use for partitions carrying list or
+    string payloads, where the pandas conversion allocates one Python
+    object per row."""
+    from entity_resolution_engine_ray.stages.exchange import hash_exchange_map_groups
 
-    impl="exchange" (default): task-based hash exchange (stages/exchange) —
-    no sort, one pass. impl="sort": Dataset.groupby sort shuffle (kept for
-    comparison and as a fallback). ``arrow_fns=True`` (exchange impl only):
-    ``fn`` takes/returns ``pa.Table`` directly — use for partitions carrying
-    list or string payloads, where the pandas conversion allocates one
-    Python object per row."""
-    if impl == "exchange":
-        from entity_resolution_engine_ray.stages.exchange import hash_exchange_map_groups
-
-        # None passes through: the exchange sizes the width from the input's
-        # actual row count (block metadata — free), not just the CPU floor
-        return hash_exchange_map_groups(ds, key_cols, fn, num_partitions, arrow_fns=arrow_fns)
-    if num_partitions is None:
-        num_partitions = auto_partitions()
-    if arrow_fns:
-        raise ValueError("arrow_fns requires impl='exchange'")
-
-    def _wrapped(group: pd.DataFrame) -> pd.DataFrame:
-        return fn(group.drop(columns="__pg"))
-
-    parted = ds.map_batches(
-        _add_partition_col,
-        fn_kwargs={"key_cols": key_cols, "num_partitions": num_partitions},
-        batch_format="pyarrow",
-    )
-    return parted.groupby("__pg").map_groups(_wrapped, batch_format="pandas")
+    return hash_exchange_map_groups(ds, key_cols, fn, num_partitions, arrow_fns=arrow_fns)
 
 
 def grouped_topk(

@@ -197,11 +197,3 @@ def lineage_from_labeled(labeled_ds, num_partitions: int | None = None):
         _lineage_partition,
         num_partitions,
     )
-
-
-def merge_stage(features_ds, labels_ds, num_partitions=None):
-    """features + labels Dataset → (entities, lineage). Library wrapper over
-    build_labeled → entities_from_labeled / lineage_from_labeled."""
-    labeled = build_labeled(features_ds, labels_ds, num_partitions).materialize()
-    np_ = num_partitions  # None -> auto_partitions() inside partition_map_groups
-    return entities_from_labeled(labeled, np_), lineage_from_labeled(labeled, np_)

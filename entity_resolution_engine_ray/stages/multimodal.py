@@ -145,7 +145,9 @@ def encode_ppm(img: np.ndarray) -> bytes:
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
 
-def _unfilter_fixpoint_row(f: int, cur: np.ndarray, prev: np.ndarray, ch: int) -> np.ndarray:
+def _unfilter_fixpoint_row(
+    f: int, cur: np.ndarray, prev: np.ndarray, ch: int
+) -> np.ndarray | None:
     """EXACT whole-row vectorized Average/Paeth unfilter via fixpoint
     iteration (replaces the per-pixel Python list loop — r4 verdict item 6).
 

@@ -1,20 +1,18 @@
-"""Stage 3 — candidate-pair generation with explicit skew handling.
+"""Stage 3 — block-key statistics and hot-key salting for pair generation.
 
-Shuffle plan (SURVEY.md §7.3):
+The pair exchange itself lives in ``stages/score.fused_edges_stage``; this
+module supplies the two pieces it (and the dedup operators) run first:
 
-1. ``block_rows.groupby(block_key).count()`` — cheap count aggregate to find
-   hot buckets (count > max_block_size). Only hot keys (a tiny set) come back
-   to the driver and are shipped into the salting tasks.
-2. A vectorized ``map_batches`` salts hot keys:
-   ``salt = (mix64(stable_hash64(url) ^ block_key) & INT63) % n_splits``
-   (0 for cold keys) — the same
-   deterministic assignment as the serial oracle's ``split_block``, so pair
-   semantics are identical. The hot bucket is never materialized in one task.
-3. ``groupby([block_key, salt]).map_groups(pairgen)`` emits within-sub-block
-   pairs, members sorted by url, capped at ``pair_sample_cap`` per sub-block
-   with dropped pairs counted in a ``dropped`` column (never silent).
-4. Global pair dedup: ``groupby([left_url, right_url]).aggregate(Min(block_key))``
-   keeps the minimum block key per pair (matches the oracle).
+1. ``key_stats`` — one counting pass over the exploded ``block_key`` rows:
+   per-batch ``value_counts`` partials → one summing hash exchange → only
+   keys with ≥ 2 members reach the driver. It yields the hot set (buckets
+   over ``max_block_size``, with their split counts) and the pairable set
+   used to prune singleton buckets before the fat exchange.
+2. ``_salt_batch`` — vectorized salting of hot keys:
+   ``salt = (mix64(url_hash ^ block_key) & INT63) % n_splits`` (0 for cold
+   keys), the same deterministic assignment as the serial oracle's
+   ``split_block``, so pair semantics are identical and a hot bucket is
+   never materialized in one task.
 """
 
 from __future__ import annotations
@@ -24,40 +22,21 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from entity_resolution_engine_ray.config import PagesERConfig
-from entity_resolution_engine_ray.functions.similarity import stable_hash64
-from entity_resolution_engine_ray.stages.grouping import partition_map_groups
+from entity_resolution_engine_ray.functions.similarity import mix64
 from entity_resolution_engine_ray.oracle.serial import n_splits_for
-
-
-def hot_key_splits(
-    block_rows_ds, cap: int, driver_row_limit: int = 100_000_000, n_rows_hint: int | None = None
-) -> dict[int, int]:
-    """block_key → n_splits for buckets over the cap (driver-side small dict).
-
-    Thin wrapper over ``key_stats`` for callers that only need the hot set."""
-    hot, _, _ = key_stats(
-        block_rows_ds,
-        cap,
-        driver_row_limit=driver_row_limit,
-        n_rows_hint=n_rows_hint,
-        want_pairable=False,
-    )
-    return hot
+from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
 
 def key_stats(
     block_rows_ds,
     cap: int,
-    driver_row_limit: int = 100_000_000,
     n_rows_hint: int | None = None,
-    want_pairable: bool = True,
     pairable_limit: int = 200_000_000,
 ) -> tuple[dict[int, int], np.ndarray | None, int]:
     """One counting pass over (block_key) rows → (hot dict, pairable keys).
 
     ``hot``: block_key → n_splits for buckets over the cap (driver-side
-    small dict, same contract as the old ``hot_key_splits``).
+    small dict).
 
     ``pairable``: sorted int64 array of block keys with ≥ 2 members — the
     only keys that can ever produce a candidate pair. The fat feature
@@ -66,21 +45,22 @@ def key_stats(
     on sparse real-web corpora where most pages are unique) ship ~300 B of
     token ids/title per row for provably zero pairs. Filtering them is
     exactly output-preserving — no score, decision or dropped-count can
-    change. ``None`` when ``want_pairable`` is False or the set exceeds
-    ``pairable_limit`` (1.6 GB of int64 keys — past that the broadcast
-    costs more than the rows it prunes; callers must treat None as
-    "ship everything"). At 100-TB corpus scale the pairable set grows with
-    the number of DUPLICATED shingle-buckets, not the corpus, but a
-    per-shard corpus split (incremental ``key_filter`` path) is the
-    documented route once it would exceed the limit.
+    change. ``None`` when the set exceeds ``pairable_limit`` (1.6 GB of
+    int64 keys — past that the broadcast costs more than the rows it
+    prunes; callers must treat None as "ship everything"). At 100-TB
+    corpus scale the pairable set grows with the number of DUPLICATED
+    shingle-buckets, not the corpus, but a per-shard corpus split
+    (incremental ``key_filter`` path) is the documented route once it would
+    exceed the limit.
 
-    Fast path: per-batch ``value_counts`` partials → one slim summing hash
-    exchange → only keys with n ≥ 2 reach the driver. Above
-    ``driver_row_limit`` distinct-key rows the exact count groupby takes
-    over (multi-node scale path).
+    Two-level aggregation: per-batch ``value_counts`` partials → ONE hash
+    exchange summing per key → only multi-member keys reach the driver (a
+    driver-side concat of partials is ~n_distinct_keys rows — measured
+    21 s at 21M block rows; the n ≥ 2 set is the pair-producing minority,
+    the hot (> cap) set a few thousand).
 
-    ``n_rows_hint`` (e.g. pages × bands, known upstream) avoids a separate
-    counting pass over the exploded rows.
+    ``n_rows_hint`` (e.g. pages × bands, known upstream) sizes the summing
+    exchange without a separate counting pass over the exploded rows.
 
     Returns ``(hot, pairable, n_pairable_rows)`` — the third element is the
     TOTAL row count across multi-member keys, i.e. the number of fat rows
@@ -88,83 +68,38 @@ def key_stats(
     it: a measured 1M-page sweep (BASELINE r5) showed the old
     50k-rows/partition target paying ~0.1 s of task/ref overhead per
     partition (P=421: 107 s vs P=96: 50 s, identical edges), so the fused
-    exchange targets ~200k PRUNED rows per partition instead (0 when
-    ``want_pairable`` is False)."""
+    exchange targets ~200k PRUNED rows per partition instead."""
     n_rows = n_rows_hint if n_rows_hint is not None else block_rows_ds.count()
-    if n_rows <= driver_row_limit:
 
-        def partial(t: pa.Table) -> pa.Table:
-            vc = pc.value_counts(t["block_key"])
-            return pa.table(
-                {"k": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())}
-            )
+    def partial(t: pa.Table) -> pa.Table:
+        vc = pc.value_counts(t["block_key"])
+        return pa.table({"k": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
 
-        # two-level aggregation: per-batch partial counts → ONE hash
-        # exchange summing per key → only multi-member keys reach the
-        # driver (a driver-side concat of partials is ~n_distinct_keys rows
-        # — measured 21 s at 21M block rows; the n ≥ 2 set is the pair-
-        # producing minority, the hot (> cap) set a few thousand)
-        thresh = 2 if want_pairable else cap + 1
+    def sum_multi(pdf: pd.DataFrame) -> pd.DataFrame:
+        g = pdf.groupby("k", as_index=False, sort=False)["n"].sum()
+        return g[g["n"] >= 2]
 
-        def sum_multi(pdf: pd.DataFrame) -> pd.DataFrame:
-            g = pdf.groupby("k", as_index=False, sort=False)["n"].sum()
-            return g[g["n"] >= thresh]
-
-        from entity_resolution_engine_ray.stages.grouping import partition_map_groups
-
-        partials = block_rows_ds.map_batches(partial, batch_format="pyarrow")
-        # partial tables are ~n_distinct_keys rows; scale the summing
-        # exchange with the input instead of paying 32 fixed tasks at 100k
-        n_parts = int(min(32, max(4, n_rows // 500_000)))
-        multi_ds = partition_map_groups(partials, ["k"], sum_multi, n_parts)
-        hot: dict[int, int] = {}
-        key_chunks: list[np.ndarray] = []
-        n_pairable = 0
-        n_rows_multi = 0
-        for batch in multi_ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-            ks = batch["k"].to_numpy(zero_copy_only=False)
-            ns = batch["n"].to_numpy(zero_copy_only=False)
-            over = np.flatnonzero(ns > cap)
-            for i in over:
-                hot[int(ks[i])] = n_splits_for(int(ns[i]), cap)
-            if want_pairable:
-                n_pairable += len(ks)
-                n_rows_multi += int(ns.sum())
-                if n_pairable <= pairable_limit:
-                    key_chunks.append(ks.astype(np.int64, copy=True))
-        if not want_pairable or n_pairable > pairable_limit:
-            return hot, None, n_rows_multi
-        pairable = (
-            np.sort(np.concatenate(key_chunks)) if key_chunks else np.empty(0, dtype=np.int64)
-        )
-        return hot, pairable, n_rows_multi
-
-    counts = block_rows_ds.groupby("block_key").count()
-    thresh = 2 if want_pairable else cap + 1
-    multi = counts.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("count()"), thresh)),
-        batch_format="pyarrow",
-    )
-    hot = {}
-    key_chunks = []
+    partials = block_rows_ds.map_batches(partial, batch_format="pyarrow")
+    # partial tables are ~n_distinct_keys rows; scale the summing exchange
+    # with the input instead of paying 32 fixed tasks at 100k
+    n_parts = int(min(32, max(4, n_rows // 500_000)))
+    multi_ds = partition_map_groups(partials, ["k"], sum_multi, n_parts)
+    hot: dict[int, int] = {}
+    key_chunks: list[np.ndarray] = []
     n_pairable = 0
     n_rows_multi = 0
-    for batch in multi.iter_batches(batch_format="pyarrow"):
-        ks = batch["block_key"].to_numpy(zero_copy_only=False)
-        ns = batch["count()"].to_numpy(zero_copy_only=False)
-        over = np.flatnonzero(ns > cap)
-        for i in over:
+    for batch in multi_ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
+        ks = batch["k"].to_numpy(zero_copy_only=False)
+        ns = batch["n"].to_numpy(zero_copy_only=False)
+        for i in np.flatnonzero(ns > cap):
             hot[int(ks[i])] = n_splits_for(int(ns[i]), cap)
-        if want_pairable:
-            n_pairable += len(ks)
-            n_rows_multi += int(ns.sum())
-            if n_pairable <= pairable_limit:
-                key_chunks.append(ks.astype(np.int64, copy=True))
-    if not want_pairable or n_pairable > pairable_limit:
+        n_pairable += len(ks)
+        n_rows_multi += int(ns.sum())
+        if n_pairable <= pairable_limit:
+            key_chunks.append(ks.astype(np.int64, copy=True))
+    if n_pairable > pairable_limit:
         return hot, None, n_rows_multi
-    pairable = (
-        np.sort(np.concatenate(key_chunks)) if key_chunks else np.empty(0, dtype=np.int64)
-    )
+    pairable = np.sort(np.concatenate(key_chunks)) if key_chunks else np.empty(0, dtype=np.int64)
     return hot, pairable, n_rows_multi
 
 
@@ -176,7 +111,7 @@ def _salt_batch(batch: pa.Table, hot: dict[int, int], hash_col: str = "url_hash"
     lines; see similarity.mix64 for why plain XOR fragments clusters).
 
     ``hash_col`` is the int64 per-row mixing hash (url_hash for pages, the
-    doc id itself for the dedup operators); when absent, urls are hashed."""
+    doc id itself for the dedup operators)."""
     keys = batch["block_key"].to_numpy(zero_copy_only=False)
     salts = np.zeros(len(keys), dtype=np.int32)
     if hot:
@@ -184,106 +119,11 @@ def _salt_batch(batch: pa.Table, hot: dict[int, int], hash_col: str = "url_hash"
         mask = np.isin(keys, hot_keys)
         if mask.any():
             idx = np.flatnonzero(mask)
-            if hash_col in batch.schema.names:
-                uhash = batch[hash_col].to_numpy(zero_copy_only=False)[idx]
-            else:
-                urls = batch["url"].to_pylist()
-                uhash = np.fromiter(
-                    (stable_hash64(urls[i]) for i in idx), dtype=np.int64, count=len(idx)
-                )
+            uhash = batch[hash_col].to_numpy(zero_copy_only=False)[idx]
             hk = keys[idx]
             ns = np.fromiter((hot[int(k)] for k in hk), dtype=np.int64, count=len(idx))
-            from entity_resolution_engine_ray.functions.similarity import mix64
-
             mixed = mix64(uhash.astype(np.int64) ^ hk.astype(np.int64)) & np.int64(
                 0x7FFFFFFFFFFFFFFF
             )
             salts[idx] = (mixed % ns).astype(np.int32)
     return batch.append_column("salt", pa.array(salts, type=pa.int32()))
-
-
-def _pairgen_partition(pdf: pd.DataFrame, pair_cap: int) -> pd.DataFrame:
-    """One hash partition of (block_key, salt) sub-blocks → pairs.
-
-    Vectorized: sort once, slice per sub-block, emit pairs with
-    ``np.triu_indices`` in the oracle's (i asc, j asc) order; pairs beyond
-    ``pair_cap`` per sub-block are dropped and counted."""
-    pdf = pdf.sort_values(["block_key", "salt", "url"], kind="mergesort")
-    keys = pdf["block_key"].to_numpy()
-    salts = pdf["salt"].to_numpy()
-    urls = pdf["url"].to_numpy()
-    # sub-block boundaries
-    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
-    starts = np.r_[0, change]
-    ends = np.r_[change, len(pdf)]
-    lefts: list[np.ndarray] = []
-    rights: list[np.ndarray] = []
-    out_keys: list[np.ndarray] = []
-    dropped = 0
-    for s, e in zip(starts, ends):
-        m = e - s
-        if m < 2:
-            continue
-        ii, jj = np.triu_indices(m, k=1)
-        if len(ii) > pair_cap:
-            dropped += len(ii) - pair_cap
-            ii, jj = ii[:pair_cap], jj[:pair_cap]
-        sub = urls[s:e]
-        lefts.append(sub[ii])
-        rights.append(sub[jj])
-        out_keys.append(np.full(len(ii), keys[s], dtype=np.int64))
-    if not lefts:
-        return pd.DataFrame(
-            {
-                "left_url": pd.Series([], dtype=object),
-                "right_url": pd.Series([], dtype=object),
-                "block_key": pd.Series([], dtype=np.int64),
-                "dropped": pd.Series([], dtype=np.int64),
-            }
-        )
-    left = np.concatenate(lefts)
-    drops = np.zeros(len(left), dtype=np.int64)
-    drops[0] = dropped
-    return pd.DataFrame(
-        {
-            "left_url": left,
-            "right_url": np.concatenate(rights),
-            "block_key": np.concatenate(out_keys),
-            "dropped": drops,
-        }
-    )
-
-
-def candidate_pairs_stage(
-    block_rows_ds, cfg: PagesERConfig | None = None, num_partitions: int | None = None
-):
-    """block_rows (url, block_key) → (deduped pairs Dataset, dropped count)."""
-    cfg = cfg or PagesERConfig()
-    block_rows_ds = block_rows_ds.materialize()  # consumed by counts + pairgen
-    hot = hot_key_splits(block_rows_ds, cfg.max_block_size)
-    cap = cfg.pair_sample_cap
-    salted = block_rows_ds.map_batches(
-        _salt_batch, fn_kwargs={"hot": hot}, batch_format="pyarrow"
-    )
-    raw_pairs = partition_map_groups(
-        salted, ["block_key", "salt"], lambda pdf: _pairgen_partition(pdf, cap), num_partitions
-    )
-    # materialize once: both the dropped-count aggregate and the dedup consume
-    # raw_pairs; without this the groupby lineage would execute twice
-    raw_pairs = raw_pairs.materialize()
-    dropped = raw_pairs.sum("dropped") or 0
-    deduped = partition_map_groups(
-        raw_pairs.select_columns(["left_url", "right_url", "block_key"]),
-        ["left_url", "right_url"],
-        _dedup_partition,
-        num_partitions,
-    )
-    return deduped, int(dropped)
-
-
-def _dedup_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Within one hash partition of pairs: keep min block_key per pair."""
-    return (
-        pdf.groupby(["left_url", "right_url"], sort=False, as_index=False)["block_key"]
-        .min()
-    )

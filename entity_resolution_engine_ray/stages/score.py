@@ -2,7 +2,7 @@
 
     score = w_j * token_jaccard  +  w_s * simhash_similarity  +  w_t * jaro_winkler(title)
 
-Primary path: ``fused_edges_stage`` — ONE fat-block hash exchange carrying
+``fused_edges_stage`` runs ONE fat-block hash exchange carrying
 (url_hash, token_ids, simhash, title_norm) per band row (IDS ONLY: url
 strings never enter the pair shuffle, the scored output, or the edge-dedup
 exchange — they rejoin from the features side table after clustering);
@@ -10,10 +10,8 @@ each partition generates pairs (salted, capped, drop-counted), pre-dedups,
 and scores fully vectorized: SimHash via uint64 XOR + popcount, Jaccard
 via the grouped int64 ``searchsorted`` kernel (``_grouped_jaccard_flat``),
 Jaro-Winkler via the length-bucketed batch kernel over unique title pairs.
-Legacy SLOW path: ``score_stage`` (pair list ⋈ features ×2 hash joins →
-``PairScorer`` actor pool) kept only for composability with external
-url-keyed pair lists — its Jaccard is a per-pair Python set loop; do not
-put it on a hot path.
+It is the only pair-scoring path: candidate pairs are generated from the
+block keys inside the exchange, never joined in from a url-keyed pair list.
 
 The gate reproduces the reference router's three-way semantics
 (validation/router.py:165-170): ``score < low → reject``;
@@ -54,122 +52,13 @@ def triu_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _jw_from_codes(
     cl: np.ndarray, cr: np.ndarray, dict_l: np.ndarray, dict_r: np.ndarray
 ) -> np.ndarray:
-    """Jaro-Winkler per pair, computed once per UNIQUE (left, right) code
-    pair — the ONE decode kernel shared by the fused path (dictionary-
-    encoded titles) and the legacy PairScorer (factorized titles), so the
-    zero-length-dictionary guard can never drift between them."""
+    """Jaro-Winkler per pair over dictionary-encoded titles, computed once
+    per UNIQUE (left, right) code pair; the ``max(len, 1)`` guard keeps an
+    empty right dictionary from dividing by zero."""
     nd = np.int64(max(len(dict_r), 1))
     code = cl.astype(np.int64) * nd + cr
     uniq, inv = np.unique(code, return_inverse=True)
     return jaro_winkler_batch(dict_l[uniq // nd], dict_r[uniq % nd])[inv]
-
-
-def _jw_unique_pairs(titles_l: np.ndarray, titles_r: np.ndarray) -> np.ndarray:
-    """Jaro-Winkler per pair over raw title arrays (factorize + shared
-    unique-pair decode)."""
-    import pandas as pd
-
-    ca, ua = pd.factorize(titles_l)
-    cb, ub = pd.factorize(titles_r)
-    return _jw_from_codes(ca, cb, np.asarray(ua), np.asarray(ub))
-
-
-class PairScorer:
-    """Actor-pool batch scorer. Construction cost (config parse) runs once
-    per actor; per-batch work is vectorized where the kernel allows."""
-
-    def __init__(self, cfg: PagesERConfig | None = None):
-        self.cfg = cfg or PagesERConfig()
-        # actor-lifetime cache: near-dup workloads repeat the same urls
-        # across many pairs, so token-set construction hits this cache far
-        # more than it misses. Bounded — cleared when oversized.
-        self._set_cache: dict[str, frozenset] = {}
-
-    def _tokset(self, joined: str) -> frozenset:
-        s = self._set_cache.get(joined)
-        if s is None:
-            s = frozenset(joined.split("\x1f")) if joined else frozenset()
-            self._set_cache[joined] = s
-        return s
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        n = batch.num_rows
-        lt = batch["tokens_left"].to_pylist()
-        rt = batch["tokens_right"].to_pylist()
-        ltit = batch["title_left"].to_pylist()
-        rtit = batch["title_right"].to_pylist()
-        sl = batch["simhash_left"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        sr = batch["simhash_right"].to_numpy(zero_copy_only=False).astype(np.uint64)
-
-        sim_sim = 1.0 - _popcount64(np.bitwise_xor(sl, sr)) / 64.0
-
-        jac = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            # tokens are "\x1f"-joined unique sorted token strings
-            sa = self._tokset(lt[i])
-            sb = self._tokset(rt[i])
-            if not sa and not sb:
-                jac[i] = 1.0
-            elif not sa or not sb:
-                jac[i] = 0.0
-            else:
-                inter = len(sa & sb)
-                jac[i] = inter / (len(sa) + len(sb) - inter)
-        jw = _jw_unique_pairs(np.asarray(ltit, dtype=object), np.asarray(rtit, dtype=object))
-        if len(self._set_cache) > 500_000:
-            self._set_cache.clear()
-
-        score = cfg.weight_jaccard * jac + cfg.weight_simhash * sim_sim + cfg.weight_title * jw
-
-        gray_label = "gray_approve" if cfg.fallback_mode == "auto_approve" else "review"
-        decision = np.where(
-            score < cfg.gate_low,
-            "reject",
-            np.where(score >= cfg.gate_high, "auto_approve", gray_label),
-        )
-        return pa.table(
-            {
-                "left_url": batch["left_url"],
-                "right_url": batch["right_url"],
-                "block_key": batch["block_key"],
-                "score": pa.array(score, type=pa.float64()),
-                "jaccard": pa.array(jac, type=pa.float64()),
-                "simhash_sim": pa.array(sim_sim, type=pa.float64()),
-                "title_sim": pa.array(jw, type=pa.float64()),
-                "decision": pa.array(decision.tolist(), type=pa.string()),
-            }
-        )
-
-
-def score_stage(pairs_ds, features_ds, cfg: PagesERConfig | None = None, num_partitions: int | None = None):
-    """pairs (left_url, right_url, block_key) ⋈ features ×2 → scored edges."""
-    from entity_resolution_engine_ray.stages.joins import safe_join
-
-    cfg = cfg or PagesERConfig()
-    feat = features_ds.select_columns(["url", "tokens", "simhash", "title_norm"])
-    joined = safe_join(
-        pairs_ds, feat, on=("left_url",), right_on=("url",), num_partitions=num_partitions
-    )
-    # first join emits unsuffixed feature columns; rename before the second
-    joined = joined.rename_columns(
-        {"tokens": "tokens_left", "simhash": "simhash_left", "title_norm": "title_left"}
-    )
-    joined = safe_join(
-        joined, feat, on=("right_url",), right_on=("url",), num_partitions=num_partitions
-    )
-    joined = joined.rename_columns(
-        {"tokens": "tokens_right", "simhash": "simhash_right", "title_norm": "title_right"}
-    )
-    from entity_resolution_engine_ray.stages.block import default_pool_size
-
-    return joined.map_batches(
-        PairScorer,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=cfg.score_batch_size,
-        concurrency=cfg.score_concurrency or default_pool_size(),
-    )
 
 
 _EDGE_SCHEMA = pa.schema(

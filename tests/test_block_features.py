@@ -103,7 +103,6 @@ def test_feature_extractor_matches_scalar_reference(ray_session):
         toks = canonical_tokens(texts[i])
         th = hash_tokens(toks, None)
         sig = minhash_signature(shingle_hashes(th, k=cfg.shingle_k), *coeffs)
-        assert out["tokens"][i].as_py() == "\x1f".join(sorted(set(toks)))
         assert out["token_ids"][i].as_py() == list(jaccard_ids(th))
         assert out["simhash"][i].as_py() == simhash64(th)
         assert out["band_keys"][i].as_py() == lsh_band_keys(sig, cfg.bands)

@@ -47,3 +47,23 @@ def test_matcher_no_snippets():
     texts = pa.array(["a", "b"])
     assert not m.hit_mask(texts).any()
     assert m.hit_counts(texts).sum() == 0
+
+
+def test_cached_matcher_keys_plain_lists_on_content():
+    """Two successive distinct snippet lists at the SAME address (what a
+    freed list's reused id() looks like) each get their own automaton;
+    equal-content lists share one cache entry."""
+    from entity_resolution_engine_ray.stages import decontaminate
+
+    decontaminate._MATCHER_CACHE.clear()
+    texts = pa.array(["alpha beta", "gamma", "alpha gamma"])
+    snips = ["alpha"]
+    for content in (["alpha"], ["gamma"], ["beta", "gamma"]):
+        snips[:] = content  # same list object, new snippets
+        counts = decontaminate.cached_matcher(snips).hit_counts(texts)
+        assert np.array_equal(counts, _brute_counts(texts.to_pylist(), content)), content
+    assert len(decontaminate._MATCHER_CACHE) == 3
+
+    first = decontaminate.cached_matcher(["alpha", "beta"])
+    assert decontaminate.cached_matcher(["alpha", "beta"]) is first
+    assert len(decontaminate._MATCHER_CACHE) == 4

@@ -211,48 +211,79 @@ def test_labelprop_pipeline_equivalent_to_contraction(ray_session, fixture_paths
 def test_labelprop_long_chain_converges(ray_session):
     """A 200-node path graph has diameter 199 — naive min-label propagation
     needs ~199 rounds; the pointer-jumped labelprop must converge to ONE
-    cluster within the default iteration budget."""
-    import pyarrow as pa
+    cluster within the default iteration budget, and the contraction path
+    must agree."""
     import ray.data as rd
 
-    from entity_resolution_engine_ray.stages.cluster import connected_components_labelprop
+    from entity_resolution_engine_ray.functions.similarity import stable_hash64
+    from entity_resolution_engine_ray.stages.cluster import (
+        cluster_label_map,
+        connected_components_labelprop_ids,
+    )
 
     n = 200
-    urls = [f"https://chain.example/p{i:04d}" for i in range(n)]
+    ids = [stable_hash64(f"https://chain.example/p{i:04d}") for i in range(n)]
     edges = pa.table(
         {
-            "left_url": pa.array(urls[:-1], type=pa.string()),
-            "right_url": pa.array(urls[1:], type=pa.string()),
+            "left_id": pa.array(ids[:-1], type=pa.int64()),
+            "right_id": pa.array(ids[1:], type=pa.int64()),
         }
     )
-    labels = connected_components_labelprop(rd.from_arrow(edges), num_partitions=8).to_pandas()
+    int_edges = rd.from_arrow(edges.rename_columns(["src", "dst"]))
+    labels = connected_components_labelprop_ids(int_edges, num_partitions=8).to_pandas()
     assert len(labels) == n
     assert labels["cluster_label"].nunique() == 1
+    # min-label fixpoint: the one label is the component's min node id
+    assert labels["cluster_label"].iloc[0] == min(ids)
+
+    lm = cluster_label_map(rd.from_arrow(edges), num_partitions=8)
+    assert len(lm) == n
+    assert len(set(lm.values())) == 1
 
 
 def test_cluster_paths_handle_empty_edges(ray_session):
     """No approved edges (e.g. an impossible gate) must not crash either
     clustering path — zero-row datasets skip lazy transforms and would leak
     the source schema into the exchange."""
-    import pyarrow as pa
     import ray.data as rd
 
+    from entity_resolution_engine_ray.functions.similarity import stable_hash64
     from entity_resolution_engine_ray.stages.cluster import (
         cluster_label_map,
-        connected_components_labelprop,
+        connected_components_labelprop_ids,
     )
 
     edges = pa.table(
         {
-            "left_url": pa.array(["a"], type=pa.string()),
-            "right_url": pa.array(["b"], type=pa.string()),
+            "left_id": pa.array([stable_hash64("a")], type=pa.int64()),
+            "right_id": pa.array([stable_hash64("b")], type=pa.int64()),
             "decision": pa.array(["reject"], type=pa.string()),
         }
     )
     approved = rd.from_arrow(edges).filter(expr="decision == 'auto_approve'")
     assert cluster_label_map(approved) == {}
-    labels = connected_components_labelprop(approved).to_pandas()
+    int_edges = approved.map_batches(
+        lambda t: pa.table({"src": t["left_id"], "dst": t["right_id"]}),
+        batch_format="pyarrow",
+    )
+    labels = connected_components_labelprop_ids(int_edges).to_pandas()
     assert len(labels) == 0
+
+
+def test_features_checkpoint_schema(pipeline_result):
+    """The features checkpoint carries exactly the columns downstream
+    stages read — a dead column here is paid on every run and every
+    resume."""
+    assert pq.read_table(os.path.join(OUTDIR, "features")).schema.names == [
+        "url",
+        "url_hash",
+        "warc_ts",
+        "lang",
+        "title_norm",
+        "token_ids",
+        "simhash",
+        "band_keys",
+    ]
 
 
 def test_edges_deterministic_across_partition_counts(ray_session, fixture_paths):

@@ -653,10 +653,11 @@ def test_ivf_kmeans_refinement_recall(ray_session):
 def test_labelprop_matches_local_unionfind(ray_session):
     import ray.data as rd
 
+    from entity_resolution_engine_ray.functions.similarity import stable_hash64
+    from entity_resolution_engine_ray.oracle.serial import UnionFind
     from entity_resolution_engine_ray.stages.cluster import (
         cluster_label_map,
-        connected_components_labelprop,
-        connected_components_local,
+        connected_components_labelprop_ids,
     )
 
     # two chains + one triangle + isolated pair
@@ -665,34 +666,35 @@ def test_labelprop_matches_local_unionfind(ray_session):
         ("x", "y"), ("y", "z"), ("z", "x"),          # triangle
         ("p", "q"),                                   # pair
     ]
-    tbl = pa.table(
-        {
-            "left_url": pa.array([e[0] for e in edges]),
-            "right_url": pa.array([e[1] for e in edges]),
-        }
-    )
-    ds = rd.from_arrow(tbl)
+    url_of = {stable_hash64(u): u for u in "abcdxyzpq"}
 
-    def partitions(pairs: dict[str, object]) -> set[frozenset]:
-        groups: dict[object, set] = {}
-        for k, v in pairs.items():
-            groups.setdefault(v, set()).add(k)
+    def partitions(labels: dict) -> set[frozenset]:
+        groups: dict = {}
+        for node, label in labels.items():
+            groups.setdefault(label, set()).add(url_of.get(node, node))
         return {frozenset(g) for g in groups.values()}
 
-    lp = connected_components_labelprop(ds, num_partitions=4).to_pandas()
-    lp_parts = partitions(dict(zip(lp["url"], lp["cluster_label"])))
-    loc = connected_components_local(ds).to_pandas()
-    loc_parts = partitions(dict(zip(loc["url"], loc["cluster_label"])))
-    expected = {frozenset("abcd"), frozenset("xyz"), frozenset("pq")}
-    assert lp_parts == expected
-    assert loc_parts == expected
+    # ground truth: the serial oracle's union-find over the url strings
+    uf = UnionFind()
+    for a, b in edges:
+        uf.union(a, b)
+    expected = partitions({u: uf.find(u) for u in list(uf.parent)})
+    assert expected == {frozenset("abcd"), frozenset("xyz"), frozenset("pq")}
+
+    # the engine clusters url hashes
+    tbl = pa.table(
+        {
+            "left_id": pa.array([stable_hash64(a) for a, _ in edges], type=pa.int64()),
+            "right_id": pa.array([stable_hash64(b) for _, b in edges], type=pa.int64()),
+        }
+    )
+    int_edges = rd.from_arrow(tbl.rename_columns(["src", "dst"]))
+    lp = connected_components_labelprop_ids(int_edges, num_partitions=4).to_pandas()
+    assert partitions(dict(zip(lp["node"], lp["cluster_label"]))) == expected
 
     # contraction label map groups hashes identically
-    from entity_resolution_engine_ray.functions.similarity import stable_hash64
-
-    lm = cluster_label_map(ds, num_partitions=4)
-    cm_parts = partitions({u: lm.get(stable_hash64(u), stable_hash64(u)) for u in "abcdxyzpq"})
-    assert cm_parts == expected
+    lm = cluster_label_map(rd.from_arrow(tbl), num_partitions=4)
+    assert partitions({h: lm.get(h, h) for h in url_of}) == expected
 
 
 def test_triage_report(tmp_path):
@@ -1254,21 +1256,3 @@ def test_labelprop_two_level_exchange_matches_flat(ray_session, monkeypatch):
     for n in set(tbl["src"].to_pylist()) | set(tbl["dst"].to_pylist()):
         want.setdefault(uf.find(n), set()).add(n)
     assert two_parts == {frozenset(g) for g in want.values()}
-
-
-def test_approx_connected_nodes_accuracy(ray_session):
-    """HLL connected-node estimate within a few % on hashed AND sequential
-    ids (the mix64 pre-scan makes non-uniform ids sketch correctly)."""
-    import numpy as np
-    import ray.data as rd
-
-    from entity_resolution_engine_ray.stages.cluster import approx_connected_nodes
-
-    rng = np.random.default_rng(6)
-    n_nodes = 30_000
-    src = rng.integers(0, n_nodes, 200_000, dtype=np.int64)
-    dst = rng.integers(0, n_nodes, 200_000, dtype=np.int64)
-    tbl = pa.table({"left_id": src, "right_id": dst})
-    est = approx_connected_nodes(rd.from_arrow(tbl))
-    true = len(np.unique(np.r_[src, dst]))
-    assert abs(est - true) / true < 0.05, (est, true)
