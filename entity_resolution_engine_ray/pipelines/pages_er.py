@@ -105,10 +105,11 @@ def run_pages_er(
                 edges = store.write(validate_gray_zone(edges), "validated", phash)
 
     # ---- stage 5: cluster approved edges → fully-labeled pages checkpoint.
-    # "auto"/"local": distributed contraction (partition-local union-find →
-    # small spanning forest) + driver union + broadcast label map — zero
-    # joins, one slim shuffle. "labelprop": fully-distributed min-label
-    # propagation for inputs whose connected-node set exceeds driver memory.
+    # "auto"/"local": the approved edge ids are collected on the driver,
+    # the vectorised connected-components kernel runs there, and its
+    # (nodes, roots) arrays are broadcast to one labeling pass — no shuffle.
+    # "labelprop": fully-distributed min-label propagation for inputs whose
+    # edge list exceeds driver memory.
     if resume and store.is_done("labeled", phash):
         labeled = store.read("labeled")
     else:
@@ -133,27 +134,22 @@ def run_pages_er(
                 .select_columns(["left_id", "right_id"])
                 .materialize()
             )
-            # size gate: the driver-side label map is only safe when the
-            # connected-node set (bounded by 2×edges) fits driver memory —
-            # "auto" counts approved edges (metadata-only on the
-            # materialized slim table) and falls through to fully-distributed
-            # labelprop above the threshold
+            # size gate: the driver kernel holds the approved edge ids and
+            # the connected nodes as int64 arrays, so it is only safe when
+            # the edge list fits driver memory — "auto" counts approved
+            # edges (metadata-only on the materialized slim table) and
+            # falls through to fully-distributed labelprop above the
+            # threshold
             method = cfg.cluster_method
             if method == "auto":
-                # edge count is the gate: an HLL node-count second chance
-                # was MEASURED at 1M pages (28M approved edges, ~0.8M
-                # nodes — driver map trivially fits) and the contraction
-                # path still LOST to labelprop, 34.3 s vs 15.8 s:
-                # _forest_partition's per-edge Python union-find costs more
-                # than labelprop's ~19 vectorized rounds
                 method = (
                     "local"
                     if approved.count() <= cfg.local_cluster_edge_threshold
                     else "labelprop"
                 )
             if method == "local":
-                label_map = cluster_label_map(approved)
-                labeled = label_features_broadcast(features, ray.put(label_map))
+                roots_ref = ray.put(cluster_label_map(approved))
+                labeled = label_features_broadcast(features, roots_ref)
             else:
                 # ids-only CC: edges carry int64 url hashes, labels come
                 # back keyed by hash, urls rejoin from the features side
@@ -325,7 +321,7 @@ def run_pages_er_incremental(
             edges_prev.union(edges_new),
             ["left_id", "right_id"],
             dedup_pairs,
-            num_partitions or 16,
+            num_partitions,
         )
         # dropped-pair accounting accumulates ACROSS folds (keeping only
         # the new batch's would silently degrade the count over a chain of

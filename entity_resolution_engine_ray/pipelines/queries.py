@@ -3694,10 +3694,8 @@ def q_semantic_dedup_keep(sf_dir: str):
     # label = min vec_id of the component; drop everything that isn't its
     # component's representative. The drop set is O(near-dup vectors) — the
     # small side — broadcast once via ray.put.
-    label_map = cluster_label_map(pairs)
-    drop = np.sort(
-        np.fromiter((i for i, l in label_map.items() if i != l), dtype=np.int64)
-    )
+    nodes, roots = cluster_label_map(pairs)
+    drop = nodes[nodes != roots]
     drop_ref = ray.put(drop)
 
     def keep(t: pa.Table) -> pa.Table:

@@ -6,12 +6,15 @@ rejoin from the features side table after clustering (stages/merge), and
 entity ids downstream are content hashes of sorted member urls
 (functions/ids.cluster_entity_id), so label internals never leak.
 
-Two entry points, both over ``(left_id, right_id)`` / ``(src, dst)`` int64
-edges:
+One kernel, ``connected_roots``: a vectorised Shiloach–Vishkin pass
+(hook with ``np.minimum.at``, pointer-jump to a fixpoint) that maps int64
+edges to ``(nodes, roots)``, nodes sorted and root = the component's min
+id. ``label_of`` is the one id → label lookup (a searchsorted; an id with
+no edge is its own root). Two paths, over ``(left_id, right_id)`` /
+``(src, dst)`` int64 edges:
 
-- ``cluster_label_map`` — distributed contraction (per-partition
-  union-find spanning forests) then a driver union → a driver-side
-  ``{node: root}`` map. Used when the connected-node set fits driver memory.
+- ``cluster_label_map`` — collects the edge ids on the driver and runs the
+  kernel there. Used when the edge list fits driver memory.
 - ``connected_components_labelprop_ids`` — fully distributed,
   hash-partitioned min-label propagation (the north rule's "distributed
   union-find"; cf. PAPERS.md "BTS: Load-Balanced Distributed Union-Find",
@@ -19,6 +22,9 @@ edges:
   the hash-to-min shortcut):
 
       labels(v) ← min(labels(v), min_{(u,v) ∈ E∪Eᵀ} labels(u), labels(labels(v)))
+
+  Its per-partition tasks hold node-sorted labels and use ``label_of`` plus
+  a numpy min-by-key. ``attach_labels`` joins its output back to rows.
 
 The pages pipeline picks between them with ``PagesERConfig.cluster_method``
 and its approved-edge-count gate. Each labelprop round is checkpoint-free
@@ -39,43 +45,73 @@ def _swap(batch: pa.Table) -> pa.Table:
     return pa.table({"src": batch["dst"], "dst": batch["src"]})
 
 
-class _IntUnionFind:
-    """Int-keyed path-halving union-find with min-root union — the ONE copy
-    of the kernel shared by the per-partition spanning forests and the
-    driver fold (its safety hinges on the subtle invariant that every
-    stored parent value is itself a key; keeping multiple copies in sync
-    invites drift)."""
+def connected_roots(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """int64 edges → ``(nodes, roots)``: the sorted unique endpoint ids and,
+    aligned with them, each node's component root (its minimum member id).
 
-    __slots__ = ("parent",)
+    Shiloach–Vishkin over dense indices: ``np.unique`` maps ids to ranks (so
+    the minimum rank is the minimum id), each round hooks every crossing
+    edge's larger root under the smaller one with ``np.minimum.at`` and
+    pointer-jumps the parent array to a fixpoint (every tree a star), then
+    contracts the edge list to the edges still crossing two stars. Parents
+    only ever point to smaller ranks, so hooking never forms a cycle, and
+    each round merges at least one pair of stars while any edge crosses."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    nodes, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    parent = np.arange(len(nodes))
+    u, v = inv[: len(src)], inv[len(src) :]
+    while len(u):
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        u, v = parent[u], parent[v]
+        crossing = u != v
+        u, v = u[crossing], v[crossing]
+    return nodes, nodes[parent]
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        p = parent.setdefault(x, x)
-        while p != x:
-            parent[x] = p = parent.setdefault(p, p)
-            x = p
-            p = parent[x]
-        return x
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            lo, hi = (ru, rv) if ru < rv else (rv, ru)
-            self.parent[hi] = lo
+def label_of(nodes: np.ndarray, roots: np.ndarray, ids, default=None) -> np.ndarray:
+    """Each id's root from sorted ``nodes`` and aligned ``roots`` (the
+    ``connected_roots`` contract), by searchsorted. An id absent from
+    ``nodes`` — a node with no edge — is its own root, or ``default`` when
+    one is given."""
+    ids = np.asarray(ids, dtype=np.int64)
+    miss = ids if default is None else default
+    if len(nodes) == 0:
+        return np.broadcast_to(miss, ids.shape).astype(np.int64)
+    pos = np.searchsorted(nodes, ids)
+    pos[pos == len(nodes)] = len(nodes) - 1
+    return np.where(nodes[pos] == ids, roots[pos], miss)
 
 
-@ray.remote
-def _lp_init_from_edges(edges_part: pa.Table) -> pa.Table:
-    """Directed (src, dst) partition → initial labels over the unique src
-    set. The directed edge set contains both orientations of every edge, so
-    every connected node appears as a src in its owning partition."""
-    import pyarrow.compute as pc
+def _min_by_sorted_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, vals) → (unique keys, min val per key)."""
+    if len(keys) == 0:
+        return keys, vals
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.minimum.reduceat(vals, starts)
 
-    nodes = pc.unique(edges_part["src"])
-    return pa.table({"node": nodes, "label": nodes})
+
+@ray.remote(num_returns=2)
+def _lp_init_from_edges(edges_part: pa.Table):
+    """Directed (src, dst) partition → (stationary edges, initial labels).
+
+    Labels cover the unique src set, sorted by node: the directed edge set
+    contains both orientations of every edge, so every connected node
+    appears as a src in its owning partition. Labels keep these rows for
+    the whole run, so the edges come back as (pos, dst) — pos is the src's
+    row in the labels table — sorted by dst: a propagation round is then a
+    gather plus a min over dst runs, with no per-round search or sort."""
+    nodes, pos = np.unique(_np_col(edges_part, "src"), return_inverse=True)
+    dst = _np_col(edges_part, "dst")
+    order = np.argsort(dst, kind="stable")
+    edges = pa.table({"pos": pos[order].astype(np.int64), "dst": dst[order]})
+    nodes = pa.array(nodes, pa.int64())
+    return edges, pa.table({"node": nodes, "label": nodes})
 
 
 @ray.remote
@@ -104,40 +140,18 @@ def _np_col(t: pa.Table, name: str) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False)
 
 
+def _cand_table(dst, cand) -> pa.Table:
+    return pa.table({"dst": pa.array(dst, pa.int64()), "cand": pa.array(cand, pa.int64())})
+
+
 @ray.remote
 def _lp_propagate(edges_part: pa.Table, labels_part: pa.Table) -> pa.Table:
     """One stationary edge partition (by src) × its co-located labels →
-    per-dst min candidate labels.
-
-    The edge partition is immutable and LARGE — a per-round ``to_pandas``
-    would memcpy the whole directed edge list every round. Instead the
-    src/dst int64 columns come out zero-copy and the label lookup is a
-    searchsorted against the (much smaller) sorted label table; only the
-    matched subset ever becomes a frame."""
-    if edges_part.num_rows == 0 or labels_part.num_rows == 0:
-        return _EMPTY_CAND
-    src = _np_col(edges_part, "src")
-    dst = _np_col(edges_part, "dst")
-    nodes = _np_col(labels_part, "node")
-    labs = _np_col(labels_part, "label")
-    o = np.argsort(nodes, kind="stable")
-    ns, ls = nodes[o], labs[o]
-    pos = np.searchsorted(ns, src)
-    pos[pos >= len(ns)] = len(ns) - 1
-    hit = ns[pos] == src
-    if not hit.any():
-        return _EMPTY_CAND
-    g = (
-        pd.DataFrame({"dst": dst[hit], "cand": ls[pos[hit]]})
-        .groupby("dst", as_index=False)["cand"]
-        .min()
-    )
-    return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-
-_EMPTY_CAND = pa.table(
-    {"dst": pa.array([], type=pa.int64()), "cand": pa.array([], type=pa.int64())}
-)
+    per-dst min candidate labels. The edge partition is immutable and
+    LARGE; ``_lp_init_from_edges`` laid it out so this is one gather and
+    one ``np.minimum.reduceat``."""
+    cand = _np_col(labels_part, "label")[_np_col(edges_part, "pos")]
+    return _cand_table(*_min_by_sorted_key(_np_col(edges_part, "dst"), cand))
 
 
 @ray.remote(num_returns=3)
@@ -150,37 +164,21 @@ def _lp_refine(labels_part: pa.Table, *cand_subparts: pa.Table):
     round — without this, a new minimum spreads only one edge-hop per round
     and long chains stall (min-label + pointer-jump alone reaches a jump
     fixpoint where every node points at a stale local sink).
-    Output labels stay partitioned by node — labels never re-shuffle."""
-    l = labels_part.to_pandas()
-    cands = [c.to_pandas() for c in cand_subparts if c.num_rows > 0]
-    if l.empty or not cands:
-        return labels_part, 0, _EMPTY_CAND
-    cand = pd.concat(cands).groupby("dst", as_index=False)["cand"].min()
-    # labels are full-range int64 hashes: a left join would promote the cand
-    # column to float64 (53-bit mantissa) and CORRUPT them — keep the column
-    # nullable Int64 through the join so missing stays NA, values stay exact
-    cand["cand"] = cand["cand"].astype("Int64")
-    m = l.merge(cand, left_on="node", right_on="dst", how="left")
-    old = m["label"].to_numpy(dtype=np.int64)
-    isna = m["cand"].isna().to_numpy()
-    cv = m["cand"].fillna(0).astype(np.int64).to_numpy()
-    new = np.where(isna, old, np.minimum(old, cv))
+    Output labels stay partitioned by node and sorted — labels never
+    re-shuffle. A node's label never exceeds its own id, so a node with no
+    candidate (``label_of`` answers its own id) keeps its label."""
+    cands = [c for c in cand_subparts if c.num_rows > 0] or [_cand_table([], [])]
+    cands = pa.concat_tables(cands)
+    nodes = _np_col(labels_part, "node")
+    old = _np_col(labels_part, "label")
+    dst, cand = _np_col(cands, "dst"), _np_col(cands, "cand")
+    order = np.argsort(dst, kind="stable")
+    dst, cand = _min_by_sorted_key(dst[order], cand[order])
+    new = np.minimum(old, label_of(dst, cand, nodes))
     ch = new != old
-    nodes = m["node"].to_numpy(dtype=np.int64)
-    hook_mask = ch & (old != nodes)
-    hooks = pa.table(
-        {
-            "dst": pa.array(old[hook_mask], type=pa.int64()),
-            "cand": pa.array(new[hook_mask], type=pa.int64()),
-        }
-    )
-    out = pa.table(
-        {
-            "node": pa.array(nodes, type=pa.int64()),
-            "label": pa.array(new, type=pa.int64()),
-        }
-    )
-    return out, int(ch.sum()), hooks
+    hook = ch & (old != nodes)
+    out = pa.table({"node": labels_part["node"], "label": pa.array(new, type=pa.int64())})
+    return out, int(ch.sum()), _cand_table(old[hook], new[hook])
 
 
 # above this width the per-round candidate exchange switches from flat
@@ -229,20 +227,12 @@ def _lp_jump_request(labels_part: pa.Table) -> pa.Table:
 def _lp_jump_answer(labels_part: pa.Table, *req_subparts: pa.Table) -> pa.Table:
     """Pointer-jump phase 2: at label(v)'s owner, look up label(label(v)) and
     answer as a (dst=v, cand) candidate."""
-    reqs = [r.to_pandas() for r in req_subparts if r.num_rows > 0]
-    l = labels_part.to_pandas()
-    if not reqs or l.empty:
-        return pa.table(
-            {"dst": pa.array([], type=pa.int64()), "cand": pa.array([], type=pa.int64())}
-        )
-    req = pd.concat(reqs)
-    m = req.merge(l, left_on="key", right_on="node", how="inner", suffixes=("", "_l"))
-    return pa.table(
-        {
-            "dst": pa.array(m["node"].to_numpy(dtype=np.int64), type=pa.int64()),
-            "cand": pa.array(m["label"].to_numpy(dtype=np.int64), type=pa.int64()),
-        }
-    )
+    reqs = [r for r in req_subparts if r.num_rows > 0]
+    if not reqs:
+        return _cand_table([], [])
+    req = pa.concat_tables(reqs)
+    nodes, labels = _np_col(labels_part, "node"), _np_col(labels_part, "label")
+    return _cand_table(_np_col(req, "node"), label_of(nodes, labels, _np_col(req, "key")))
 
 
 def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -> list:
@@ -395,7 +385,8 @@ def connected_components_labelprop_ids(
         )
     directed = edges.union(edges.map_batches(_swap, batch_format="pyarrow"))
     edge_parts = exchange_partition_refs(directed, ["src"], P)
-    labels_parts = [_lp_init_from_edges.remote(e) for e in edge_parts]
+    inits = [_lp_init_from_edges.remote(e) for e in edge_parts]
+    edge_parts, labels_parts = [e for e, _ in inits], [l for _, l in inits]
     labels_parts = _lp_run(edge_parts, labels_parts, P, max_iterations)
 
     emitted = [_lp_emit_ids.remote(l) for l in labels_parts]
@@ -407,47 +398,33 @@ def connected_components_labelprop_ids(
     return rd.from_arrow_refs(keep)
 
 
-def _forest_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Local union-find over one hash partition of (src, dst) edges → the
-    partition's spanning forest as (node, root) pairs. The union of
-    per-partition forests preserves global connectivity with ≤ Σ_p |V_p|
-    edges — typically ≪ |E| for dense near-dup graphs."""
-    uf = _IntUnionFind()
-    for u, v in zip(pdf["src"].to_numpy(), pdf["dst"].to_numpy()):
-        uf.union(int(u), int(v))
-    parent = uf.parent
-    nodes = np.fromiter(parent.keys(), dtype=np.int64, count=len(parent))
-    roots = np.fromiter((uf.find(int(n)) for n in nodes), dtype=np.int64, count=len(nodes))
-    keep = nodes != roots
-    return pd.DataFrame({"src": nodes[keep], "dst": roots[keep]})
+def cluster_label_map(edges_ds) -> tuple[np.ndarray, np.ndarray]:
+    """(left_id, right_id) int64 edges → driver-side ``(nodes, roots)`` by
+    ``connected_roots`` over the collected id columns: two int64 arrays
+    over the connected nodes, root = min member id. For inputs whose edge
+    list exceeds driver memory use ``connected_components_labelprop_ids``
+    (the fully-distributed path) instead."""
+    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b in edges_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if b.num_rows:
+            src.append(_np_col(b, "left_id"))
+            dst.append(_np_col(b, "right_id"))
+    return connected_roots(np.concatenate(src), np.concatenate(dst))
 
 
-def cluster_label_map(edges_ds, num_partitions: int | None = None, contraction_rounds: int = 2) -> dict[int, int]:
-    """(left_id, right_id) int64 edges → driver-side label map
-    {node: component_root} (root = min member id) by distributed
-    contraction.
+def attach_labels(ds, id_col: str, labels_ds, num_partitions: int | None = None):
+    """Every row of ``ds`` gains ``cluster_label``: its ``id_col``'s label
+    from a (node, cluster_label) Dataset, or the id itself when the id has
+    no edge. One co-partitioned exchange (``exchange.hash_exchange_cogroup``
+    on the 8-byte id) and a ``label_of`` per partition — no driver-side map,
+    so it is safe when the connected-node set is O(corpus)."""
+    from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
 
-    Each round: hash-partition the edge list, run union-find LOCALLY per
-    partition, keep only the spanning forest (≈|V| rows). One round
-    typically shrinks web-dedup edge lists 10-30×; the final forest is
-    unioned on the driver. The map's size is O(|V_connected|) — for inputs
-    where that exceeds driver memory use
-    ``connected_components_labelprop_ids`` (the fully-distributed path)
-    instead."""
-    from entity_resolution_engine_ray.stages.grouping import partition_map_groups
+    def attach(rows: pd.DataFrame, labels: pd.DataFrame) -> pd.DataFrame:
+        nodes = labels["node"].to_numpy(dtype=np.int64)
+        order = np.argsort(nodes, kind="stable")
+        roots = labels["cluster_label"].to_numpy(dtype=np.int64)[order]
+        ids = rows[id_col].to_numpy(dtype=np.int64)
+        return rows.assign(cluster_label=label_of(nodes[order], roots, ids))
 
-    def to_int_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["left_id"], "dst": t["right_id"]})
-
-    hashed = edges_ds.map_batches(to_int_edges, batch_format="pyarrow").materialize()
-    if hashed.count() == 0:
-        return {}
-    forest = hashed
-    for _ in range(contraction_rounds):
-        forest = partition_map_groups(forest, ["src", "dst"], _forest_partition, num_partitions)
-
-    uf = _IntUnionFind()
-    for batch in forest.iter_batches(batch_size=262144, batch_format="pyarrow"):
-        for u, v in zip(batch["src"].to_numpy(), batch["dst"].to_numpy()):
-            uf.union(int(u), int(v))
-    return {n: uf.find(n) for n in list(uf.parent)}
+    return hash_exchange_cogroup(ds, labels_ds, [id_col], ["node"], attach, num_partitions)

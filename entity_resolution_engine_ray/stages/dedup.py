@@ -656,59 +656,6 @@ def prefix_jaccard_self_join(
     )
 
 
-def attach_cluster_labels(ids_ds, labels_ds, id_col: str, num_partitions: int | None = None):
-    """Distributed label attach: every (id) row gets its component label from
-    the (node, cluster_label) Dataset via ONE co-partitioned exchange (tagged
-    union on the id hash, per-partition left join); ids with no label —
-    singletons — label themselves. No driver-side map, no broadcast: safe
-    when the connected-node set is O(corpus)."""
-
-    def doc_side(t: pa.Table) -> pa.Table:
-        ids = t[id_col]
-        if isinstance(ids, pa.ChunkedArray):
-            ids = ids.combine_chunks()
-        n = len(ids)
-        return pa.table(
-            {
-                "key": ids,
-                "label": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
-                "is_doc": pa.array(np.ones(n, dtype=bool), type=pa.bool_()),
-            }
-        )
-
-    def label_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t["node"],
-                "label": t["cluster_label"],
-                "is_doc": pa.array(np.zeros(n, dtype=bool), type=pa.bool_()),
-            }
-        )
-
-    tagged = ids_ds.map_batches(doc_side, batch_format="pyarrow").union(
-        labels_ds.map_batches(label_side, batch_format="pyarrow")
-    )
-
-    def merge_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-        is_doc = pdf["is_doc"].to_numpy()
-        docs = pdf[is_doc][["key"]]
-        lbl = pdf[~is_doc][["key", "label"]]
-        # exact int64 through the left join: nullable Int64, no float detour
-        # (labels are full-range int64 — float64 would corrupt beyond 2^53)
-        lbl = lbl.assign(label=lbl["label"].astype("Int64"))
-        out = docs.merge(lbl, on="key", how="left")
-        out["label"] = out["label"].fillna(out["key"].astype("Int64")).astype(np.int64)
-        return pd.DataFrame(
-            {
-                "doc_id": out["key"].to_numpy(dtype=np.int64),
-                "cluster_id": out["label"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return partition_map_groups(tagged, ["key"], merge_partition, num_partitions)
-
-
 def near_dup_clusters(
     ds,
     id_col: str = "doc_id",
@@ -729,20 +676,22 @@ def near_dup_clusters(
 
     Size-gated finish (the same gate as the flagship pages pipeline,
     pipelines/pages_er.py): at or below ``local_cluster_edge_threshold``
-    verified edges, the distributed contraction (stages/cluster.
-    cluster_label_map — per-partition union-find spanning forests, driver
-    fold over CONNECTED nodes only) + one broadcast attach pass. Above it —
-    a web corpus where 30-50% of docs are near-dups makes the connected-node
-    set O(corpus) — the fully-distributed labelprop CC
-    (connected_components_labelprop_ids) + a co-partitioned exchange attach
-    (attach_cluster_labels): nothing driver-side ever materializes the node
-    set. Cluster sizes come from one slim int-pair exchange either way."""
+    verified edges, the driver-side connected-components kernel
+    (stages/cluster.cluster_label_map → sorted ``(nodes, roots)`` arrays over
+    CONNECTED nodes only) + one broadcast attach pass that also looks up
+    cluster sizes. Above it — a web corpus where 30-50% of docs are
+    near-dups makes the connected-node set O(corpus) — the fully-distributed
+    labelprop CC (connected_components_labelprop_ids) + a co-partitioned
+    exchange attach (stages/cluster.attach_labels) + one slim sizes
+    exchange: nothing driver-side ever materializes the node set."""
     import ray
     import ray.data as rd
 
     from entity_resolution_engine_ray.stages.cluster import (
+        attach_labels,
         cluster_label_map,
         connected_components_labelprop_ids,
+        label_of,
     )
 
     ds = ds.materialize()  # consumed by the guard, near_dup_edges AND ids_only
@@ -775,33 +724,22 @@ def near_dup_clusters(
     n_edges = edges.count()
 
     if n_edges <= local_cluster_edge_threshold:
-        # contraction rounds only pay off when the edge list dwarfs the node
-        # set — for small edge sets fold the raw edges on the driver directly
-        rounds = 0 if n_edges <= 100_000 else 2
-        label_map = cluster_label_map(edges, num_partitions=num_partitions, contraction_rounds=rounds)
-        # every connected node is a label_map key, so non-singleton cluster
-        # sizes fold from the map's VALUES driver-side — the final sizes
-        # shuffle collapses into the same broadcast attach pass (docs not in
-        # the map are singletons: size 1)
-        sizes: dict[int, int] = {}
-        for lbl in label_map.values():
-            sizes[lbl] = sizes.get(lbl, 0) + 1
-        state_ref = ray.put((label_map, sizes))
+        nodes, roots = cluster_label_map(edges)
+        # non-singleton cluster sizes come from the roots driver-side; ids
+        # with no edge are singletons of size 1
+        state_ref = ray.put((nodes, roots, *np.unique(roots, return_counts=True)))
 
         def attach(t: pa.Table) -> pa.Table:
-            label_map, sizes = ray.get(state_ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            labels = np.fromiter(
-                (label_map.get(int(i), int(i)) for i in ids), dtype=np.int64, count=len(ids)
-            )
-            counts = np.fromiter(
-                (sizes.get(int(l), 1) for l in labels), dtype=np.int64, count=len(labels)
-            )
+            nodes, roots, clusters, sizes = ray.get(state_ref)
+            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            labels = label_of(nodes, roots, ids)
             return pa.table(
                 {
-                    "doc_id": pa.array(ids.astype(np.int64), type=pa.int64()),
+                    "doc_id": pa.array(ids, type=pa.int64()),
                     "cluster_id": pa.array(labels, type=pa.int64()),
-                    "cluster_size": pa.array(counts, type=pa.int64()),
+                    "cluster_size": pa.array(
+                        label_of(clusters, sizes, labels, default=1), type=pa.int64()
+                    ),
                 }
             )
 
@@ -812,15 +750,19 @@ def near_dup_clusters(
         batch_format="pyarrow",
     )
     labels = connected_components_labelprop_ids(int_edges, num_partitions=num_partitions)
-    labeled = attach_cluster_labels(ids_only, labels, id_col, num_partitions)
+    labeled = attach_labels(ids_only, id_col, labels, num_partitions)
 
     def sizes_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-        g = pdf.groupby("cluster_id", sort=False)["doc_id"]
-        out = pdf.copy()
-        out["cluster_size"] = g.transform("size").astype(np.int64)
-        return out
+        size = pdf.groupby("cluster_label")[id_col].transform("size")
+        return pd.DataFrame(
+            {
+                "doc_id": pdf[id_col].to_numpy(dtype=np.int64),
+                "cluster_id": pdf["cluster_label"].to_numpy(dtype=np.int64),
+                "cluster_size": size.to_numpy(dtype=np.int64),
+            }
+        )
 
-    return partition_map_groups(labeled, ["cluster_id"], sizes_partition, num_partitions)
+    return partition_map_groups(labeled, ["cluster_label"], sizes_partition, num_partitions)
 
 
 def minhash_near_dup_clusters(ds, id_col="doc_id", text_col="text", **kw):

@@ -29,7 +29,6 @@ import pandas as pd
 import pyarrow as pa
 
 from entity_resolution_engine_ray.functions.ids import cluster_entity_id
-from entity_resolution_engine_ray.functions.similarity import stable_hash64
 from entity_resolution_engine_ray.oracle.serial import normalize_domain
 
 
@@ -84,102 +83,42 @@ def _lineage_partition(pdf: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+_META_COLS = ["url", "warc_ts", "lang", "title_norm"]
+_LABELED_COLS = _META_COLS + ["cluster_label"]
+
+
 def label_features_broadcast(features_ds, label_map_ref):
     """Fast path: attach cluster labels to every page in ONE map_batches
-    pass against a broadcast {node_hash: root_hash} map (``ray.put`` once,
-    read per task — never re-shipped per batch). Singletons label with their
-    own url hash."""
+    pass against the broadcast ``(nodes, roots)`` arrays of
+    ``cluster_label_map`` (``ray.put`` once, read per task — never
+    re-shipped per batch). Singletons label with their own url hash."""
     import ray
 
-    def add_label(t: pa.Table) -> pa.Table:
-        label_map = ray.get(label_map_ref) if not isinstance(label_map_ref, dict) else label_map_ref
-        if "url_hash" in t.schema.names:
-            hashes = t["url_hash"].to_numpy(zero_copy_only=False)
-        else:
-            hashes = np.fromiter(
-                (stable_hash64(u) for u in t["url"].to_pylist()), dtype=np.int64, count=t.num_rows
-            )
-        labels = np.empty(len(hashes), dtype=np.int64)
-        for i, h in enumerate(hashes):
-            h = int(h)
-            labels[i] = label_map.get(h, h)
-        out = t.append_column("cluster_label", pa.array(labels, type=pa.int64()))
-        return out.select(["url", "warc_ts", "lang", "title_norm", "cluster_label"])
+    from entity_resolution_engine_ray.stages.cluster import label_of
 
-    cols = ["url", "warc_ts", "lang", "title_norm"]
-    if "url_hash" in features_ds.schema().names:
-        cols.append("url_hash")
-    return features_ds.select_columns(cols).map_batches(add_label, batch_format="pyarrow")
+    def add_label(t: pa.Table) -> pa.Table:
+        nodes, roots = ray.get(label_map_ref)
+        labels = label_of(nodes, roots, t["url_hash"].to_numpy())
+        out = t.append_column("cluster_label", pa.array(labels, type=pa.int64()))
+        return out.select(_LABELED_COLS)
+
+    return features_ds.select_columns(_META_COLS + ["url_hash"]).map_batches(
+        add_label, batch_format="pyarrow"
+    )
 
 
 def build_labeled(features_ds, labels_ds, num_partitions=None):
     """Scale path: align page metadata with a labels *Dataset*
     (``connected_components_labelprop_ids`` output: node:int64 =
-    url_hash, cluster_label:int64) via a tagged union on the 8-byte hash
-    key + one hash-partition pass — no hash-join aggregator actors, one
-    exchange, and NO url strings on the join key. Singletons (pages with no
-    approved edge) label with their own url_hash — the same label space the
-    broadcast path uses."""
-    from entity_resolution_engine_ray.stages.grouping import partition_map_groups
-    from entity_resolution_engine_ray.stages.joins import default_join_partitions
+    url_hash, cluster_label:int64) through ``cluster.attach_labels`` on the
+    8-byte ``url_hash`` — one exchange, NO url strings on the join key.
+    Singletons (pages with no approved edge) label with their own url_hash —
+    the same label space the broadcast path uses."""
+    from entity_resolution_engine_ray.stages.cluster import attach_labels
 
-    num_partitions = num_partitions or default_join_partitions()
-
-    def meta_side(t: pa.Table) -> pa.Table:
-        if "url_hash" in t.schema.names:
-            key = t["url_hash"]
-        else:
-            key = pa.array(
-                [stable_hash64(u) for u in t["url"].to_pylist()], type=pa.int64()
-            )
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": key,
-                "url": t["url"],
-                "warc_ts": t["warc_ts"],
-                "lang": t["lang"],
-                "title_norm": t["title_norm"],
-                "cluster_label": pa.array(np.zeros(n, dtype=np.int64), type=pa.int64()),
-                "is_meta": pa.array(np.ones(n, dtype=bool), type=pa.bool_()),
-            }
-        )
-
-    def label_side(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t["node"],
-                "url": pa.nulls(n, type=pa.string()),
-                "warc_ts": pa.nulls(n, type=pa.timestamp("us")),
-                "lang": pa.nulls(n, type=pa.string()),
-                "title_norm": pa.nulls(n, type=pa.string()),
-                "cluster_label": t["cluster_label"],
-                "is_meta": pa.array(np.zeros(n, dtype=bool), type=pa.bool_()),
-            }
-        )
-
-    cols = ["url", "warc_ts", "lang", "title_norm"]
-    if "url_hash" in features_ds.schema().names:
-        cols.append("url_hash")
-    tagged = features_ds.select_columns(cols).map_batches(
-        meta_side, batch_format="pyarrow"
-    ).union(labels_ds.map_batches(label_side, batch_format="pyarrow"))
-
-    def merge_key_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-        is_meta = pdf["is_meta"].to_numpy()
-        meta = pdf[is_meta].drop(columns=["cluster_label", "is_meta"])
-        lbl = pdf[~is_meta][["key", "cluster_label"]]
-        # exact int64 through the left join: nullable Int64, no float detour
-        # (labels are full-range hashes — float64 corrupts beyond 2^53)
-        lbl = lbl.assign(cluster_label=lbl["cluster_label"].astype("Int64"))
-        out = meta.merge(lbl, on="key", how="left")
-        out["cluster_label"] = (
-            out["cluster_label"].fillna(out["key"].astype("Int64")).astype(np.int64)
-        )
-        return out[["url", "warc_ts", "lang", "title_norm", "cluster_label"]]
-
-    return partition_map_groups(tagged, ["key"], merge_key_partition, num_partitions)
+    meta = features_ds.select_columns(_META_COLS + ["url_hash"])
+    labeled = attach_labels(meta, "url_hash", labels_ds, num_partitions)
+    return labeled.select_columns(_LABELED_COLS)
 
 
 def entities_from_labeled(labeled_ds, num_partitions: int | None = None):

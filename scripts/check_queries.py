@@ -7,13 +7,14 @@ Usage: python scripts/check_queries.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 

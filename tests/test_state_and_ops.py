@@ -692,9 +692,9 @@ def test_labelprop_matches_local_unionfind(ray_session):
     lp = connected_components_labelprop_ids(int_edges, num_partitions=4).to_pandas()
     assert partitions(dict(zip(lp["node"], lp["cluster_label"]))) == expected
 
-    # contraction label map groups hashes identically
-    lm = cluster_label_map(rd.from_arrow(tbl), num_partitions=4)
-    assert partitions({h: lm.get(h, h) for h in url_of}) == expected
+    # the driver kernel groups hashes identically
+    nodes, roots = cluster_label_map(rd.from_arrow(tbl))
+    assert partitions(dict(zip(nodes.tolist(), roots.tolist()))) == expected
 
 
 def test_triage_report(tmp_path):
@@ -1248,8 +1248,10 @@ def test_labelprop_two_level_exchange_matches_flat(ray_session, monkeypatch):
     two_parts = comps(two.to_pandas())
     assert two_parts == flat_parts
 
-    # ground truth: local union-find
-    uf = cl._IntUnionFind()
+    # ground truth: the serial oracle's union-find
+    from entity_resolution_engine_ray.oracle.serial import UnionFind
+
+    uf = UnionFind()
     for u, v in zip(tbl["src"].to_pylist(), tbl["dst"].to_pylist()):
         uf.union(u, v)
     want = {}

@@ -161,3 +161,15 @@ def test_config_validation_rejects_degenerate_caps():
         PagesERConfig(max_block_size=1)
     with pytest.raises(ValueError, match="multiple of bands"):
         PagesERConfig(bands=64)
+
+
+def test_config_validation_rejects_unknown_cluster_method():
+    import pytest
+
+    from entity_resolution_engine_ray.config import PagesERConfig
+
+    for bad in ("Local", "lp", ""):
+        with pytest.raises(ValueError, match="cluster_method"):
+            PagesERConfig(cluster_method=bad)
+    for ok in ("auto", "local", "labelprop"):
+        assert PagesERConfig(cluster_method=ok).cluster_method == ok
