@@ -47,16 +47,3 @@ def build_lineage(
         "entity_type": source_type,
     }
 
-
-def build_cluster_lineage(
-    entity_type: str,
-    members: list[tuple[str, str]],
-    confidence: float,
-) -> dict[str, Any]:
-    """N-source lineage struct for clustered entities: ``members`` is a list
-    of ``(source, key)`` pairs, kept sorted for determinism."""
-    return {
-        "sources": [{"source": s, "id": k} for s, k in sorted(members)],
-        "confidence": confidence,
-        "entity_type": entity_type,
-    }

@@ -10,16 +10,14 @@ studied at /root/reference — reimplemented from scratch, not copied):
 - ``apply_team_alias``      — reference ``matchers/teams_matcher.py:29-33``
 
 These are the per-record "extractor" semantics the parity tests pin
-byte-for-byte; every one has both a scalar form (used by the serial oracle)
-and a vectorized form over numpy object arrays (used inside ``map_batches``).
+byte-for-byte; the serial oracle and the distributed stages call the same
+scalar functions.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-
-import numpy as np
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
 _WS_RE = re.compile(r"\s+")
@@ -67,11 +65,6 @@ def normalize_name(name: str | None) -> str:
             text = pattern.sub(replacement, text)
     text = _WS_RE.sub(" ", text)
     return text
-
-
-def normalize_name_array(values) -> np.ndarray:
-    """Vectorized ``normalize_name`` over an iterable of optional strings."""
-    return np.asarray([normalize_name(v) for v in values], dtype=object)
 
 
 _SEASON_RANGE_RE = re.compile(r"(?P<start>\d{2,4})\s*[-/]\s*(?P<end>\d{2,4})")

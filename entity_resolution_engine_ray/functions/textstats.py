@@ -4,9 +4,8 @@ All functions are Arrow-native (pyarrow.compute, RE2 regex semantics — the
 same engine DuckDB uses, which keeps the SQL oracles hash-exact) and operate
 on a ``pyarrow.Table`` / ``ChunkedArray`` of text.
 
-Operators: token counting, quality scoring (length / punctuation / stopword
-ratios), n-gram-heuristic language id, and document fingerprinting (md5 +
-64-bit rolling hash).
+Operators: token counting, stopword-profile language id, md5 document
+fingerprints, PII redaction and BPE-style token counting.
 """
 
 from __future__ import annotations
@@ -20,29 +19,12 @@ import pyarrow.compute as pc
 # RE2-safe patterns (no lookaround, ASCII classes) — identical semantics in
 # pyarrow.compute and DuckDB regexp_* functions.
 TOKEN_PATTERN = r"[^ \t\n\r]+"          # whitespace-delimited tokens
-WORD_PATTERN = r"[A-Za-z0-9_]+"          # ASCII word chars
 PUNCT_PATTERN = r"[^A-Za-z0-9_ \t\n\r]"  # anything not word/space
 
 
 def token_count(text: pa.ChunkedArray | pa.Array) -> pa.Array:
     """Whitespace-token count per document (int64)."""
     return pc.cast(pc.count_substring_regex(text, TOKEN_PATTERN), pa.int64())
-
-
-def word_count(text: pa.ChunkedArray | pa.Array) -> pa.Array:
-    return pc.cast(pc.count_substring_regex(text, WORD_PATTERN), pa.int64())
-
-
-def char_count(text: pa.ChunkedArray | pa.Array) -> pa.Array:
-    return pc.cast(pc.utf8_length(text), pa.int64())
-
-
-def punct_ratio(text: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """punctuation chars / total chars (0.0 for empty docs), float64."""
-    n_punct = pc.cast(pc.count_substring_regex(text, PUNCT_PATTERN), pa.float64())
-    n_chars = pc.cast(pc.utf8_length(text), pa.float64())
-    safe = pc.if_else(pc.equal(n_chars, 0.0), 1.0, n_chars)
-    return pc.if_else(pc.equal(n_chars, 0.0), 0.0, pc.divide(n_punct, safe))
 
 
 # tiny per-language stopword profiles for the n-gram/stopword lang-id heuristic
@@ -53,19 +35,6 @@ _LANG_STOPWORDS: dict[str, frozenset[str]] = {
     "es": frozenset("el la los de y que en un una es por con para".split()),
     "pt": frozenset("o a os de e que em um uma para com por mais".split()),
 }
-
-
-def stopword_ratio(texts: list[str | None], lang: str = "en") -> np.ndarray:
-    """Fraction of whitespace tokens that are ``lang`` stopwords (float64)."""
-    stops = _LANG_STOPWORDS[lang]
-    out = np.zeros(len(texts), dtype=np.float64)
-    for i, t in enumerate(texts):
-        if not t:
-            continue
-        toks = t.lower().split()
-        if toks:
-            out[i] = sum(1 for w in toks if w in stops) / len(toks)
-    return out
 
 
 def detect_language(texts: list[str | None]) -> np.ndarray:
@@ -89,62 +58,11 @@ def detect_language(texts: list[str | None]) -> np.ndarray:
     return out
 
 
-def quality_score(
-    text: pa.ChunkedArray | pa.Array, texts_py: list[str | None] | None = None
-) -> pa.Table:
-    """Composite quality features per doc: n_chars, n_tokens, punct_ratio,
-    stop_ratio, mean_token_len. Returns a table of feature columns."""
-    n_chars = char_count(text)
-    n_tokens = token_count(text)
-    pr = punct_ratio(text)
-    if texts_py is None:
-        texts_py = text.to_pylist()
-    sr = stopword_ratio(texts_py)
-    nt = pc.cast(n_tokens, pa.float64())
-    safe_nt = pc.if_else(pc.equal(nt, 0.0), 1.0, nt)
-    mean_tok = pc.if_else(
-        pc.equal(nt, 0.0), 0.0, pc.divide(pc.cast(n_chars, pa.float64()), safe_nt)
-    )
-    return pa.table(
-        {
-            "n_chars": n_chars,
-            "n_tokens": n_tokens,
-            "punct_ratio": pr,
-            "stop_ratio": pa.array(sr, type=pa.float64()),
-            "mean_token_len": mean_tok,
-        }
-    )
-
-
 def md5_fingerprint(texts: list[str | None]) -> np.ndarray:
     """Hex md5 per document (matches DuckDB ``md5(text)``)."""
     out = np.empty(len(texts), dtype=object)
     for i, t in enumerate(texts):
         out[i] = hashlib.md5((t or "").encode("utf-8")).hexdigest()
-    return out
-
-
-def rolling_fingerprint64(texts: list[str | None], window: int = 8) -> np.ndarray:
-    """64-bit document fingerprint: min of rolling polynomial hashes over
-    ``window``-byte windows (a winnowing-style content fingerprint)."""
-    c = np.uint64(0x100000001B3)  # FNV-ish odd multiplier
-    out = np.zeros(len(texts), dtype=np.uint64)
-    with np.errstate(over="ignore"):  # wraparound mod 2^64 is the hash
-        for i, t in enumerate(texts):
-            if not t:
-                continue
-            data = np.frombuffer(t.encode("utf-8"), dtype=np.uint8).astype(np.uint64)
-            if len(data) <= window:
-                acc = np.uint64(0xCBF29CE484222325)
-                for b in data:
-                    acc = acc * c + b
-                out[i] = acc
-                continue
-            n = len(data) - window + 1
-            acc = np.zeros(n, dtype=np.uint64)
-            for j in range(window):
-                acc = acc * c + data[j : n + j]
-            out[i] = acc.min()
     return out
 
 

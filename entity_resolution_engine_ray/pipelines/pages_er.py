@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 
 import pyarrow as pa
 
@@ -27,6 +28,20 @@ from entity_resolution_engine_ray.stages.score import fused_edges_stage, gate_me
 from entity_resolution_engine_ray.state.checkpoint import CheckpointStore
 
 PIPELINE_VERSION = 5
+
+
+def _timer(timings: dict[str, float]):
+    """``with timed(name):`` adds the block's wall time to ``timings[name]``."""
+
+    @contextmanager
+    def timed(name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            timings[name] = round(timings.get(name, 0.0) + time.perf_counter() - t0, 3)
+
+    return timed
 
 
 def run_pages_er(
@@ -51,16 +66,7 @@ def run_pages_er(
     store = CheckpointStore(out_dir, enabled=True)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
-
-    def timed(name):
-        class _T:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *a):
-                timings[name] = round(time.perf_counter() - self.t0, 3)
-
-        return _T()
+    timed = _timer(timings)
 
     # ---- stage 1+2: extract + features (checkpointed together: "block")
     if resume and store.is_done("features", phash):
@@ -93,9 +99,42 @@ def run_pages_er(
             with timed("edges_write"):
                 edges = store.write(edges, "edges", phash, extra={"dropped_pairs": dropped})
 
+    data = {"features": features, "edges": edges}
+    del features, edges
+    return _cluster_merge_metrics(
+        store, cfg, phash, data, dropped,
+        resume=resume, num_partitions=num_partitions, timings=timings, t_start=t_start,
+    )
+
+
+def _cluster_merge_metrics(
+    store: CheckpointStore,
+    cfg: PagesERConfig,
+    phash: str,
+    data: dict,
+    dropped: int,
+    *,
+    resume: bool,
+    num_partitions: int | None,
+    timings: dict[str, float],
+    t_start: float,
+) -> dict:
+    """Stages 4b-6 and the run metrics over the ``features`` and ``edges``
+    Datasets in ``data``, shared by the full run and the incremental fold.
+
+    The caller hands over its only references in ``data``, so each
+    in-memory Dataset's blocks are freed once its last consumer here has
+    run; the result holds lazy reads of the checkpoints, so it pins no
+    blocks either."""
+    features, edges = data.pop("features"), data.pop("edges")
+    out_dir = store.out_dir
+    timed = _timer(timings)
+    edges_stage = "edges"
+
     # ---- optional stage 4b: distributed gray-zone validation (actor pool
     # over review-decision edges; stages/validate). Off by default.
     if cfg.enable_llm_validation:
+        edges_stage = "validated"
         if resume and store.is_done("validated", phash):
             edges = store.read("validated")
         else:
@@ -104,75 +143,25 @@ def run_pages_er(
 
                 edges = store.write(validate_gray_zone(edges), "validated", phash)
 
-    # ---- stage 5: cluster approved edges → fully-labeled pages checkpoint.
-    # "auto"/"local": the approved edge ids are collected on the driver,
-    # the vectorised connected-components kernel runs there, and its
-    # (nodes, roots) arrays are broadcast to one labeling pass — no shuffle.
-    # "labelprop": fully-distributed min-label propagation for inputs whose
-    # edge list exceeds driver memory.
+    # ---- stage 5: cluster approved edges → fully-labeled pages checkpoint
     if resume and store.is_done("labeled", phash):
         labeled = store.read("labeled")
     else:
         with timed("labels"):
-            import ray
-
-            from entity_resolution_engine_ray.stages.cluster import cluster_label_map
-            from entity_resolution_engine_ray.stages.merge import (
-                build_labeled,
-                label_features_broadcast,
+            labeled = store.write(
+                _label_pages(features, edges, cfg, num_partitions), "labeled", phash
             )
+    del features
 
-            # filter → ids-only project → materialize ONCE: the gate count
-            # below and the clustering pass both consume the cached slim
-            # blocks (un-materialized, the filter over the edges checkpoint
-            # executed twice — once for count(), once inside the clusterer)
-            approved = (
-                edges.filter(
-                    expr="decision == 'auto_approve' or decision == 'gray_approve'"
-                    " or decision == 'llm_approve'"
-                )
-                .select_columns(["left_id", "right_id"])
-                .materialize()
-            )
-            # size gate: the driver kernel holds the approved edge ids and
-            # the connected nodes as int64 arrays, so it is only safe when
-            # the edge list fits driver memory — "auto" counts approved
-            # edges (metadata-only on the materialized slim table) and
-            # falls through to fully-distributed labelprop above the
-            # threshold
-            method = cfg.cluster_method
-            if method == "auto":
-                method = (
-                    "local"
-                    if approved.count() <= cfg.local_cluster_edge_threshold
-                    else "labelprop"
-                )
-            if method == "local":
-                roots_ref = ray.put(cluster_label_map(approved))
-                labeled = label_features_broadcast(features, roots_ref)
-            else:
-                # ids-only CC: edges carry int64 url hashes, labels come
-                # back keyed by hash, urls rejoin from the features side
-                from entity_resolution_engine_ray.stages.cluster import (
-                    connected_components_labelprop_ids,
-                )
-
-                int_edges = approved.map_batches(
-                    lambda t: pa.table({"src": t["left_id"], "dst": t["right_id"]}),
-                    batch_format="pyarrow",
-                )
-                labels = connected_components_labelprop_ids(
-                    int_edges,
-                    num_partitions=num_partitions,
-                    max_iterations=cfg.max_cc_iterations,
-                )
-                labeled = build_labeled(features, labels, num_partitions)
-            labeled = store.write(labeled, "labeled", phash)
+    # decision-column-only scan while the edges are still in memory, so
+    # their blocks are released before the merge
+    with timed("metrics"):
+        metrics = gate_metrics(edges.select_columns(["decision"]))
+    del edges
 
     # ---- stage 6: survivorship merge + lineage
     if resume and store.is_done("entities", phash) and store.is_done("lineage", phash):
-        entities = store.read("entities")
-        lineage = store.read("lineage")
+        n_entities = store.read("entities").count()
     else:
         with timed("entities"):
             from entity_resolution_engine_ray.stages.merge import (
@@ -181,10 +170,9 @@ def run_pages_er(
             )
 
             labeled = labeled.materialize()
-            entities = entities_from_labeled(labeled)
-            entities = store.write(entities, "entities", phash)
-            lineage = lineage_from_labeled(labeled)
-            lineage = store.write(lineage, "lineage", phash)
+            n_entities = store.write(entities_from_labeled(labeled), "entities", phash).count()
+            store.write(lineage_from_labeled(labeled), "lineage", phash)
+    del labeled
 
     # ---- run metrics + anomaly detection + quality gates (driver-side,
     # tiny — reference pipeline_run_metrics / anomaly_events /
@@ -200,15 +188,11 @@ def run_pages_er(
         )
 
         run_id = str(uuid.uuid4())
-        # decision-column-only scan of the edge checkpoint (the partial
-        # counts need nothing else; unpruned, the fat id columns are read
-        # off disk just to be dropped)
-        metrics = gate_metrics(edges.select_columns(["decision"]))
         metrics.update(
             {
                 "entity_type": "page",
                 "dropped_pairs": dropped,
-                "n_entities": entities.count(),
+                "n_entities": n_entities,
                 "wall_s": round(time.perf_counter() - t_start, 3),
             }
         )
@@ -225,14 +209,69 @@ def run_pages_er(
     return {
         "out_dir": out_dir,
         "run_id": run_id,
-        "entities": entities,
-        "lineage": lineage,
-        "edges": edges,
+        "entities": store.read("entities"),
+        "lineage": store.read("lineage"),
+        "edges": store.read(edges_stage),
         "metrics": metrics,
         "anomalies": anomalies,
         "quality_gate": gate_result,
         "timings": timings,
     }
+
+
+def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None):
+    """Cluster the approved edges and attach each page's cluster label: the
+    lazy Dataset the ``labeled`` checkpoint stores. Its temporaries (the
+    approved edge ids, the broadcast roots) die when it returns.
+
+    "auto"/"local": the approved edge ids are collected on the driver, the
+    vectorised connected-components kernel runs there, and its (nodes,
+    roots) arrays are broadcast to one labeling pass — no shuffle.
+    "labelprop": fully-distributed min-label propagation for inputs whose
+    edge list exceeds driver memory."""
+    import ray
+
+    from entity_resolution_engine_ray.stages.cluster import cluster_label_map
+    from entity_resolution_engine_ray.stages.merge import (
+        build_labeled,
+        label_features_broadcast,
+    )
+
+    # filter → ids-only project → materialize ONCE: the gate count below
+    # and the clustering pass both consume the cached slim blocks
+    approved = (
+        edges.filter(
+            expr="decision == 'auto_approve' or decision == 'gray_approve'"
+            " or decision == 'llm_approve'"
+        )
+        .select_columns(["left_id", "right_id"])
+        .materialize()
+    )
+    # size gate: the driver kernel holds the approved edge ids and the
+    # connected nodes as int64 arrays, so it is only safe when the edge
+    # list fits driver memory — "auto" counts approved edges
+    # (metadata-only on the materialized slim table) and falls through to
+    # fully-distributed labelprop above the threshold
+    method = cfg.cluster_method
+    if method == "auto":
+        method = "local" if approved.count() <= cfg.local_cluster_edge_threshold else "labelprop"
+    if method == "local":
+        roots_ref = ray.put(cluster_label_map(approved))
+        return label_features_broadcast(features, roots_ref)
+    # ids-only CC: edges carry int64 url hashes, labels come back keyed by
+    # hash, urls rejoin from the features side
+    from entity_resolution_engine_ray.stages.cluster import connected_components_labelprop_ids
+
+    int_edges = approved.map_batches(
+        lambda t: pa.table({"src": t["left_id"], "dst": t["right_id"]}),
+        batch_format="pyarrow",
+    )
+    labels = connected_components_labelprop_ids(
+        int_edges,
+        num_partitions=num_partitions,
+        max_iterations=cfg.max_cc_iterations,
+    )
+    return build_labeled(features, labels, num_partitions)
 
 
 def run_pages_er_incremental(
@@ -258,10 +297,11 @@ def run_pages_er_incremental(
     3. unions the new edges with the previous ``edges`` checkpoint and
        dedups on (left_id, right_id) — either copy of a rescored edge is
        identical, so keep-first is exact;
-    4. writes both unions as COMPLETED checkpoints in ``out_dir`` and
-       delegates to ``run_pages_er(resume=True)``, which skips straight to
-       clustering/merge/metrics — the incremental path exercises the exact
-       resume contract the kill/resume tests pin.
+    4. writes both unions as checkpoints in ``out_dir`` and hands the
+       in-memory Datasets straight to clustering/merge/metrics, the same
+       code a full run ends with. A fold re-run on an ``out_dir`` whose
+       ``features``/``edges`` are already ``_DONE`` reads them back and
+       resumes from there, the contract the kill/resume tests pin.
 
     Equality contract (pinned in tests/test_incremental.py): the result
     equals a full run over old ∪ new — same edges, same cluster partitions
@@ -283,11 +323,14 @@ def run_pages_er_incremental(
             "previous run is incomplete or was produced by a different "
             "config/pipeline version — run the full pipeline instead"
         )
-    features_prev = prev.read("features")
-    edges_prev = prev.read("edges")
 
+    t_start = time.perf_counter()
     store = CheckpointStore(out_dir, enabled=True)
-    if not (store.is_done("features", phash) and store.is_done("edges", phash)):
+    if store.is_done("features", phash) and store.is_done("edges", phash):
+        features = store.read("features")
+        edges = store.read("edges")
+        dropped = store.manifest("edges").get("dropped_pairs", 0)
+    else:
         # ---- new-batch features + union checkpoint
         if isinstance(new_pages, str):
             from entity_resolution_engine_ray.sources.pages import read_pages
@@ -305,7 +348,7 @@ def run_pages_er_incremental(
             block_keys_stage(features_new).to_pandas()["block_key"].to_numpy(np.int64)
         )
 
-        features = features_prev.union(features_new)
+        features = prev.read("features").union(features_new)
         features = store.write(features, "features", phash)
 
         # ---- rescore ONLY touched blocks over the unioned corpus
@@ -318,7 +361,7 @@ def run_pages_er_incremental(
             return pdf.drop_duplicates(["left_id", "right_id"], keep="first")
 
         edges = partition_map_groups(
-            edges_prev.union(edges_new),
+            prev.read("edges").union(edges_new),
             ["left_id", "right_id"],
             dedup_pairs,
             num_partitions,
@@ -329,19 +372,23 @@ def run_pages_er_incremental(
         # its drops counted in both terms — exact subtraction would need
         # per-block drop attribution, which the slim count doesn't carry.
         dropped_prev = int(prev.manifest("edges").get("dropped_pairs", 0) or 0)
-        store.write(
+        dropped = dropped_prev + dropped_new
+        edges = store.write(
             edges,
             "edges",
             phash,
             extra={
-                "dropped_pairs": dropped_prev + dropped_new,
+                "dropped_pairs": dropped,
                 "incremental_from": prev_out_dir,
                 "touched_blocks": int(len(touched)),
             },
         )
+        del features_new, edges_new
 
-    # ---- clustering / merge / metrics: the standard resume path
-    return run_pages_er(
-        new_pages, out_dir, cfg, resume=True, num_partitions=num_partitions,
-        pages_format=pages_format,
+    # ---- clustering / merge / metrics: the tail of a full run
+    data = {"features": features, "edges": edges}
+    del features, edges
+    return _cluster_merge_metrics(
+        store, cfg, phash, data, dropped,
+        resume=True, num_partitions=num_partitions, timings={}, t_start=t_start,
     )

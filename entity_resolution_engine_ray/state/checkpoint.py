@@ -7,6 +7,10 @@ rename, then write ``_DONE``), stamped with a hash of the stage parameters.
 A killed job re-run skips every stage whose ``_DONE`` manifest matches and
 ``read_parquet``s the checkpoint instead — the north rule's "resumes from the
 last completed stage".
+
+A write executes its stage once and hands the materialized blocks back to
+the caller, so a run reads Parquet only for the stages it resumes; the files
+are written from those same blocks, one small task per block.
 """
 
 from __future__ import annotations
@@ -17,9 +21,18 @@ import shutil
 import time
 import uuid
 
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
+from entity_resolution_engine_ray.stages.exchange import _empty_block_like, _ensure_table
+
 DONE_FILE = "_DONE"
+
+
+@ray.remote
+def _write_block(block, path: str) -> None:
+    pq.write_table(_ensure_table(block), path)
 
 
 class CheckpointStore:
@@ -56,12 +69,32 @@ class CheckpointStore:
             return json.load(f)
 
     def write(self, ds: rd.Dataset, stage: str, params_hash: str, extra: dict | None = None) -> rd.Dataset:
-        """Write ``ds`` as the stage checkpoint; returns a Dataset reading it
-        back (so downstream stages consume the materialized checkpoint, not a
-        re-execution of the upstream lineage)."""
+        """Execute ``ds`` once, store its blocks as the stage checkpoint and
+        return the materialized Dataset, so the next stage consumes the
+        in-memory blocks instead of reading the files back.
+
+        Each non-empty block becomes ``part-{i:05d}.parquet``; a zero-row
+        Dataset leaves one typed zero-row file, so a resumed run still sees
+        the schema. A failed write task raises before ``_DONE`` exists."""
+        ds = ds.materialize()
         final = self.stage_dir(stage)
         tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
-        ds.write_parquet(tmp)
+        os.makedirs(tmp)
+        refs = [
+            ref
+            for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks
+            if meta.num_rows != 0
+        ]
+        if refs:
+            ray.get(
+                [
+                    _write_block.remote(ref, os.path.join(tmp, f"part-{i:05d}.parquet"))
+                    for i, ref in enumerate(refs)
+                ]
+            )
+        else:
+            pq.write_table(_empty_block_like(ds), os.path.join(tmp, "part-00000.parquet"))
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
@@ -73,12 +106,10 @@ class CheckpointStore:
         }
         with open(self._manifest_path(stage), "w") as f:
             json.dump(manifest, f)
-        return rd.read_parquet(final)
+        return ds
 
     def write_table(self, table, stage: str, params_hash: str, extra: dict | None = None) -> None:
         """Small driver-side table checkpoint (metrics, gates)."""
-        import pyarrow.parquet as pq
-
         final = self.stage_dir(stage)
         tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
         os.makedirs(tmp, exist_ok=True)

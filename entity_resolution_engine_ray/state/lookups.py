@@ -38,10 +38,6 @@ def lineage_of_entity(out_dir: str, entity_id: str) -> list[dict]:
     return _scan(os.path.join(out_dir, "lineage"), pc.field("entity_id") == entity_id)
 
 
-def entities_by_domain(out_dir: str, domain: str) -> list[dict]:
-    return _scan(os.path.join(out_dir, "entities"), pc.field("domain") == domain)
-
-
 class ReviewQueue:
     """Review-item list/approve/reject state (the reference's
     llm_match_reviews mutations, api/main.py:112-196) as a JSON state file."""

@@ -1,0 +1,146 @@
+"""Checkpoint hand-off: ``CheckpointStore.write`` executes a stage once and
+returns the materialized blocks, so a run reads Parquet only for the stages
+it resumes.
+
+- the Dataset a write returns equals what ``store.read`` gets back from disk
+  (same schema, same rows), including a zero-row typed Dataset;
+- a full run and an incremental fold each stay within a fixed number of
+  Ray Data executions, so a reintroduced read-back fails here;
+- a fold resumed on an ``out_dir`` whose ``features``/``edges`` are already
+  complete writes the same ``labeled`` checkpoint as a fresh fold.
+"""
+
+import os
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import pytest
+import ray
+
+from entity_resolution_engine_ray.config import PagesERConfig
+from entity_resolution_engine_ray.pipelines.pages_er import (
+    run_pages_er,
+    run_pages_er_incremental,
+)
+from entity_resolution_engine_ray.sources.pages import write_pages_fixture
+from entity_resolution_engine_ray.state.checkpoint import DONE_FILE, CheckpointStore
+
+# Ray Data executions per call: 8 for a full run (featurize, two key-stats
+# passes, fat-row explode, approved filter, label join, gate counts, lineage
+# projection) and 15 for a labelprop fold, as measured at 2,000 pages
+MAX_RUN_EXECUTIONS = 8
+MAX_FOLD_EXECUTIONS = 15
+
+# a key that orders each checkpoint's rows uniquely
+SORT_KEYS = {
+    "features": ["url"],
+    "edges": ["left_id", "right_id"],
+    "labeled": ["url"],
+    "entities": ["entity_id"],
+    "lineage": ["url"],
+}
+
+
+def _as_table(ds) -> pa.Table:
+    tbls = ray.get(ds.to_arrow_refs())
+    return pa.concat_tables(tbls) if tbls else pa.table({})
+
+
+def _sorted(tbl: pa.Table, stage: str) -> pa.Table:
+    return tbl.sort_by([(k, "ascending") for k in SORT_KEYS[stage]])
+
+
+@pytest.fixture(scope="module")
+def runs(ray_session, tmp_path_factory):
+    """One full run and one labelprop fold, recording every Dataset
+    ``CheckpointStore.write`` returns and the executions of each call."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    root = tmp_path_factory.mktemp("handoff")
+    fix = write_pages_fixture(str(root / "fx"), 400, seed=9)
+    tbl = pads.dataset(fix["pages"]).to_table()
+    idx = np.random.default_rng(1).permutation(tbl.num_rows)
+    pq.write_table(tbl.take(idx[:360]), str(root / "old.parquet"))
+    pq.write_table(tbl.take(idx[360:]), str(root / "new.parquet"))
+    cfg_lp = PagesERConfig(cluster_method="labelprop")
+    run_pages_er(str(root / "old.parquet"), str(root / "corpus"), cfg_lp)
+
+    written: dict[str, dict[str, object]] = {"run": {}, "fold": {}}
+    executions = {"n": 0}
+    current = {"call": None}
+    write, execute = CheckpointStore.write, StreamingExecutor.execute
+
+    def recording_write(self, ds, stage, *args, **kwargs):
+        out = write(self, ds, stage, *args, **kwargs)
+        written[current["call"]][stage] = out
+        return out
+
+    def counting_execute(self, *args, **kwargs):
+        executions["n"] += 1
+        return execute(self, *args, **kwargs)
+
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CheckpointStore, "write", recording_write)
+        mp.setattr(StreamingExecutor, "execute", counting_execute)
+        current["call"], executions["n"] = "run", 0
+        run_pages_er(fix["pages"], str(root / "run"))
+        counts["run"] = executions["n"]
+        current["call"], executions["n"] = "fold", 0
+        run_pages_er_incremental(
+            str(root / "corpus"), str(root / "new.parquet"), str(root / "fold"), cfg_lp
+        )
+        counts["fold"] = executions["n"]
+    return {"root": root, "written": written, "counts": counts, "cfg_lp": cfg_lp}
+
+
+def test_execution_count_per_call(runs):
+    assert runs["counts"]["run"] <= MAX_RUN_EXECUTIONS, runs["counts"]
+    assert runs["counts"]["fold"] <= MAX_FOLD_EXECUTIONS, runs["counts"]
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+@pytest.mark.parametrize("stage", sorted(SORT_KEYS))
+def test_written_dataset_equals_checkpoint(runs, call, stage):
+    mem = runs["written"][call][stage]
+    disk = CheckpointStore(str(runs["root"] / call)).read(stage)
+    a, b = _as_table(mem), _as_table(disk)
+    assert a.num_rows > 0
+    assert a.schema.equals(b.schema, check_metadata=False), (a.schema, b.schema)
+    assert _sorted(a, stage).equals(_sorted(b, stage))
+
+
+def test_zero_row_checkpoint_keeps_its_schema(ray_session, tmp_path):
+    import ray.data as rd
+
+    schema = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64()), ("decision", pa.string())])
+    store = CheckpointStore(str(tmp_path / "out"))
+    out = store.write(rd.from_arrow(schema.empty_table()), "edges", "h")
+    assert out.count() == 0
+    assert store.is_done("edges", "h")
+    assert os.listdir(store.stage_dir("edges")) == sorted([DONE_FILE, "part-00000.parquet"])
+    # resume and a plain pyarrow read both see the typed columns
+    assert pq.read_table(store.stage_dir("edges")).schema.equals(schema, check_metadata=False)
+    resumed = CheckpointStore(str(tmp_path / "out")).read("edges")
+    assert resumed.schema().base_schema.equals(schema, check_metadata=False)
+    assert resumed.count() == 0
+
+
+def test_resumed_fold_writes_the_fresh_fold_labels(runs):
+    root = runs["root"]
+    resumed = root / "fold_resumed"
+    shutil.rmtree(resumed, ignore_errors=True)
+    os.makedirs(resumed)
+    for stage in ("features", "edges"):
+        shutil.copytree(root / "fold" / stage, resumed / stage)
+    # the new batch is never read: features and edges resume from disk
+    run_pages_er_incremental(
+        str(root / "corpus"), str(root / "missing.parquet"), str(resumed), runs["cfg_lp"]
+    )
+    fresh = pq.read_table(str(root / "fold" / "labeled"))
+    again = pq.read_table(str(resumed / "labeled"))
+    assert fresh.num_rows == 400
+    assert _sorted(fresh, "labeled").equals(_sorted(again, "labeled"))

@@ -193,8 +193,8 @@ def test_labelprop_pipeline_equivalent_to_contraction(ray_session, fixture_paths
     out2 = "/tmp/er_test_out_lp"
     shutil.rmtree(out2, ignore_errors=True)
     res2 = run_pages_er(fixture_paths["pages"], out2, cfg=PagesERConfig(cluster_method="labelprop"))
-    # read from disk — earlier resume tests rewrite the checkpoint files the
-    # module fixture's lazy Dataset references
+    # read the checkpoint directly — the resume tests above delete and
+    # rebuild it after the module fixture's lazy read listed its files
     a = (
         pq.read_table(os.path.join(OUTDIR, "entities"))
         .to_pandas()
