@@ -106,7 +106,7 @@ class PagesERConfig:
     fallback_mode: str = "auto_approve"
     # optional SimHash Hamming prefilter (r4 verdict lever): candidate pairs
     # with simhash similarity below this threshold are dropped (counted in
-    # dropped_pairs) WITHOUT paying the exact-Jaccard intersection or the
+    # prefiltered_pairs) WITHOUT paying the exact-Jaccard intersection or the
     # title kernel. This is an APPROXIMATION knob for junk-heavy corpora:
     # a pair can only change decision if its true score could reach
     # gate_low, which at the default weights needs jaccard ≥

@@ -15,19 +15,29 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from contextlib import contextmanager
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from entity_resolution_engine_ray.config import PagesERConfig, config_hash
-from entity_resolution_engine_ray.stages.block import feature_stage
-from entity_resolution_engine_ray.stages.extract import extract_stage
-from entity_resolution_engine_ray.stages.score import fused_edges_stage, gate_metrics
+from entity_resolution_engine_ray.sources.pages import PAGES_SCHEMA
+from entity_resolution_engine_ray.stages.block import feature_stage, featurize_batch
+from entity_resolution_engine_ray.stages.extract import extract_batch, extract_stage
+from entity_resolution_engine_ray.stages.score import (
+    DroppedPairs,
+    fused_edges_stage,
+    gate_metrics,
+)
 from entity_resolution_engine_ray.state.checkpoint import CheckpointStore
 
-PIPELINE_VERSION = 5
+# v6: the edges manifest's ``dropped_pairs`` counts cap drops only;
+# prefilter drops moved to ``prefiltered_pairs``. Older checkpoints are
+# neither resumed nor folded onto, so the two meanings never add up.
+PIPELINE_VERSION = 6
 
 
 def _timer(timings: dict[str, float]):
@@ -79,9 +89,7 @@ def run_pages_er(
                 ds = read_pages(pages, format=pages_format)
             else:
                 ds = pages
-            extracted = extract_stage(ds)
-            features = feature_stage(extracted, cfg)
-            features = store.write(features, "features", phash)
+            features = store.write(_features_of(ds, cfg), "features", phash)
 
     # ---- stage 3+4: candidate pairs + score + gate, fused into one
     # fat-block shuffle (stages/score.fused_edges_stage). Edges match the
@@ -91,13 +99,13 @@ def run_pages_er(
     # collisions.
     if resume and store.is_done("edges", phash):
         edges = store.read("edges")
-        dropped = store.manifest("edges").get("dropped_pairs", 0)
+        dropped = _dropped_of(store.manifest("edges"))
     else:
         with timed("edges"):
             with timed("edges_compute"):
                 edges, dropped = fused_edges_stage(features, cfg, num_partitions=num_partitions)
             with timed("edges_write"):
-                edges = store.write(edges, "edges", phash, extra={"dropped_pairs": dropped})
+                edges = store.write(edges, "edges", phash, extra=_drop_counts(dropped))
 
     data = {"features": features, "edges": edges}
     del features, edges
@@ -107,12 +115,37 @@ def run_pages_er(
     )
 
 
+def _features_of(pages_ds, cfg: PagesERConfig):
+    """Extract + featurize, executed once. A 0-row input skips the lazy
+    maps and surfaces blocks without the features schema, so it becomes one
+    typed empty features block: the real extract and featurize kernels run
+    over an empty pages table of the input's schema."""
+    features = feature_stage(extract_stage(pages_ds), cfg).materialize()
+    if features.count():
+        return features
+    import ray.data as rd
+
+    sch = getattr(pages_ds.schema(), "base_schema", None) or PAGES_SCHEMA
+    return rd.from_arrow(featurize_batch(extract_batch(sch.empty_table()), cfg))
+
+
+def _drop_counts(dropped) -> dict:
+    """The edges manifest's pair-drop counts of a ``DroppedPairs``."""
+    return {"dropped_pairs": int(dropped), "prefiltered_pairs": dropped.prefiltered}
+
+
+def _dropped_of(manifest: dict) -> DroppedPairs:
+    return DroppedPairs(
+        int(manifest.get("dropped_pairs", 0) or 0), int(manifest.get("prefiltered_pairs", 0) or 0)
+    )
+
+
 def _cluster_merge_metrics(
     store: CheckpointStore,
     cfg: PagesERConfig,
     phash: str,
     data: dict,
-    dropped: int,
+    dropped: DroppedPairs,
     *,
     resume: bool,
     num_partitions: int | None,
@@ -127,6 +160,9 @@ def _cluster_merge_metrics(
     run; the result holds lazy reads of the checkpoints, so it pins no
     blocks either."""
     features, edges = data.pop("features"), data.pop("edges")
+    # a resumed checkpoint is read once here for all of its consumers; the
+    # in-memory blocks a write returned pass through unchanged
+    edges = edges.materialize()
     out_dir = store.out_dir
     timed = _timer(timings)
     edges_stage = "edges"
@@ -153,10 +189,10 @@ def _cluster_merge_metrics(
             )
     del features
 
-    # decision-column-only scan while the edges are still in memory, so
-    # their blocks are released before the merge
+    # decision counts while the edges are still in memory, so their blocks
+    # are released before the merge
     with timed("metrics"):
-        metrics = gate_metrics(edges.select_columns(["decision"]))
+        metrics = gate_metrics(edges)
     del edges
 
     # ---- stage 6: survivorship merge + lineage
@@ -191,7 +227,7 @@ def _cluster_merge_metrics(
         metrics.update(
             {
                 "entity_type": "page",
-                "dropped_pairs": dropped,
+                **_drop_counts(dropped),
                 "n_entities": n_entities,
                 "wall_s": round(time.perf_counter() - t_start, 3),
             }
@@ -228,29 +264,29 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
     vectorised connected-components kernel runs there, and its (nodes,
     roots) arrays are broadcast to one labeling pass — no shuffle.
     "labelprop": fully-distributed min-label propagation for inputs whose
-    edge list exceeds driver memory."""
+    edge list exceeds driver memory.
+
+    Every step reads the in-memory edge and features blocks with plain
+    tasks or inside an exchange — no Ray Data execution."""
     import ray
 
     from entity_resolution_engine_ray.stages.cluster import cluster_label_map
+    from entity_resolution_engine_ray.stages.exchange import map_blocks
     from entity_resolution_engine_ray.stages.merge import (
         build_labeled,
         label_features_broadcast,
     )
 
-    # filter → ids-only project → materialize ONCE: the gate count below
-    # and the clustering pass both consume the cached slim blocks
-    approved = (
-        edges.filter(
-            expr="decision == 'auto_approve' or decision == 'gray_approve'"
-            " or decision == 'llm_approve'"
-        )
-        .select_columns(["left_id", "right_id"])
-        .materialize()
-    )
+    # approved filter + ids-only projection, one task per edge block: the
+    # gate count below and the clustering pass both read the slim blocks;
+    # labelprop gets them already named (src, dst)
+    lp_names = ("src", "dst")
+    names = lp_names if cfg.cluster_method == "labelprop" else ("left_id", "right_id")
+    approved = map_blocks(edges, functools.partial(_approved_ids, names=names))
     # size gate: the driver kernel holds the approved edge ids and the
     # connected nodes as int64 arrays, so it is only safe when the edge
     # list fits driver memory — "auto" counts approved edges
-    # (metadata-only on the materialized slim table) and falls through to
+    # (metadata-only on the in-memory slim blocks) and falls through to
     # fully-distributed labelprop above the threshold
     method = cfg.cluster_method
     if method == "auto":
@@ -262,16 +298,27 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
     # hash, urls rejoin from the features side
     from entity_resolution_engine_ray.stages.cluster import connected_components_labelprop_ids
 
-    int_edges = approved.map_batches(
-        lambda t: pa.table({"src": t["left_id"], "dst": t["right_id"]}),
-        batch_format="pyarrow",
-    )
+    if names != lp_names:
+        approved = map_blocks(approved, lambda t: t.rename_columns(list(lp_names)))
     labels = connected_components_labelprop_ids(
-        int_edges,
+        approved,
         num_partitions=num_partitions,
         max_iterations=cfg.max_cc_iterations,
     )
     return build_labeled(features, labels, num_partitions)
+
+
+_APPROVED = pa.array(["auto_approve", "gray_approve", "llm_approve"])
+
+
+def _approved_ids(t: pa.Table, names: tuple[str, str]) -> pa.Table:
+    """An edge block → the int64 id pairs of its approved edges."""
+    if t.num_rows == 0:
+        return pa.schema([(n, pa.int64()) for n in names]).empty_table()
+    t = t.filter(pc.is_in(t["decision"], value_set=_APPROVED))
+    return pa.table(
+        {names[0]: pc.cast(t["left_id"], pa.int64()), names[1]: pc.cast(t["right_id"], pa.int64())}
+    )
 
 
 def run_pages_er_incremental(
@@ -329,7 +376,7 @@ def run_pages_er_incremental(
     if store.is_done("features", phash) and store.is_done("edges", phash):
         features = store.read("features")
         edges = store.read("edges")
-        dropped = store.manifest("edges").get("dropped_pairs", 0)
+        dropped = _dropped_of(store.manifest("edges"))
     else:
         # ---- new-batch features + union checkpoint
         if isinstance(new_pages, str):
@@ -338,14 +385,20 @@ def run_pages_er_incremental(
             new_ds = read_pages(new_pages, format=pages_format)
         else:
             new_ds = new_pages
-        features_new = feature_stage(extract_stage(new_ds), cfg)
-        features_new = features_new.materialize()
+        features_new = _features_of(new_ds, cfg)
 
-        # ---- touched block keys (small side: |new| × bands int64 keys)
+        # ---- touched block keys (small side: |new| × bands int64 keys),
+        # one task per in-memory features block
+        import ray
+
         from entity_resolution_engine_ray.stages.block import block_keys_stage
+        from entity_resolution_engine_ray.stages.exchange import _arrow_refs
 
+        key_blocks = ray.get(_arrow_refs(block_keys_stage(features_new)))
         touched = np.unique(
-            block_keys_stage(features_new).to_pandas()["block_key"].to_numpy(np.int64)
+            np.concatenate(
+                [np.empty(0, np.int64)] + [t["block_key"].to_numpy() for t in key_blocks]
+            )
         )
 
         features = prev.read("features").union(features_new)
@@ -371,14 +424,16 @@ def run_pages_er_incremental(
         # folds). Upper bound: an over-cap block that is ALSO touched has
         # its drops counted in both terms — exact subtraction would need
         # per-block drop attribution, which the slim count doesn't carry.
-        dropped_prev = int(prev.manifest("edges").get("dropped_pairs", 0) or 0)
-        dropped = dropped_prev + dropped_new
+        dropped_prev = _dropped_of(prev.manifest("edges"))
+        dropped = DroppedPairs(
+            dropped_prev + dropped_new, dropped_prev.prefiltered + dropped_new.prefiltered
+        )
         edges = store.write(
             edges,
             "edges",
             phash,
             extra={
-                "dropped_pairs": dropped,
+                **_drop_counts(dropped),
                 "incremental_from": prev_out_dir,
                 "touched_blocks": int(len(touched)),
             },

@@ -13,10 +13,13 @@ Outputs one features Dataset (the ``features`` checkpoint schema):
     title_norm:string, token_ids:list<int32> (sorted unique 32-bit token
     ids — the scorer's Jaccard input), simhash:int64, band_keys:list<int64>
 
-Two vectorized Arrow list-flattens derive the exchange rows from it:
-``block_keys_stage`` (block_key only, for the hot/pairable count pass) and
-``fat_block_rows_stage`` (one ids-only feature row per band, for the fused
-pair+score exchange).
+Two vectorized per-block Arrow list-flattens derive the exchange rows from
+it: ``block_keys`` (block_key only, for the hot/pairable count pass) and
+``fat_block_rows`` (one ids-only feature row per band, for the fused
+pair+score exchange). Both run inside the split tasks of the exchange that
+consumes them (stages/exchange's map-side function), so the exploded rows
+are never materialized as a Dataset; ``block_keys_stage`` runs
+``block_keys`` as one plain task per block where no exchange follows.
 """
 
 from __future__ import annotations
@@ -214,47 +217,68 @@ def feature_stage(extracted_ds, cfg: PagesERConfig | None = None, concurrency=No
     )
 
 
-def explode_block_rows_with_features(batch: pa.Table) -> pa.Table:
-    """Fat explode: one (url_hash, block_key, token_ids, simhash,
+_BLOCK_KEYS = pa.schema([("block_key", pa.int64())])
+_FAT_ROWS = pa.schema(
+    [
+        ("block_key", pa.int64()),
+        ("url_hash", pa.int64()),
+        ("token_ids", pa.list_(pa.int32())),
+        ("simhash", pa.int64()),
+        ("title_norm", pa.string()),
+    ]
+)
+
+
+def block_keys(batch: pa.Table) -> pa.Table:
+    """Key-only band explode: one ``block_key`` row per band — nothing but
+    the 8-byte key column moves. Typed empty for a zero-row block."""
+    if batch.num_rows == 0:
+        return _BLOCK_KEYS.empty_table()
+    return pa.table({"block_key": _comb(batch["band_keys"]).flatten()})
+
+
+def fat_block_rows(batch: pa.Table, allowed: np.ndarray | None = None) -> pa.Table:
+    """Fat explode: one (block_key, url_hash, token_ids, simhash,
     title_norm) row per band. Ships each page's features ``bands`` times
-    through ONE sort shuffle — cheaper in total than joining features onto
+    through ONE hash exchange — cheaper in total than joining features onto
     the pair list twice (the join path moves the payload once per PAIR
     side, and pairs outnumber pages ~30:1 on web near-dup workloads).
-    IDS ONLY on the hot path: token payload is the int64 id list and the
+    IDS ONLY on the hot path: token payload is the int32 id list and the
     page identity is the 64-bit url hash — url STRINGS never enter the pair
     shuffle or the edge output; they rejoin from the features side table
-    after clustering (stages/merge)."""
-    keys = batch["band_keys"]
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
+    after clustering (stages/merge).
+
+    ``allowed``: optional sorted int64 key array; rows with any other key
+    are dropped before the payload columns are gathered. Typed empty for a
+    zero-row block."""
+    if batch.num_rows == 0:
+        return _FAT_ROWS.empty_table()
+    keys = _comb(batch["band_keys"])
     flat = keys.flatten()
     counts = np.diff(keys.offsets.to_numpy(zero_copy_only=False))
-    idx = pa.array(np.repeat(np.arange(len(keys)), counts), type=pa.int64())
+    idx = np.repeat(np.arange(len(keys)), counts)
+    if allowed is not None:
+        keep = in_sorted(flat.to_numpy(zero_copy_only=False), allowed)
+        flat, idx = flat.filter(pa.array(keep)), idx[keep]
+    idx = pa.array(idx, type=pa.int64())
     cols = {"block_key": flat}
     for name in ("url_hash", "token_ids", "simhash", "title_norm"):
-        col = batch[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        cols[name] = col.take(idx)
+        cols[name] = _comb(batch[name]).take(idx)
     return pa.table(cols)
 
 
-def fat_block_rows_stage(features_ds):
-    return features_ds.select_columns(
-        ["url_hash", "band_keys", "token_ids", "simhash", "title_norm"]
-    ).map_batches(explode_block_rows_with_features, batch_format="pyarrow", zero_copy_batch=True)
+def in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Boolean mask: which ``values`` occur in the sorted int64 array."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(values), dtype=bool)
+    pos = np.searchsorted(sorted_keys, values)
+    pos[pos >= len(sorted_keys)] = len(sorted_keys) - 1
+    return sorted_keys[pos] == values
 
 
 def block_keys_stage(features_ds):
-    """Key-only band explode for the hot-bucket count pass — nothing but the
-    8-byte block_key column moves."""
+    """``block_keys`` over every block of an in-memory features Dataset,
+    one plain task per block (stages/exchange.map_blocks)."""
+    from entity_resolution_engine_ray.stages.exchange import map_blocks
 
-    def flatten(batch: pa.Table) -> pa.Table:
-        keys = batch["band_keys"]
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        return pa.table({"block_key": keys.flatten()})
-
-    return features_ds.select_columns(["band_keys"]).map_batches(
-        flatten, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return map_blocks(features_ds, block_keys)

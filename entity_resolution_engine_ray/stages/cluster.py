@@ -34,6 +34,8 @@ is detected with a changed-label count.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -41,8 +43,21 @@ import ray
 import ray.data as rd
 
 
-def _swap(batch: pa.Table) -> pa.Table:
-    return pa.table({"src": batch["dst"], "dst": batch["src"]})
+_DIRECTED = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+
+
+def _both_orientations(t: pa.Table) -> pa.Table:
+    """Split function of the labelprop edge exchange: an int (src, dst)
+    block → both orientations of each edge as int64 (src, dst) rows."""
+    import pyarrow.compute as pc
+
+    if t.num_rows == 0:
+        return _DIRECTED.empty_table()
+    src = pc.cast(t["src"], pa.int64()).chunks
+    dst = pc.cast(t["dst"], pa.int64()).chunks
+    return pa.table(
+        {"src": pa.chunked_array(src + dst, pa.int64()), "dst": pa.chunked_array(dst + src, pa.int64())}
+    )
 
 
 def connected_roots(src, dst) -> tuple[np.ndarray, np.ndarray]:
@@ -123,14 +138,6 @@ def _sum_ints(*vals: int) -> int:
 def _lp_emit_ids(labels_part: pa.Table):
     out = pa.table({"node": labels_part["node"], "cluster_label": labels_part["label"]})
     return out, out.num_rows
-
-
-def _cast_int_edges(t: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-
-    return pa.table(
-        {"src": pc.cast(t["src"], pa.int64()), "dst": pc.cast(t["dst"], pa.int64())}
-    )
 
 
 def _np_col(t: pa.Table, name: str) -> np.ndarray:
@@ -273,7 +280,7 @@ def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -
         groups = _coalesce_refs(list(refs), _default_split_tasks())
         if P <= _LP_TWO_LEVEL_MIN_P:
             splits = [
-                _split_block.options(num_returns=P).remote([key], P, *group)
+                _split_block.options(num_returns=P).remote([key], P, None, *group)
                 for group in groups
             ]
             if P == 1:
@@ -358,7 +365,8 @@ def connected_components_labelprop_ids(
 
     Fully distributed min-label propagation with STATIONARY edge partitions:
     edges are hash-partitioned by src exactly once
-    (stages/exchange.exchange_partition_refs); every subsequent round moves
+    (stages/exchange.exchange_partition_refs, whose split tasks cast each
+    block to int64 and emit both orientations); every subsequent round moves
     only the label/candidate tables — O(|V|) rows per round, not O(|E|).
     Labels are partitioned by node with the same hash, so propagate
     (edges_p ⋈ labels_p) and refine (cand_p ⋈ labels_p) are co-located
@@ -369,7 +377,7 @@ def connected_components_labelprop_ids(
     set exceeds driver memory."""
     from entity_resolution_engine_ray.stages.exchange import exchange_partition_refs
 
-    edges = edges_ds.map_batches(_cast_int_edges, batch_format="pyarrow").materialize()
+    edges = edges_ds.materialize()
     n_edges = edges.count()
     # width sized by the DIRECTED edge count but with the round-loop cost
     # model (_lp_partitions), NOT the one-shot-shuffle formula
@@ -383,8 +391,7 @@ def connected_components_labelprop_ids(
                 }
             )
         )
-    directed = edges.union(edges.map_batches(_swap, batch_format="pyarrow"))
-    edge_parts = exchange_partition_refs(directed, ["src"], P)
+    edge_parts = exchange_partition_refs(edges, ["src"], P, block_fn=_both_orientations)
     inits = [_lp_init_from_edges.remote(e) for e in edge_parts]
     edge_parts, labels_parts = [e for e, _ in inits], [l for _, l in inits]
     labels_parts = _lp_run(edge_parts, labels_parts, P, max_iterations)
@@ -403,28 +410,43 @@ def cluster_label_map(edges_ds) -> tuple[np.ndarray, np.ndarray]:
     ``connected_roots`` over the collected id columns: two int64 arrays
     over the connected nodes, root = min member id. For inputs whose edge
     list exceeds driver memory use ``connected_components_labelprop_ids``
-    (the fully-distributed path) instead."""
+    (the fully-distributed path) instead. The blocks are fetched with
+    ``ray.get``, so in-memory edges cost no Ray Data execution."""
+    from entity_resolution_engine_ray.stages.exchange import _arrow_refs, _ensure_table
+
     src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for b in edges_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+    for b in map(_ensure_table, ray.get(_arrow_refs(edges_ds))):
         if b.num_rows:
             src.append(_np_col(b, "left_id"))
             dst.append(_np_col(b, "right_id"))
     return connected_roots(np.concatenate(src), np.concatenate(dst))
 
 
-def attach_labels(ds, id_col: str, labels_ds, num_partitions: int | None = None):
+def attach_labels(
+    ds, id_col: str, labels_ds, num_partitions: int | None = None, columns: list[str] | None = None
+):
     """Every row of ``ds`` gains ``cluster_label``: its ``id_col``'s label
     from a (node, cluster_label) Dataset, or the id itself when the id has
     no edge. One co-partitioned exchange (``exchange.hash_exchange_cogroup``
     on the 8-byte id) and a ``label_of`` per partition — no driver-side map,
-    so it is safe when the connected-node set is O(corpus)."""
-    from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
+    so it is safe when the connected-node set is O(corpus).
+
+    ``columns``: keep only these columns of ``ds`` (plus ``cluster_label``);
+    the projection runs in the exchange's split tasks, so the dropped
+    columns never enter the shuffle."""
+    from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup, project_block
+
+    keep = None if columns is None else list(dict.fromkeys([*columns, id_col]))
 
     def attach(rows: pd.DataFrame, labels: pd.DataFrame) -> pd.DataFrame:
         nodes = labels["node"].to_numpy(dtype=np.int64)
         order = np.argsort(nodes, kind="stable")
         roots = labels["cluster_label"].to_numpy(dtype=np.int64)[order]
         ids = rows[id_col].to_numpy(dtype=np.int64)
-        return rows.assign(cluster_label=label_of(nodes[order], roots, ids))
+        out = rows.assign(cluster_label=label_of(nodes[order], roots, ids))
+        return out if columns is None else out[[*columns, "cluster_label"]]
 
-    return hash_exchange_cogroup(ds, labels_ds, [id_col], ["node"], attach, num_partitions)
+    return hash_exchange_cogroup(
+        ds, labels_ds, [id_col], ["node"], attach, num_partitions,
+        left_block_fn=None if keep is None else functools.partial(project_block, cols=keep),
+    )

@@ -10,6 +10,8 @@ int64 (doc ids), so clustering uses numeric union semantics directly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -154,19 +156,6 @@ class _DedupFeatures:
         )
 
 
-def _explode(batch: pa.Table) -> pa.Table:
-    keys = batch["band_keys"]
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    ids = batch["id"]
-    if isinstance(ids, pa.ChunkedArray):
-        ids = ids.combine_chunks()
-    flat = keys.flatten()
-    counts = np.diff(keys.offsets.to_numpy(zero_copy_only=False))
-    rep = ids.take(pa.array(np.repeat(np.arange(len(ids)), counts), type=pa.int64()))
-    return pa.table({"id": rep, "block_key": flat})
-
-
 def _pairs_partition(pdf: pd.DataFrame, cap: int) -> pd.DataFrame:
     """One hash partition of (id, block_key) rows → candidate pairs.
 
@@ -233,6 +222,23 @@ def _explode_fat(batch: pa.Table) -> pa.Table:
             col = col.combine_chunks()
         cols[name] = col.take(idx)
     return pa.table(cols)
+
+
+def _salted_fat_rows(batch: pa.Table, keep_ref, hot: dict[int, int]) -> pa.Table:
+    """Split function of the verify exchange: the fat explode, the
+    singleton-bucket prune (``keep_ref``: broadcast pairable keys, when
+    known) and the hot-key salt with the doc id as the mixing hash. A
+    zero-row block routes nothing; the exchange keeps a typed block for an
+    empty partition when any block has one."""
+    from entity_resolution_engine_ray.stages.pairs import _salt_batch
+    from entity_resolution_engine_ray.stages.score import _keep_block_keys
+
+    if batch.num_rows == 0:
+        return pa.table({})
+    fat = _explode_fat(batch)
+    if keep_ref is not None:
+        fat = _keep_block_keys(fat, keep_ref)
+    return _salt_batch(fat, hot, hash_col="id")
 
 
 _VERIFY_COLS = ["left_id", "right_id", "jaccard", "dropped", "is_marker"]
@@ -458,31 +464,19 @@ def _edges_from_feats(feats, *, threshold, max_block_size, num_partitions, n_fat
     # buckets over the cap are split into deterministic id-hash sub-buckets
     # instead of being truncated — identical docs beyond the cap still pair
     # (within their salt; cross-salt recall is carried by the other bands).
-    # The count pass runs over SLIM (id, block_key) rows — no token payload.
-    from entity_resolution_engine_ray.stages.pairs import _salt_batch, key_stats
-    from entity_resolution_engine_ray.stages.score import _keep_block_keys
+    # The count pass runs over key-only rows — no token payload.
+    import ray
 
-    slim = feats.select_columns(["id", "band_keys"]).map_batches(
-        _explode, batch_format="pyarrow"
-    )
-    # metadata-only count on the materialized features — skips the counting
-    # pass over the exploded rows inside key_stats
-    hot, pairable, n_pruned = key_stats(slim, max_block_size, n_rows_hint=n_fat)
+    from entity_resolution_engine_ray.stages.block import block_keys
+    from entity_resolution_engine_ray.stages.pairs import key_stats
 
-    fat = feats.map_batches(_explode_fat, batch_format="pyarrow")
-    if pairable is not None:
-        # singleton-bucket prune: keys with one member can never pair —
-        # drop their fat (token-payload) rows before the hash exchange
-        # (exactly output-preserving; see pairs.key_stats)
-        import ray
-
-        fat = fat.map_batches(
-            _keep_block_keys, fn_kwargs={"allowed_ref": ray.put(pairable)},
-            batch_format="pyarrow",
-        )
-    fat = fat.map_batches(
-        _salt_batch, fn_kwargs={"hot": hot, "hash_col": "id"}, batch_format="pyarrow"
-    )
+    # the key-only explode runs inside key_stats' split tasks; the
+    # metadata-only count on the materialized features sizes its exchange
+    hot, pairable, n_pruned = key_stats(feats, max_block_size, n_rows_hint=n_fat, block_fn=block_keys)
+    # singleton-bucket prune: keys with one member can never pair — their
+    # fat (token-payload) rows are dropped in the split tasks, before the
+    # hash exchange (exactly output-preserving; see pairs.key_stats)
+    keep_ref = None if pairable is None else ray.put(pairable)
     # partition counts scale with the PRUNED row count (the rows that
     # actually enter the exchange) AND the cluster; ~200k rows/partition —
     # the fused-exchange cost model from the 1M sweep (pairs.key_stats
@@ -494,11 +488,12 @@ def _edges_from_feats(feats, *, threshold, max_block_size, num_partitions, n_fat
         else int(np.clip(n_fat // 50_000 + 1, 4, num_partitions))
     )
     raw = partition_map_groups(
-        fat,
+        feats,
         ["block_key", "salt"],
         lambda p: _pair_verify_partition(p, max_block_size, threshold),
         fat_parts,
         arrow_fns=True,
+        block_fn=functools.partial(_salted_fat_rows, keep_ref=keep_ref, hot=hot),
     ).materialize()
     # ONE pass over raw computes both the dropped total (over ALL rows —
     # is_marker rows exist exactly so a partition with drops but no
@@ -1072,23 +1067,16 @@ def cross_corpus_near_dup_pairs(
         .materialize()
     )
 
-    from entity_resolution_engine_ray.stages.pairs import _salt_batch, key_stats
-    from entity_resolution_engine_ray.stages.score import _keep_block_keys
+    import ray
 
-    slim = feats.select_columns(["id", "band_keys"]).map_batches(_explode, batch_format="pyarrow")
-    hot, pairable, n_pruned = key_stats(slim, max_block_size, n_rows_hint=feats.count() * bands)
-    fat = feats.map_batches(_explode_fat, batch_format="pyarrow")
-    if pairable is not None:
-        # singleton-bucket prune (output-preserving; see pairs.key_stats)
-        import ray
+    from entity_resolution_engine_ray.stages.block import block_keys
+    from entity_resolution_engine_ray.stages.pairs import key_stats
 
-        fat = fat.map_batches(
-            _keep_block_keys, fn_kwargs={"allowed_ref": ray.put(pairable)},
-            batch_format="pyarrow",
-        )
-    fat = fat.map_batches(
-        _salt_batch, fn_kwargs={"hot": hot, "hash_col": "id"}, batch_format="pyarrow"
+    hot, pairable, n_pruned = key_stats(
+        feats, max_block_size, n_rows_hint=feats.count() * bands, block_fn=block_keys
     )
+    # singleton-bucket prune (output-preserving; see pairs.key_stats)
+    keep_ref = None if pairable is None else ray.put(pairable)
     n_fat = feats.count() * bands
     fat_parts = (
         auto_partitions(n_pruned if pairable is not None else n_fat,
@@ -1097,11 +1085,12 @@ def cross_corpus_near_dup_pairs(
         else int(np.clip(n_fat // 50_000 + 1, 4, num_partitions))
     )
     raw = partition_map_groups(
-        fat,
+        feats,
         ["block_key", "salt"],
         lambda p: _cross_verify_partition(p, max_block_size, threshold),
         fat_parts,
         arrow_fns=True,
+        block_fn=functools.partial(_salted_fat_rows, keep_ref=keep_ref, hot=hot),
     ).materialize()
 
     parts = raw.map_batches(_verify_stats_batch, batch_format="pyarrow").take_all()

@@ -17,6 +17,23 @@ Results are identical to ``grouping.partition_map_groups`` for any
 per-group-pure function (same partitioner hash). Deterministic: partition
 assignment depends only on key values.
 
+Two ways to transform blocks that are already in the object store without a
+Ray Data execution (each costs ~40 ms of streaming-executor start-up and
+polling on a small host, against ~3 ms for one plain task per block):
+
+- a map-side function: every entry point takes an optional per-block
+  ``block_fn`` (an explode, filter, projection or partial count) that the
+  stage-1 split task applies to each input block before hashing, as a
+  MapReduce map stage does. The mapped rows exist only inside that task,
+  so a fat intermediate (e.g. features × bands rows) is never materialized
+  whole. The width auto-sizing still counts the input rows.
+- ``map_blocks(ds, fn)``: one plain task per block, for a per-block
+  function that no exchange follows.
+
+Either function must accept a zero-row block, including the zero-column
+blocks a 0-row Dataset can surface, and should return its typed empty
+output for it.
+
 Scale notes (both matter at 100 TB and were measured locally):
 
 - Sub-tables are materialized with per-partition ``take`` — NEVER
@@ -98,10 +115,15 @@ def _arrow_refs_counted(ds) -> tuple[list, int | None]:
     """(block refs, total rows) in ONE bundle walk — the row count comes
     from block METADATA (RefBundle.num_rows), so auto-sizing the exchange
     width by actual input size costs nothing extra. Rows may be None when
-    a bundle lacks metadata; callers fall back to the CPU-floor width."""
+    a bundle lacks metadata; callers fall back to the CPU-floor width.
+
+    The walk goes through ``materialize()``: a lazy plan executes once
+    either way, but a Dataset over blocks already in the object store (a
+    ``from_arrow_refs`` output) then hands its refs over without starting a
+    streaming execution of its trivial plan."""
     refs: list = []
     total = 0
-    for bundle in ds.iter_internal_ref_bundles():
+    for bundle in ds.materialize().iter_internal_ref_bundles():
         refs.extend(bundle.block_refs)
         n = bundle.num_rows()
         if n is None:
@@ -147,10 +169,37 @@ def _ensure_table(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False)
 
 
-@ray.remote
-def _split_block(key_cols: list[str], num_partitions: int, *tbls: pa.Table):
+def project_block(t: pa.Table, cols: list[str]) -> pa.Table:
+    """Per-block projection for a map-side function: ``cols`` of ``t``, or
+    a zero-column table for a zero-row block that lacks them (the source
+    blocks of a skipped lazy map); ``_merge_tables`` then prefers a typed
+    block wherever one exists."""
+    if t.num_rows == 0 and not set(cols) <= set(t.column_names):
+        return pa.table({})
+    return t.select(cols)
+
+
+def _merge_tables(tbls) -> pa.Table:
+    """Concatenate the non-empty tables; with none, the first zero-row
+    table that has columns (a zero-column block from a skipped lazy map
+    must not stand in for a typed one), else the first."""
+    parts = [t for t in tbls if t.num_rows > 0]
+    if parts:
+        return pa.concat_tables(parts, promote_options="default") if len(parts) > 1 else parts[0]
+    return next((t for t in tbls if t.num_columns), tbls[0])
+
+
+def _mapped_input(block_fn, tbls) -> pa.Table:
+    """A split task's input: its blocks, each through ``block_fn``."""
     tbls = [_ensure_table(t) for t in tbls]
-    tbl = pa.concat_tables(tbls, promote_options="default") if len(tbls) > 1 else tbls[0]
+    if block_fn is not None:
+        tbls = [block_fn(t) for t in tbls]
+    return _merge_tables(tbls)
+
+
+@ray.remote
+def _split_block(key_cols: list[str], num_partitions: int, block_fn, *tbls: pa.Table):
+    tbl = _mapped_input(block_fn, tbls)
     if tbl.num_rows == 0:
         # nothing to hash — a 0-row dataset's skipped lazy map can surface
         # zero-COLUMN source blocks that would KeyError on the key lookup
@@ -174,8 +223,7 @@ def _split_block_groups(key_cols: list[str], P: int, K: int, *tbls: pa.Table):
     Partition identity stays ``hash % P`` (so rows land on the same owner
     as every single-level exchange over the same key); a group is K
     consecutive partitions, g = p // K, G = ceil(P / K) outputs."""
-    tbls = [_ensure_table(t) for t in tbls]
-    tbl = pa.concat_tables(tbls, promote_options="default") if len(tbls) > 1 else tbls[0]
+    tbl = _mapped_input(None, tbls)
     G = -(-P // K)
     if tbl.num_rows == 0:
         return tuple([tbl] * G) if G > 1 else tbl
@@ -191,8 +239,7 @@ def _split_group_members(key_cols: list[str], P: int, K: int, g: int, *tbls: pa.
     """Hierarchical-exchange level 2: split ONE group's rows into its
     member partitions (g*K .. min(g*K+K, P)-1). Kg outputs, index i ↔
     partition g*K + i."""
-    tbls = [_ensure_table(t) for t in tbls]
-    tbl = pa.concat_tables(tbls, promote_options="default") if len(tbls) > 1 else tbls[0]
+    tbl = _mapped_input(None, tbls)
     Kg = min(K, P - g * K)
     if tbl.num_rows == 0:
         return tuple([tbl] * Kg) if Kg > 1 else tbl
@@ -203,17 +250,28 @@ def _split_group_members(key_cols: list[str], P: int, K: int, g: int, *tbls: pa.
     return tuple(out) if Kg > 1 else out[0]
 
 
+def _from_pandas(result: pd.DataFrame, *inputs: pa.Table) -> pa.Table:
+    """A pandas partition result as Arrow, without pandas metadata
+    (schema-identity noise downstream). pandas types the object columns of
+    an EMPTY frame as null, so a zero-row result takes the type of the
+    input column of the same name where there is one."""
+    out = pa.Table.from_pandas(result, preserve_index=False).replace_schema_metadata(None)
+    if out.num_rows:
+        return out
+    like = {f.name: f.type for t in reversed(inputs) for f in t.schema}
+    return pa.table(
+        {
+            f.name: pa.array([], like[f.name]) if pa.types.is_null(f.type) and f.name in like
+            else out[f.name]
+            for f in out.schema
+        }
+    )
+
+
 @ray.remote(num_returns=2)
 def _reduce_partition(fn, *subtables: pa.Table):
-    parts = [t for t in subtables if t.num_rows > 0]
-    merged = (
-        pa.concat_tables(parts, promote_options="default")
-        if parts
-        else subtables[0]  # zero-row table, keeps the input schema
-    )
-    result = fn(merged.to_pandas())
-    # strip pandas metadata (schema-identity noise downstream)
-    out = pa.Table.from_pandas(result, preserve_index=False).replace_schema_metadata(None)
+    merged = _merge_tables(subtables)
+    out = _from_pandas(fn(merged.to_pandas()), merged)
     return out, out.num_rows
 
 
@@ -225,27 +283,41 @@ def _reduce_partition_arrow(fn, *subtables: pa.Table):
     fat (token_ids list) partition that conversion costs more than the
     actual kernel work; partition fns that can consume Arrow directly
     skip it entirely."""
-    parts = [t for t in subtables if t.num_rows > 0]
-    merged = (
-        pa.concat_tables(parts, promote_options="default")
-        if parts
-        else subtables[0]  # zero-row table, keeps the input schema
-    )
-    out = fn(merged)
+    out = fn(_merge_tables(subtables))
     return out.replace_schema_metadata(None), out.num_rows
 
 
 @ray.remote(num_returns=2)
 def _reduce_cogroup(fn, n_left: int, *subtables: pa.Table):
-    lefts = [t for t in subtables[:n_left] if t.num_rows > 0]
-    rights = [t for t in subtables[n_left:] if t.num_rows > 0]
-    left = pa.concat_tables(lefts, promote_options="default") if lefts else subtables[0]
-    right = (
-        pa.concat_tables(rights, promote_options="default") if rights else subtables[n_left]
-    )
-    result = fn(left.to_pandas(), right.to_pandas())
-    out = pa.Table.from_pandas(result, preserve_index=False).replace_schema_metadata(None)
+    left = _merge_tables(subtables[:n_left])
+    right = _merge_tables(subtables[n_left:])
+    out = _from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right)
     return out, out.num_rows
+
+
+def _split_all(refs: list, key_cols: list[str], num_partitions: int, block_fn) -> list:
+    """Stage 1 over ``refs``: coalesced split tasks, each ``block_fn``
+    first. ``result[b][p]`` is split b's sub-table for partition p (a
+    single ref per split when ``num_partitions`` is 1)."""
+    return [
+        _split_block.options(num_returns=num_partitions).remote(
+            key_cols, num_partitions, block_fn, *group
+        )
+        for group in _coalesce_refs(refs, _default_split_tasks())
+    ]
+
+
+def _partition_subs(splits: list, p: int, num_partitions: int) -> list:
+    return [s[p] for s in splits] if num_partitions > 1 else list(splits)
+
+
+def _dataset_of(reduced: list, count_refs: list):
+    """Dataset over the reduce outputs with rows, or over the first output
+    when all are empty so the schema survives (Ray's hash join mishandles
+    some empty-block layouts). Only the row counts reach the driver."""
+    n_rows = ray.get(count_refs)
+    keep = [r for r, n in zip(reduced, n_rows) if n > 0]
+    return rd.from_arrow_refs(keep or [reduced[0]])
 
 
 def hash_exchange_cogroup(
@@ -255,13 +327,17 @@ def hash_exchange_cogroup(
     right_keys: list[str],
     fn,
     num_partitions: int | None = None,
+    left_block_fn=None,
+    right_block_fn=None,
 ):
     """Co-partitioned two-sided exchange: rows of both datasets with the
     same key hash meet in one partition; ``fn(left_pdf, right_pdf)`` runs
     once per partition (the task-level hash join / cogroup primitive —
     key semantics are up to ``fn``). ``num_partitions=None`` →
     ``grouping.auto_partitions(rows)`` sized by the LARGER side's actual
-    row count (free — block metadata), CPU floor when metadata is absent."""
+    row count (free — block metadata), CPU floor when metadata is absent.
+    ``left_block_fn`` / ``right_block_fn``: map-side functions applied to
+    each block of that side in its split tasks."""
     l_refs, l_rows = _arrow_refs_counted(left_ds)
     r_refs, r_rows = _arrow_refs_counted(right_ds)
     # a zero-block side must still reach fn as a TYPED empty frame — with
@@ -281,31 +357,16 @@ def hash_exchange_cogroup(
         # side must not collapse the width under an unknown-LARGE one
         hint = None if (l_rows is None or r_rows is None) else max(l_rows, r_rows)
         num_partitions = auto_partitions(hint)
-    max_groups = _default_split_tasks()
-    l_splits = [
-        _split_block.options(num_returns=num_partitions).remote(
-            left_keys, num_partitions, *group
-        )
-        for group in _coalesce_refs(l_refs, max_groups)
-    ]
-    r_splits = [
-        _split_block.options(num_returns=num_partitions).remote(
-            right_keys, num_partitions, *group
-        )
-        for group in _coalesce_refs(r_refs, max_groups)
-    ]
+    l_splits = _split_all(l_refs, left_keys, num_partitions, left_block_fn)
+    r_splits = _split_all(r_refs, right_keys, num_partitions, right_block_fn)
     reduced, counts = [], []
     for p in range(num_partitions):
-        lsub = [s[p] for s in l_splits] if num_partitions > 1 else list(l_splits)
-        rsub = [s[p] for s in r_splits] if num_partitions > 1 else list(r_splits)
+        lsub = _partition_subs(l_splits, p, num_partitions)
+        rsub = _partition_subs(r_splits, p, num_partitions)
         t_ref, c_ref = _reduce_cogroup.remote(fn, len(lsub), *(lsub + rsub))
         reduced.append(t_ref)
         counts.append(c_ref)
-    n_rows = ray.get(counts)
-    keep = [r for r, n in zip(reduced, n_rows) if n > 0]
-    if not keep:
-        keep = [reduced[0]]
-    return rd.from_arrow_refs(keep)
+    return _dataset_of(reduced, counts)
 
 
 def typed_to_pandas(ds) -> pd.DataFrame:
@@ -324,20 +385,20 @@ def typed_to_pandas(ds) -> pd.DataFrame:
 
 @ray.remote
 def _concat_parts(*subtables: pa.Table) -> pa.Table:
-    parts = [t for t in subtables if t.num_rows > 0]
-    if not parts:
-        return subtables[0]
-    return pa.concat_tables(parts, promote_options="default")
+    return _merge_tables(subtables)
 
 
-def exchange_partition_refs(ds, key_cols: list[str], num_partitions: int | None = None) -> list:
+def exchange_partition_refs(
+    ds, key_cols: list[str], num_partitions: int | None = None, block_fn=None
+) -> list:
     """Hash-partition ``ds`` ONCE and return the P partition tables as object
     refs (index p = partition p — alignment is guaranteed, empty partitions
     included). The building block for ITERATIVE algorithms where one side
     stays stationary across rounds (connected components: edges are
     partitioned once; only labels/candidates move per round).
     ``num_partitions=None`` → ``grouping.auto_partitions(rows)`` sized by
-    the actual input row count (free — block metadata)."""
+    the actual input row count (free — block metadata). ``block_fn``: the
+    map-side function each split task applies to its blocks."""
     refs, n_rows = _arrow_refs_counted(ds)
     if num_partitions is None:
         from entity_resolution_engine_ray.stages.grouping import auto_partitions
@@ -345,26 +406,26 @@ def exchange_partition_refs(ds, key_cols: list[str], num_partitions: int | None 
         num_partitions = auto_partitions(n_rows)
     if not refs:
         raise ValueError("exchange_partition_refs: empty dataset")
-    splits = [
-        _split_block.options(num_returns=num_partitions).remote(
-            key_cols, num_partitions, *group
-        )
-        for group in _coalesce_refs(refs, _default_split_tasks())
+    splits = _split_all(refs, key_cols, num_partitions, block_fn)
+    return [
+        _concat_parts.remote(*_partition_subs(splits, p, num_partitions))
+        for p in range(num_partitions)
     ]
-    parts = []
-    for p in range(num_partitions):
-        subs = [s[p] for s in splits] if num_partitions > 1 else list(splits)
-        parts.append(_concat_parts.remote(*subs))
-    return parts
 
 
-@ray.remote
-def _col_sum(tbl: pa.Table, col: str) -> int:
-    import pyarrow.compute as pc
+@ray.remote(num_returns=2)
+def _reduce_counted(fn, arrow_fns: bool, *subtables: pa.Table):
+    """Stage-1 reduce of the chained exchange: (table, counts).
 
-    if col not in tbl.column_names or tbl.num_rows == 0:
-        return 0
-    return int(pc.sum(tbl[col]).as_py() or 0)
+    ``fn`` may return ``(table, counts)``, a dict of int counts carried out
+    of band of the rows, so a partition that emits no row still reports
+    them."""
+    merged = _merge_tables(subtables)
+    res = fn(merged if arrow_fns else merged.to_pandas())
+    out, counts = res if isinstance(res, tuple) else (res, {})
+    if not arrow_fns:
+        out = _from_pandas(out, merged)
+    return out.replace_schema_metadata(None), dict(counts)
 
 
 def hash_exchange_chained(
@@ -375,8 +436,8 @@ def hash_exchange_chained(
     keys2: list[str],
     fn2,
     p2: int,
-    sum_col: str | None = None,
     arrow_fns: bool = False,
+    block_fn=None,
 ):
     """Two chained hash exchanges with NO driver barrier between them.
 
@@ -388,13 +449,14 @@ def hash_exchange_chained(
     partition finishes, so the two shuffles overlap and only ONE barrier
     remains (the final row counts — by then all work is done anyway).
 
-    ``sum_col``: optionally fold a per-row int column of stage 1's output
-    into a driver-side total via tiny side tasks (the column is dropped
-    before ``fn2`` sees the rows). Returns (Dataset, total) — total is 0
-    when ``sum_col`` is None.
+    Stage-1 counts: ``fn1`` may return ``(table, counts)`` with a dict of
+    int counts kept out of band of the rows. Returns ``(Dataset, totals)``,
+    ``totals`` the key-wise sum of ``fn1``'s count dicts (``{}`` when it
+    returned none or there were no rows).
 
     ``arrow_fns``: both fns take and return ``pa.Table`` (no pandas
-    round-trip — see ``_reduce_partition_arrow``).
+    round-trip — see ``_reduce_partition_arrow``). ``block_fn``: the
+    map-side function stage 1's split tasks apply to each input block.
     """
     if p1 < 1 or p2 < 1:
         raise ValueError(
@@ -402,53 +464,59 @@ def hash_exchange_chained(
         )
     block_refs = _arrow_refs(ds)
     if not block_refs:
-        return rd.from_items([]), 0
-    splits1 = [
-        _split_block.options(num_returns=p1).remote(keys1, p1, *group)
-        for group in _coalesce_refs(block_refs, _default_split_tasks())
-    ]
-    drop_refs = []
+        return rd.from_items([]), {}
+    splits1 = _split_all(block_refs, keys1, p1, block_fn)
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
-
-    if arrow_fns:
-
-        def _fn2_wrapped(tbl):
-            if sum_col is not None and sum_col in tbl.column_names:
-                tbl = tbl.drop_columns([sum_col])
-            return fn2(tbl)
-
-    else:
-
-        def _fn2_wrapped(pdf):
-            if sum_col is not None and sum_col in pdf.columns:
-                pdf = pdf.drop(columns=[sum_col])
-            return fn2(pdf)
-
     # stage-1 reduce → immediately a stage-2 split on the SAME ref: no
     # driver involvement between the waves
-    splits2 = []
+    splits2, count_refs = [], []
     for p in range(p1):
-        subs = [s[p] for s in splits1] if p1 > 1 else list(splits1)
-        t_ref, _c_ref = reduce_task.remote(fn1, *subs)
-        if sum_col is not None:
-            drop_refs.append(_col_sum.remote(t_ref, sum_col))
-        splits2.append(_split_block.options(num_returns=p2).remote(keys2, p2, t_ref))
-    reduced, counts = [], []
+        t_ref, c_ref = _reduce_counted.remote(fn1, arrow_fns, *_partition_subs(splits1, p, p1))
+        count_refs.append(c_ref)
+        splits2.append(_split_block.options(num_returns=p2).remote(keys2, p2, None, t_ref))
+    reduced, rows = [], []
     for q in range(p2):
-        subs = [s[q] for s in splits2] if p2 > 1 else list(splits2)
-        t_ref, c_ref = reduce_task.remote(_fn2_wrapped, *subs)
+        t_ref, n_ref = reduce_task.remote(fn2, *_partition_subs(splits2, q, p2))
         reduced.append(t_ref)
-        counts.append(c_ref)
-    n_rows = ray.get(counts)
-    total = sum(ray.get(drop_refs)) if drop_refs else 0
-    keep = [r for r, n in zip(reduced, n_rows) if n > 0]
-    if not keep:
-        keep = [reduced[0]]
-    return rd.from_arrow_refs(keep), total
+        rows.append(n_ref)
+    out = _dataset_of(reduced, rows)
+    totals: dict = {}
+    for c in ray.get(count_refs):
+        for k, v in c.items():
+            totals[k] = totals.get(k, 0) + v
+    return out, totals
+
+
+def _map_groups_refs(
+    ds, key_cols: list[str], fn, num_partitions=None, arrow_fns=False, block_fn=None
+) -> tuple[list, list]:
+    """``hash_exchange_map_groups`` up to its reduce tasks: (table refs,
+    row-count refs), one each per partition; ``([], [])`` for a Dataset
+    with no blocks."""
+    block_refs, n_rows = _arrow_refs_counted(ds)
+    if num_partitions is None:
+        from entity_resolution_engine_ray.stages.grouping import auto_partitions
+
+        num_partitions = auto_partitions(n_rows)
+    if not block_refs:
+        return [], []
+    splits = _split_all(block_refs, key_cols, num_partitions, block_fn)
+    reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
+    reduced, counts = [], []
+    for p in range(num_partitions):
+        table_ref, count_ref = reduce_task.remote(fn, *_partition_subs(splits, p, num_partitions))
+        reduced.append(table_ref)
+        counts.append(count_ref)
+    return reduced, counts
 
 
 def hash_exchange_map_groups(
-    ds, key_cols: list[str], fn, num_partitions: int | None = None, arrow_fns: bool = False
+    ds,
+    key_cols: list[str],
+    fn,
+    num_partitions: int | None = None,
+    arrow_fns: bool = False,
+    block_fn=None,
 ):
     """Raw-task hash exchange: apply ``fn(pdf)`` once per hash partition of
     ``key_cols``. ``fn`` must group by ``key_cols`` internally (vectorized),
@@ -456,34 +524,39 @@ def hash_exchange_map_groups(
     as grouping.partition_map_groups. ``arrow_fns=True``: ``fn`` takes and
     returns ``pa.Table`` (no pandas round-trip). ``num_partitions=None`` →
     ``grouping.auto_partitions(rows)`` sized by the actual input row count
-    (free — block metadata)."""
-    block_refs, n_rows = _arrow_refs_counted(ds)
-    if num_partitions is None:
-        from entity_resolution_engine_ray.stages.grouping import auto_partitions
-
-        num_partitions = auto_partitions(n_rows)
-    if not block_refs:
+    (free — block metadata). ``block_fn``: the map-side function the split
+    tasks apply to each input block before hashing."""
+    reduced, counts = _map_groups_refs(ds, key_cols, fn, num_partitions, arrow_fns, block_fn)
+    if not reduced:
         return rd.from_items([])
-    splits = [
-        _split_block.options(num_returns=num_partitions).remote(
-            key_cols, num_partitions, *group
-        )
-        for group in _coalesce_refs(block_refs, _default_split_tasks())
-    ]
-    reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
-    # splits[b][p] = sub-table of block b for partition p
-    reduced, counts = [], []
-    for p in range(num_partitions):
-        subs = [s[p] for s in splits] if num_partitions > 1 else list(splits)
-        table_ref, count_ref = reduce_task.remote(fn, *subs)
-        reduced.append(table_ref)
-        counts.append(count_ref)
-    # drop empty partitions (Ray's hash join mishandles some empty-block
-    # layouts); only the tiny row counts round-trip to the driver — result
-    # tables stay in the object store. Keep one empty block if ALL are
-    # empty so the schema survives.
-    n_rows = ray.get(counts)
-    keep = [r for r, n in zip(reduced, n_rows) if n > 0]
+    return _dataset_of(reduced, counts)
+
+
+@ray.remote(num_returns=2)
+def _map_block(fn, block):
+    out = fn(_ensure_table(block))
+    return out, (out.num_rows, out.num_columns)
+
+
+def _map_block_refs(ds, fn) -> list:
+    """One ``_map_block`` task per block of ``ds`` → [(table ref, (rows,
+    columns) ref)]. A Dataset with no blocks maps one typed empty block
+    from its schema."""
+    refs = _arrow_refs(ds) or [ray.put(_empty_block_like(ds))]
+    return [_map_block.remote(fn, r) for r in refs]
+
+
+def map_blocks(ds, fn):
+    """``fn(pa.Table) -> pa.Table`` over every block of ``ds`` with one
+    plain task per block — no Ray Data execution, for blocks that are
+    already in the object store (a lazy ``ds`` executes once to produce
+    them). Returns a Dataset over the non-empty outputs; when every output
+    is empty, over one of them, preferring one that has columns, so the
+    result stays typed."""
+    outs = _map_block_refs(ds, fn)
+    shapes = ray.get([s for _, s in outs])
+    keep = [t for (t, _), (n, _c) in zip(outs, shapes) if n > 0]
     if not keep:
-        keep = [reduced[0]]
+        typed = [t for (t, _), (_n, c) in zip(outs, shapes) if c > 0]
+        keep = typed[:1] or [outs[0][0]]
     return rd.from_arrow_refs(keep)

@@ -55,6 +55,7 @@ def partition_map_groups(
     fn,
     num_partitions: int | None = None,
     arrow_fns: bool = False,
+    block_fn=None,
 ):
     """Apply ``fn(pdf)`` once per hash partition of ``key_cols``; ``fn`` must
     itself group by ``key_cols`` (vectorized), tolerate an empty frame, and
@@ -65,10 +66,14 @@ def partition_map_groups(
     ``auto_partitions(n)`` to pin it. ``arrow_fns=True``: ``fn`` takes and
     returns ``pa.Table`` directly — use for partitions carrying list or
     string payloads, where the pandas conversion allocates one Python
-    object per row."""
+    object per row. ``block_fn``: a per-block Arrow function (explode,
+    filter, projection) run inside the exchange's split tasks instead of as
+    a separate ``map_batches`` execution (see stages/exchange)."""
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_map_groups
 
-    return hash_exchange_map_groups(ds, key_cols, fn, num_partitions, arrow_fns=arrow_fns)
+    return hash_exchange_map_groups(
+        ds, key_cols, fn, num_partitions, arrow_fns=arrow_fns, block_fn=block_fn
+    )
 
 
 def grouped_topk(

@@ -23,6 +23,7 @@ entity mapping — a Dataset, never a driver dict (SURVEY.md §2.5).
 
 from __future__ import annotations
 
+import functools
 
 import numpy as np
 import pandas as pd
@@ -88,51 +89,101 @@ _LABELED_COLS = _META_COLS + ["cluster_label"]
 
 
 def label_features_broadcast(features_ds, label_map_ref):
-    """Fast path: attach cluster labels to every page in ONE map_batches
-    pass against the broadcast ``(nodes, roots)`` arrays of
-    ``cluster_label_map`` (``ray.put`` once, read per task — never
-    re-shipped per batch). Singletons label with their own url hash."""
+    """Fast path: attach cluster labels to every page with one plain task
+    per in-memory features block (``exchange.map_blocks``) against the
+    broadcast ``(nodes, roots)`` arrays of ``cluster_label_map``
+    (``ray.put`` once, read per task — never re-shipped per block).
+    Singletons label with their own url hash."""
     import ray
 
     from entity_resolution_engine_ray.stages.cluster import label_of
+    from entity_resolution_engine_ray.stages.exchange import map_blocks, project_block
 
     def add_label(t: pa.Table) -> pa.Table:
+        t = project_block(t, _META_COLS + ["url_hash"])
+        if t.num_columns == 0:
+            return t
         nodes, roots = ray.get(label_map_ref)
         labels = label_of(nodes, roots, t["url_hash"].to_numpy())
-        out = t.append_column("cluster_label", pa.array(labels, type=pa.int64()))
-        return out.select(_LABELED_COLS)
+        return t.select(_META_COLS).append_column(
+            "cluster_label", pa.array(labels, type=pa.int64())
+        )
 
-    return features_ds.select_columns(_META_COLS + ["url_hash"]).map_batches(
-        add_label, batch_format="pyarrow"
-    )
+    return map_blocks(features_ds, add_label)
 
 
 def build_labeled(features_ds, labels_ds, num_partitions=None):
     """Scale path: align page metadata with a labels *Dataset*
     (``connected_components_labelprop_ids`` output: node:int64 =
     url_hash, cluster_label:int64) through ``cluster.attach_labels`` on the
-    8-byte ``url_hash`` — one exchange, NO url strings on the join key.
-    Singletons (pages with no approved edge) label with their own url_hash —
-    the same label space the broadcast path uses."""
+    8-byte ``url_hash`` — one exchange, NO url strings on the join key, and
+    the metadata projection runs in its split tasks. Singletons (pages with
+    no approved edge) label with their own url_hash — the same label space
+    the broadcast path uses."""
     from entity_resolution_engine_ray.stages.cluster import attach_labels
 
-    meta = features_ds.select_columns(_META_COLS + ["url_hash"])
-    labeled = attach_labels(meta, "url_hash", labels_ds, num_partitions)
-    return labeled.select_columns(_LABELED_COLS)
+    return attach_labels(features_ds, "url_hash", labels_ds, num_partitions, columns=_META_COLS)
+
+
+def _entity_schema(labeled: pa.Schema) -> pa.Schema:
+    t = labeled.field
+    return pa.schema(
+        [
+            ("cluster_label", pa.int64()),
+            ("entity_id", pa.string()),
+            ("canonical_url", t("url").type),
+            ("canonical_title", t("title_norm").type),
+            ("domain", pa.string()),
+            ("lang", t("lang").type),
+            ("n_members", pa.int64()),
+            ("first_seen", t("warc_ts").type),
+            ("last_seen", t("warc_ts").type),
+        ]
+    )
+
+
+def _lineage_schema(labeled: pa.Schema) -> pa.Schema:
+    return pa.schema(
+        [("url", labeled.field("url").type), ("entity_id", pa.string()), ("source_domain", pa.string())]
+    )
+
+
+def _typed_partition(fn, schema_of, cols: list[str]):
+    """Arrow wrapper of a pandas partition function: a zero-row partition
+    returns its typed empty output (pandas would type its empty object
+    columns as null), any other the converted result of ``fn``."""
+
+    def run(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return schema_of(t.schema).empty_table() if set(cols) <= set(t.column_names) else t
+        return pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
+
+    return run
 
 
 def entities_from_labeled(labeled_ds, num_partitions: int | None = None):
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
-    return partition_map_groups(labeled_ds, ["cluster_label"], _survivor_partition, num_partitions)
+    return partition_map_groups(
+        labeled_ds,
+        ["cluster_label"],
+        _typed_partition(_survivor_partition, _entity_schema, _LABELED_COLS),
+        num_partitions,
+        arrow_fns=True,
+    )
 
 
 def lineage_from_labeled(labeled_ds, num_partitions: int | None = None):
+    from entity_resolution_engine_ray.stages.exchange import project_block
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
+    cols = ["url", "cluster_label"]
+    # only url and label move through the exchange
     return partition_map_groups(
-        labeled_ds.select_columns(["url", "cluster_label"]),
+        labeled_ds,
         ["cluster_label"],
-        _lineage_partition,
+        _typed_partition(_lineage_partition, _lineage_schema, cols),
         num_partitions,
+        arrow_fns=True,
+        block_fn=functools.partial(project_block, cols=cols),
     )

@@ -4,10 +4,11 @@ The pair exchange itself lives in ``stages/score.fused_edges_stage``; this
 module supplies the two pieces it (and the dedup operators) run first:
 
 1. ``key_stats`` — one counting pass over the exploded ``block_key`` rows:
-   per-batch ``value_counts`` partials → one summing hash exchange → only
-   keys with ≥ 2 members reach the driver. It yields the hot set (buckets
-   over ``max_block_size``, with their split counts) and the pairable set
-   used to prune singleton buckets before the fat exchange.
+   per-block ``value_counts`` partials inside the split tasks of one
+   summing hash exchange → only keys with ≥ 2 members reach the driver.
+   It yields the hot set (buckets over ``max_block_size``, with their
+   split counts) and the pairable set used to prune singleton buckets
+   before the fat exchange.
 2. ``_salt_batch`` — vectorized salting of hot keys:
    ``salt = (mix64(url_hash ^ block_key) & INT63) % n_splits`` (0 for cold
    keys), the same deterministic assignment as the serial oracle's
@@ -18,13 +19,32 @@ module supplies the two pieces it (and the dedup operators) run first:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from entity_resolution_engine_ray.functions.similarity import mix64
 from entity_resolution_engine_ray.oracle.serial import n_splits_for
-from entity_resolution_engine_ray.stages.grouping import partition_map_groups
+
+
+_KEY_COUNTS = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+
+def _key_counts(t: pa.Table) -> pa.Table:
+    """Per-block partial of ``key_stats``: (block_key, members) counts."""
+    if t.num_rows == 0:
+        return _KEY_COUNTS.empty_table()
+    vc = pc.value_counts(t["block_key"])
+    return pa.table(
+        {"k": pc.cast(vc.field("values"), pa.int64()), "n": pc.cast(vc.field("counts"), pa.int64())}
+    )
+
+
+def _sum_multi(t: pa.Table) -> pa.Table:
+    """Per-partition finish of ``key_stats``: summed counts of the keys
+    with ≥ 2 members."""
+    g = t.group_by("k").aggregate([("n", "sum")])
+    g = g.filter(pc.greater_equal(g["n_sum"], 2))
+    return pa.table({"k": g["k"], "n": g["n_sum"]})
 
 
 def key_stats(
@@ -32,6 +52,7 @@ def key_stats(
     cap: int,
     n_rows_hint: int | None = None,
     pairable_limit: int = 200_000_000,
+    block_fn=None,
 ) -> tuple[dict[int, int], np.ndarray | None, int]:
     """One counting pass over (block_key) rows → (hot dict, pairable keys).
 
@@ -53,14 +74,21 @@ def key_stats(
     (incremental ``key_filter`` path) is the documented route once it would
     exceed the limit.
 
-    Two-level aggregation: per-batch ``value_counts`` partials → ONE hash
-    exchange summing per key → only multi-member keys reach the driver (a
-    driver-side concat of partials is ~n_distinct_keys rows — measured
-    21 s at 21M block rows; the n ≥ 2 set is the pair-producing minority,
-    the hot (> cap) set a few thousand).
+    Two-level aggregation: per-block ``value_counts`` partials, computed
+    inside the split tasks of ONE hash exchange summing per key → only
+    multi-member keys reach the driver (a driver-side concat of partials is
+    ~n_distinct_keys rows — measured 21 s at 21M block rows; the n ≥ 2 set
+    is the pair-producing minority, the hot (> cap) set a few thousand).
+    The driver reads the exchange's output tables with ``ray.get``.
+
+    ``block_fn``: optional per-block function that turns each input block
+    into (block_key) rows first — e.g. the band explode over features — so
+    the exploded rows exist only inside the split tasks.
 
     ``n_rows_hint`` (e.g. pages × bands, known upstream) sizes the summing
-    exchange without a separate counting pass over the exploded rows.
+    exchange without a separate counting pass over the exploded rows;
+    without it the input rows are counted, which undercounts the rows a
+    ``block_fn`` explode produces.
 
     Returns ``(hot, pairable, n_pairable_rows)`` — the third element is the
     TOTAL row count across multi-member keys, i.e. the number of fat rows
@@ -69,28 +97,30 @@ def key_stats(
     50k-rows/partition target paying ~0.1 s of task/ref overhead per
     partition (P=421: 107 s vs P=96: 50 s, identical edges), so the fused
     exchange targets ~200k PRUNED rows per partition instead."""
+    import ray
+
+    from entity_resolution_engine_ray.stages.exchange import _map_groups_refs
+
     n_rows = n_rows_hint if n_rows_hint is not None else block_rows_ds.count()
 
     def partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t["block_key"])
-        return pa.table({"k": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
+        return _key_counts(t if block_fn is None else block_fn(t))
 
-    def sum_multi(pdf: pd.DataFrame) -> pd.DataFrame:
-        g = pdf.groupby("k", as_index=False, sort=False)["n"].sum()
-        return g[g["n"] >= 2]
-
-    partials = block_rows_ds.map_batches(partial, batch_format="pyarrow")
     # partial tables are ~n_distinct_keys rows; scale the summing exchange
     # with the input instead of paying 32 fixed tasks at 100k
     n_parts = int(min(32, max(4, n_rows // 500_000)))
-    multi_ds = partition_map_groups(partials, ["k"], sum_multi, n_parts)
+    reduced, _ = _map_groups_refs(
+        block_rows_ds, ["k"], _sum_multi, n_parts, arrow_fns=True, block_fn=partial
+    )
     hot: dict[int, int] = {}
     key_chunks: list[np.ndarray] = []
     n_pairable = 0
     n_rows_multi = 0
-    for batch in multi_ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-        ks = batch["k"].to_numpy(zero_copy_only=False)
-        ns = batch["n"].to_numpy(zero_copy_only=False)
+    for batch in ray.get(reduced):
+        if batch.num_rows == 0:
+            continue
+        ks = batch["k"].to_numpy()
+        ns = batch["n"].to_numpy()
         for i in np.flatnonzero(ns > cap):
             hot[int(ks[i])] = n_splits_for(int(ns[i]), cap)
         n_pairable += len(ks)

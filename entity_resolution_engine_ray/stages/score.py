@@ -23,6 +23,8 @@ as a second actor-pool stage over ``decision == "review"`` rows only.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -71,7 +73,6 @@ _EDGE_SCHEMA = pa.schema(
         ("simhash_sim", pa.float64()),
         ("title_sim", pa.float64()),
         ("decision", pa.string()),
-        ("dropped", pa.int64()),
     ]
 )
 
@@ -136,24 +137,46 @@ def _combined(col) -> pa.Array:
 def _keep_block_keys(t: pa.Table, allowed_ref) -> pa.Table:
     """Keep rows whose block_key is in the broadcast sorted int64 array
     (``ray.put`` once, zero-copy plasma read per task, vectorized
-    searchsorted per batch). Used by both the incremental ``key_filter``
-    path and the singleton-bucket prune."""
+    searchsorted per batch). Used by the dedup operators' singleton-bucket
+    prune."""
     import ray
+
+    from entity_resolution_engine_ray.stages.block import in_sorted
 
     if t.num_rows == 0:
         return t
-    allowed = ray.get(allowed_ref)
     k = t["block_key"].to_numpy(zero_copy_only=False)
-    if len(allowed) == 0:
-        return t.filter(pa.array(np.zeros(len(k), dtype=bool)))
-    pos = np.searchsorted(allowed, k)
-    pos[pos >= len(allowed)] = len(allowed) - 1
-    return t.filter(pa.array(allowed[pos] == k))
+    return t.filter(pa.array(in_sorted(k, ray.get(allowed_ref))))
 
 
-def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> pa.Table:
-    """One hash partition of fat (block_key, salt) sub-blocks → scored,
-    gated edges, IDS ONLY (left_id/right_id int64 url hashes — no url
+def _band_keys(t: pa.Table, allowed_ref) -> pa.Table:
+    """Split function of the ``key_stats`` pass: the key-only band explode,
+    restricted to the broadcast ``key_filter`` keys when there are any."""
+    from entity_resolution_engine_ray.stages.block import block_keys
+
+    keys = block_keys(t)
+    return keys if allowed_ref is None else _keep_block_keys(keys, allowed_ref)
+
+
+def _fat_rows(t: pa.Table, keep_ref, hot: dict[int, int]) -> pa.Table:
+    """Split function of the pair exchange: the fat band explode, restricted
+    to the broadcast keys that can pair (``keep_ref``, when known), then the
+    hot-key salt."""
+    import ray
+
+    from entity_resolution_engine_ray.stages.block import fat_block_rows
+    from entity_resolution_engine_ray.stages.pairs import _salt_batch
+
+    allowed = None if keep_ref is None else ray.get(keep_ref)
+    return _salt_batch(fat_block_rows(t, allowed), hot)
+
+
+def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, dict]:
+    """One hash partition of fat (block_key, salt) sub-blocks → (scored,
+    gated edges, counts): ``counts`` holds the pairs the cap dropped
+    (``dropped``) and those the SimHash prefilter dropped (``prefiltered``),
+    out of band of the edge rows, so a partition that keeps no pair still
+    reports them. Edges are IDS ONLY (left_id/right_id int64 url hashes — no url
     strings ride the pair shuffle or the edge output; urls rejoin from the
     features side table after clustering). Sub-block members order by
     url_hash — the serial oracle orders identically, so pair identity, cap
@@ -169,7 +192,7 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> pa.Table:
     import pyarrow.compute as pc
 
     if tbl.num_rows == 0:
-        return _EDGE_SCHEMA.empty_table()
+        return _EDGE_SCHEMA.empty_table(), {}
     keys = tbl["block_key"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
     salts = tbl["salt"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
     url_hashes = tbl["url_hash"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
@@ -206,13 +229,14 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> pa.Table:
         li.append(ii + s)
         ri.append(jj + s)
         okeys.append(np.full(len(ii), keys[s], dtype=np.int64))
+    counts = {"dropped": dropped, "prefiltered": 0}
     if not li:
-        return _EDGE_SCHEMA.empty_table()
+        return _EDGE_SCHEMA.empty_table(), counts
     lidx = np.concatenate(li)
     ridx = np.concatenate(ri)
     okey = np.concatenate(okeys)
     if lidx.size == 0:  # cap=0 edge: appended slices can all be empty
-        return _EDGE_SCHEMA.empty_table()
+        return _EDGE_SCHEMA.empty_table(), counts
     # partition-local pre-dedup (same pair emitted by several bands that
     # hashed into this partition): keep min block_key, skip re-scoring.
     # The global cross-partition dedup still runs downstream.
@@ -229,21 +253,19 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> pa.Table:
     if cfg.simhash_prefilter is not None:
         # Hamming prefilter BEFORE the exact-Jaccard / title kernels (the
         # two dominant per-pair costs) — same rule as the serial oracle
-        # (oracle/serial.py run_serial_er), counted into dropped_pairs.
-        # Count semantics: APPROXIMATE — a pair colliding in several bands
-        # is prefiltered (and counted) once per partition instance, where
-        # the oracle counts the unique pair once; and a partition whose
-        # pairs are ALL prefiltered emits zero rows so its count can't
-        # ride the dropped column. nonzero ⇔ pruning happened is the
-        # contract; the EDGE SET stays exactly oracle-equal either way
-        # (pinned by test_simhash_prefilter_parity_and_pruning).
+        # (oracle/serial.py run_serial_er), counted as prefiltered_pairs.
+        # Count semantics: a pair colliding in several bands that hash to
+        # different partitions is prefiltered (and counted) once per
+        # partition, where the oracle counts the unique pair once; the
+        # EDGE SET stays exactly oracle-equal either way (pinned by
+        # test_simhash_prefilter_parity_and_pruning).
         keepm = sim_sim >= cfg.simhash_prefilter
-        dropped += int(n - keepm.sum())
+        counts["prefiltered"] = int(n - keepm.sum())
         if not keepm.all():
             lidx, ridx, okey, sim_sim = lidx[keepm], ridx[keepm], okey[keepm], sim_sim[keepm]
             n = len(lidx)
             if n == 0:
-                return _EDGE_SCHEMA.empty_table()
+                return _EDGE_SCHEMA.empty_table(), counts
     jac = _grouped_jaccard_flat(tvals, tstarts, tlens, lidx, ridx)
     jw = _jw_from_codes(tcodes[lidx], tcodes[ridx], tdict, tdict)
 
@@ -256,8 +278,6 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> pa.Table:
         pa.array(["reject", gray_label, "auto_approve"], type=pa.string()),
         pa.array(dec_code),
     )
-    drops = np.zeros(n, dtype=np.int64)
-    drops[0] = dropped
     return pa.table(
         {
             "left_id": pa.array(url_hashes[lidx], type=pa.int64()),
@@ -268,9 +288,8 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> pa.Table:
             "simhash_sim": pa.array(sim_sim, type=pa.float64()),
             "title_sim": pa.array(jw, type=pa.float64()),
             "decision": decision,
-            "dropped": pa.array(drops, type=pa.int64()),
         }
-    )
+    ), counts
 
 
 def _dedup_edges_partition(tbl: pa.Table) -> pa.Table:
@@ -291,6 +310,18 @@ def _dedup_edges_partition(tbl: pa.Table) -> pa.Table:
     return tbl.take(pa.array(perm[first]))
 
 
+class DroppedPairs(int):
+    """The pairs the sample cap dropped — an int, as every caller reads it —
+    with the pairs the SimHash prefilter dropped in ``prefiltered``."""
+
+    prefiltered: int
+
+    def __new__(cls, dropped: int = 0, prefiltered: int = 0):
+        out = super().__new__(cls, dropped)
+        out.prefiltered = int(prefiltered)
+        return out
+
+
 def fused_edges_stage(
     features_ds,
     cfg: PagesERConfig | None = None,
@@ -298,21 +329,33 @@ def fused_edges_stage(
     key_filter=None,
 ):
     """features → scored+gated edge Dataset in two shuffles (fat-block
-    sort shuffle + slim edge dedup), replacing the pairgen + 2-join + score
-    chain. Returns (edges_ds, dropped_pair_count).
+    hash shuffle + slim edge dedup), replacing the pairgen + 2-join + score
+    chain. Returns ``(edges_ds, dropped)``: ``dropped`` is the cap's
+    dropped-pair count as a ``DroppedPairs`` int, whose ``prefiltered``
+    holds the SimHash prefilter's count.
 
-    The two shuffles are CHAINED (exchange.hash_exchange_chained): the edge
-    dedup split for partition p is scheduled directly on the score reduce
-    ref for p, so dedup starts the moment each score partition finishes —
-    no driver barrier between the waves, and the per-partition dropped
-    counts fold in via side tasks instead of a driver-side full-column scan.
+    Both passes read the in-memory features blocks directly; the band
+    explodes run as map-side functions inside the exchanges' split tasks
+    (stages/exchange), so neither the key rows nor the fat rows (features ×
+    bands, each carrying its token list) are ever materialized whole:
+
+    1. ``pairs.key_stats`` with the key-only explode (``_band_keys``) as
+       its split function → the hot keys and the pairable keys;
+    2. the pair exchange with the fat explode, the singleton prune and the
+       hot-key salt (``_fat_rows``) as its split function.
+
+    The two shuffles of step 2 are CHAINED (exchange.hash_exchange_chained):
+    the edge dedup split for partition p is scheduled directly on the score
+    reduce ref for p, so dedup starts the moment each score partition
+    finishes — no driver barrier between the waves, and the per-partition
+    counts come back beside the reduce outputs instead of through a
+    driver-side column scan.
 
     ``key_filter``: optional sorted int64 array of block keys — only blocks
     with those keys are paired/scored (the incremental-resolution path:
     blocks untouched by a new batch keep their previously-scored edges).
-    Broadcast once via ``ray.put``; filtering is a vectorized searchsorted
-    per batch on both the key-only and fat paths, so untouched blocks never
-    enter the shuffle at all.
+    Broadcast once via ``ray.put`` and applied by a vectorized searchsorted
+    in the split tasks, so untouched blocks never enter the shuffle at all.
 
     ``num_partitions=None`` scales with BOTH the cluster and the data:
     max(1.5 × cluster CPUs, PRUNED fat rows / 200k), capped at 65,536 — a
@@ -326,87 +369,80 @@ def fused_edges_stage(
     of fat rows + in-flight pair arrays — well inside a worker heap; at
     the 65,536 cap (~13G pruned rows ≈ 6×10⁸ pages) shard the corpus via
     the incremental ``key_filter`` path instead."""
-    from entity_resolution_engine_ray.stages.block import block_keys_stage, fat_block_rows_stage
+    import ray
+    import ray.data as rd
+
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained
-    from entity_resolution_engine_ray.stages.pairs import _salt_batch, key_stats
+    from entity_resolution_engine_ray.stages.pairs import key_stats
 
     cfg = cfg or PagesERConfig()
     features_ds = features_ds.materialize()
-    import ray
-
-    keys_ds = block_keys_stage(features_ds)  # key-only explode: 8 bytes/row
-    fat = fat_block_rows_stage(features_ds)
-    if key_filter is not None:
-        allowed_ref = ray.put(np.asarray(key_filter, dtype=np.int64))
-        keys_ds = keys_ds.map_batches(
-            _keep_block_keys, fn_kwargs={"allowed_ref": allowed_ref}, batch_format="pyarrow"
-        )
-        fat = fat.map_batches(
-            _keep_block_keys, fn_kwargs={"allowed_ref": allowed_ref}, batch_format="pyarrow"
-        )
+    n_band_rows = features_ds.count() * cfg.bands  # metadata-only count
+    filter_ref = None if key_filter is None else ray.put(np.asarray(key_filter, dtype=np.int64))
     hot, pairable, n_pruned = key_stats(
-        keys_ds,
+        features_ds,
         cfg.max_block_size,
-        n_rows_hint=features_ds.count() * cfg.bands,  # metadata-only count
+        n_rows_hint=n_band_rows,
+        block_fn=functools.partial(_band_keys, allowed_ref=filter_ref),
     )
     if num_partitions is None:
         cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
         # when the pairable set exceeded its broadcast limit the prune is
         # skipped, so the exchange really carries n_fat rows — size for it
-        n_exchange = n_pruned if pairable is not None else features_ds.count() * cfg.bands
+        n_exchange = n_pruned if pairable is not None else n_band_rows
         num_partitions = int(np.clip(n_exchange // 200_000 + 1, int(1.5 * cpus), 65_536))
+    keep_ref = filter_ref
     if pairable is not None:
         if len(pairable) == 0:
             # no bucket has ≥2 members ⇒ no candidate pairs at all; return a
             # TYPED empty edges Dataset (from_items([]) has no schema and
             # breaks downstream decision filters)
-            import ray.data as rd
-
-            return rd.from_arrow(_EDGE_SCHEMA.empty_table()), 0
+            return rd.from_arrow(_EDGE_SCHEMA.empty_table()), DroppedPairs()
         # singleton-bucket prune: fat rows whose block key can never pair
         # (35% of band rows on the dense sf0.1 fixture, more on sparse
         # corpora) are dropped BEFORE the fat hash exchange — exactly
-        # output-preserving, see pairs.key_stats
-        pairable_ref = ray.put(pairable)
-        fat = fat.map_batches(
-            _keep_block_keys, fn_kwargs={"allowed_ref": pairable_ref}, batch_format="pyarrow"
-        )
-    fat = fat.map_batches(
-        _salt_batch, fn_kwargs={"hot": hot}, batch_format="pyarrow"
-    )
-    edges, dropped = hash_exchange_chained(
-        fat,
+        # output-preserving, see pairs.key_stats. key_stats counted only
+        # the key_filter rows, so the pairable keys already lie inside it.
+        keep_ref = ray.put(pairable)
+    edges, counts = hash_exchange_chained(
+        features_ds,
         ["block_key", "salt"],
-        lambda p: _pair_score_partition(p, cfg),
+        functools.partial(_pair_score_partition, cfg=cfg),
         num_partitions,
         ["left_id", "right_id"],
         _dedup_edges_partition,
         num_partitions,
-        sum_col="dropped",
         arrow_fns=True,
+        block_fn=functools.partial(_fat_rows, keep_ref=keep_ref, hot=hot),
     )
-    return edges, dropped
+    return edges, DroppedPairs(counts.get("dropped", 0), counts.get("prefiltered", 0))
+
+
+def _decision_counts(t: pa.Table) -> pa.Table:
+    import pyarrow.compute as pc
+
+    if t.num_rows == 0:
+        return pa.table({"decision": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
+    vc = pc.value_counts(t["decision"])
+    return pa.table({"decision": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
 
 
 def gate_metrics(edges_ds) -> dict:
     """Per-run routing metrics mirroring the reference's
     pipeline_run_metrics fields (validation/router.py:227-245).
 
-    One streaming pass with per-batch partial counts (no shuffle)."""
-    import pyarrow.compute as pc
+    Decision counts come from one plain task per block of the edges
+    (``value_counts`` of the ``decision`` column) — the edges are already
+    in memory when the pipeline asks, so no Ray Data execution runs."""
+    import ray
 
-    def partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t["decision"])
-        return pa.table(
-            {
-                "decision": vc.field("values"),
-                "n": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
+    from entity_resolution_engine_ray.stages.exchange import _map_block_refs
 
+    tables = ray.get([t for t, _ in _map_block_refs(edges_ds, _decision_counts)])
     counts: dict[str, int] = {}
-    for row in edges_ds.map_batches(partial, batch_format="pyarrow").take_all():
-        counts[row["decision"]] = counts.get(row["decision"], 0) + row["n"]
+    for t in tables:
+        for d, n in zip(t["decision"].to_pylist(), t["n"].to_pylist()):
+            counts[d] = counts.get(d, 0) + n
     # post-validation edges carry llm_approve/llm_reject (stages/validate
     # rewrites gray-zone 'review' rows) — they must count toward totals and
     # the gray-zone figures, or every metric shrinks when validation is on

@@ -1,5 +1,6 @@
 import os
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,3 +25,22 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@contextmanager
+def count_executions():
+    """Count the Ray Data executions (``StreamingExecutor.execute`` calls)
+    started inside the block: ``with count_executions() as n: ...`` leaves
+    the count in ``n["n"]``."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    counter = {"n": 0}
+    execute = StreamingExecutor.execute
+
+    def counting_execute(self, *args, **kwargs):
+        counter["n"] += 1
+        return execute(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(StreamingExecutor, "execute", counting_execute)
+        yield counter

@@ -27,12 +27,14 @@ from entity_resolution_engine_ray.pipelines.pages_er import (
 )
 from entity_resolution_engine_ray.sources.pages import write_pages_fixture
 from entity_resolution_engine_ray.state.checkpoint import DONE_FILE, CheckpointStore
+from tests.conftest import count_executions
 
-# Ray Data executions per call: 8 for a full run (featurize, two key-stats
-# passes, fat-row explode, approved filter, label join, gate counts, lineage
-# projection) and 15 for a labelprop fold, as measured at 2,000 pages
-MAX_RUN_EXECUTIONS = 8
-MAX_FOLD_EXECUTIONS = 15
+# Ray Data executions per call: 1 for a full run (read → extract →
+# featurize) and 3 for a labelprop fold (the new batch's featurize and the
+# Parquet reads of the previous run's features and edges); every other step
+# works on in-memory blocks with plain tasks or inside an exchange
+MAX_RUN_EXECUTIONS = 1
+MAX_FOLD_EXECUTIONS = 3
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -57,8 +59,6 @@ def _sorted(tbl: pa.Table, stage: str) -> pa.Table:
 def runs(ray_session, tmp_path_factory):
     """One full run and one labelprop fold, recording every Dataset
     ``CheckpointStore.write`` returns and the executions of each call."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
     root = tmp_path_factory.mktemp("handoff")
     fix = write_pages_fixture(str(root / "fx"), 400, seed=9)
     tbl = pads.dataset(fix["pages"]).to_table()
@@ -69,31 +69,27 @@ def runs(ray_session, tmp_path_factory):
     run_pages_er(str(root / "old.parquet"), str(root / "corpus"), cfg_lp)
 
     written: dict[str, dict[str, object]] = {"run": {}, "fold": {}}
-    executions = {"n": 0}
     current = {"call": None}
-    write, execute = CheckpointStore.write, StreamingExecutor.execute
+    write = CheckpointStore.write
 
     def recording_write(self, ds, stage, *args, **kwargs):
         out = write(self, ds, stage, *args, **kwargs)
         written[current["call"]][stage] = out
         return out
 
-    def counting_execute(self, *args, **kwargs):
-        executions["n"] += 1
-        return execute(self, *args, **kwargs)
-
     counts = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CheckpointStore, "write", recording_write)
-        mp.setattr(StreamingExecutor, "execute", counting_execute)
-        current["call"], executions["n"] = "run", 0
-        run_pages_er(fix["pages"], str(root / "run"))
-        counts["run"] = executions["n"]
-        current["call"], executions["n"] = "fold", 0
-        run_pages_er_incremental(
-            str(root / "corpus"), str(root / "new.parquet"), str(root / "fold"), cfg_lp
-        )
-        counts["fold"] = executions["n"]
+        current["call"] = "run"
+        with count_executions() as n:
+            run_pages_er(fix["pages"], str(root / "run"))
+        counts["run"] = n["n"]
+        current["call"] = "fold"
+        with count_executions() as n:
+            run_pages_er_incremental(
+                str(root / "corpus"), str(root / "new.parquet"), str(root / "fold"), cfg_lp
+            )
+        counts["fold"] = n["n"]
     return {"root": root, "written": written, "counts": counts, "cfg_lp": cfg_lp}
 
 

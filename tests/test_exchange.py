@@ -1,26 +1,24 @@
 """Task-level hash exchange: the chained two-stage path must be
 row-identical to two sequential exchanges (only scheduling differs), and
-the side-task sum must match a driver-side column sum."""
+the stage-1 counts it carries out of band must sum over all partitions."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 
-def _stage1(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Per-key partial aggregate with a 'dropped'-style counter column."""
+def _stage1_rows(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Per-key partial aggregate."""
     if pdf.empty:
         return pd.DataFrame(
-            {
-                "k": pd.Series([], dtype=np.int64),
-                "v": pd.Series([], dtype=np.int64),
-                "extra": pd.Series([], dtype=np.int64),
-            }
+            {"k": pd.Series([], dtype=np.int64), "v": pd.Series([], dtype=np.int64)}
         )
-    g = pdf.groupby("k", sort=False)["v"].sum().reset_index()
-    g["extra"] = 0
-    g.loc[g.index[:1], "extra"] = len(pdf)  # one marker per partition
-    return g
+    return pdf.groupby("k", sort=False)["v"].sum().reset_index()
+
+
+def _stage1(pdf: pd.DataFrame):
+    """``_stage1_rows`` plus a per-partition input-row count, out of band."""
+    return _stage1_rows(pdf), {"extra": len(pdf)}
 
 
 def _stage2(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -47,22 +45,15 @@ def test_chained_exchange_matches_sequential(ray_session):
     )
     ds = rd.from_arrow(tbl)
 
-    chained, total = hash_exchange_chained(
-        ds, ["k"], _stage1, 8, ["k"], _stage2, 8, sum_col="extra"
-    )
+    chained, total = hash_exchange_chained(ds, ["k"], _stage1, 8, ["k"], _stage2, 8)
     got = chained.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
 
-    mid = hash_exchange_map_groups(ds, ["k"], _stage1, 8)
-    expected_total = int(mid.to_pandas()["extra"].sum())
-
-    def _stage2_drop(pdf):
-        return _stage2(pdf.drop(columns=["extra"]) if "extra" in pdf.columns else pdf)
-
-    seq = hash_exchange_map_groups(mid, ["k"], _stage2_drop, 8)
+    mid = hash_exchange_map_groups(ds, ["k"], _stage1_rows, 8)
+    seq = hash_exchange_map_groups(mid, ["k"], _stage2, 8)
     exp = seq.to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
 
     pd.testing.assert_frame_equal(got, exp)
-    assert total == expected_total == n
+    assert total == {"extra": n}
 
 
 def test_chained_exchange_empty_input(ray_session):
@@ -74,10 +65,10 @@ def test_chained_exchange_empty_input(ray_session):
         {"k": pa.array([], type=pa.int64()), "v": pa.array([], type=pa.int64())}
     )
     out, total = hash_exchange_chained(
-        rd.from_arrow(tbl), ["k"], _stage1, 4, ["k"], _stage2, 4, sum_col="extra"
+        rd.from_arrow(tbl), ["k"], _stage1, 4, ["k"], _stage2, 4
     )
     assert out.count() == 0
-    assert total == 0
+    assert total.get("extra", 0) == 0
 
 
 def test_partition_hash_stable_under_nulls():

@@ -10,6 +10,7 @@ Contracts (BASELINE.md targets):
   rebuilt to identical content
 """
 
+import json
 import os
 import shutil
 
@@ -366,7 +367,43 @@ def test_simhash_prefilter_parity_and_pruning(ray_session, fixture_paths, oracle
     # at threshold 0.9 the fixture really loses pairs (sim spans ~0.8-1.0)
     assert len(ores.edges) < len(base.edges)
     assert ores.dropped_pairs > base.dropped_pairs
-    # engine counts prefiltered INSTANCES (once per band-partition the
-    # pair lands in) where the oracle counts unique pairs — so engine >=
-    # oracle, and both nonzero ⇔ pruning happened
-    assert res["metrics"]["dropped_pairs"] >= ores.dropped_pairs > base.dropped_pairs
+    # the engine reports cap drops and prefilter drops apart; the oracle
+    # sums them. The engine counts prefiltered INSTANCES (once per
+    # band-partition the pair lands in) where the oracle counts unique
+    # pairs — so engine >= oracle, and both nonzero ⇔ pruning happened
+    m = res["metrics"]
+    assert m["prefiltered_pairs"] > 0
+    assert m["dropped_pairs"] + m["prefiltered_pairs"] >= ores.dropped_pairs > base.dropped_pairs
+    manifest = json.load(open(os.path.join(out, "edges", "_DONE")))
+    assert (manifest["dropped_pairs"], manifest["prefiltered_pairs"]) == (
+        m["dropped_pairs"],
+        m["prefiltered_pairs"],
+    )
+
+
+def test_prefilter_drops_counted_when_a_partition_keeps_no_pair():
+    """A partition whose capped pairs are all prefiltered emits no edge
+    row, and still reports both counts: 6 members → 15 pairs, cap 5 drops
+    10, and the 5 kept pairs all fail a 0.99 SimHash prefilter (any two of
+    the simhashes differ in 2 of 64 bits: similarity 0.969)."""
+    from entity_resolution_engine_ray.stages.score import _pair_score_partition
+
+    m = 6
+    tbl = pa.table(
+        {
+            "block_key": pa.array([7] * m, pa.int64()),
+            "url_hash": pa.array(range(1, m + 1), pa.int64()),
+            "token_ids": pa.array([[1, 2, 3]] * m, pa.list_(pa.int32())),
+            "simhash": pa.array([1 << i for i in range(m)], pa.int64()),
+            "title_norm": pa.array(["t"] * m),
+            "salt": pa.array([0] * m, pa.int32()),
+        }
+    )
+    cfg = PagesERConfig(pair_sample_cap=5, simhash_prefilter=0.99)
+    edges, counts = _pair_score_partition(tbl, cfg)
+    assert edges.num_rows == 0
+    assert counts == {"dropped": 10, "prefiltered": 5}
+    # without the prefilter the same 5 pairs are scored
+    edges, counts = _pair_score_partition(tbl, PagesERConfig(pair_sample_cap=5))
+    assert edges.num_rows == 5
+    assert counts == {"dropped": 10, "prefiltered": 0}
