@@ -27,27 +27,34 @@ Ray-Data-first shape:
    FULL — a tiny doc can be contained in a huge one via shingles anywhere
    in the huge set, so no dst-side prefix bound exists (why containment
    joins index one side fully in the literature).
-3. ONE hash exchange on shingle: per group, candidates = (prefix rows) ×
-   (all rows), src ≠ dst, deduped in-partition. Hot shingles (stopword
-   phrases) are capped at ``max_block_size`` dst rows with every lost
-   candidate COUNTED in ``dropped`` — for an exact operator a drop is a
-   wrong answer, not a recall trade; callers assert dropped == 0.
-4. one slim (src_id, dst_id) dedup exchange, then two co-partitioned
-   cogroups against the feature table attach src/dst token arrays and the
-   second one verifies exactly: inter via sorted-array searchsorted,
-   containment = inter / n_src, emit rows ≥ threshold. Pair rows carry at
-   most two token arrays each — candidate volume, not corpus volume,
-   bounds the fat traffic.
+3. ONE chained exchange (exchange.hash_exchange_chained) whose split
+   tasks run the slim explode. Stage 1, per shingle group: candidates =
+   (prefix rows) × (all rows), src ≠ dst, deduped in-partition. Hot
+   shingles (stopword phrases) are capped at ``max_block_size`` dst rows
+   with every lost candidate COUNTED and returned out of band of the rows
+   — for an exact operator a drop is a wrong answer, not a recall trade;
+   callers assert dropped == 0. Stage 2 dedups the (src_id, dst_id) pairs.
+4. two co-partitioned cogroups against the feature table attach src/dst
+   token arrays and the second one verifies exactly: inter via
+   sorted-array searchsorted, containment = inter / n_src, emit rows ≥
+   threshold. Pair rows carry at most two token arrays each — candidate
+   volume, not corpus volume, bounds the fat traffic.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
-from entity_resolution_engine_ray.stages.grouping import auto_partitions, partition_map_groups
+from entity_resolution_engine_ray.stages.exchange import (
+    hash_exchange_chained,
+    hash_exchange_cogroup,
+)
+
+_CANDS = pa.schema([("src_id", pa.int64()), ("dst_id", pa.int64())])
 
 _EMPTY_OUT = pa.table(
     {
@@ -62,6 +69,8 @@ def _slim_explode(batch: pa.Table, threshold: float) -> pa.Table:
     """(id, token_ids) → one slim (block_key, id, is_prefix) row per
     shingle. Docs with zero shingles (< k tokens) emit nothing — an empty
     src set has no defined containment and cannot host a dst hit."""
+    if batch.num_rows == 0:
+        return pa.table({})
     tok = batch["token_ids"]
     if isinstance(tok, pa.ChunkedArray):
         tok = tok.combine_chunks()
@@ -80,30 +89,23 @@ def _slim_explode(batch: pa.Table, threshold: float) -> pa.Table:
     )
 
 
-def _candidate_partition(pdf: pd.DataFrame, cap: int) -> pd.DataFrame:
+def _candidate_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
     """One hash partition of slim (block_key, id, is_prefix) rows →
-    deduped (src_id, dst_id) candidates. ``dropped`` rides the first row
-    (the dedup.py accounting pattern) so a partition whose only candidates
+    (deduped (src_id, dst_id) candidates, {"dropped": n}). The count is
+    kept out of band of the rows, so a partition whose only candidates
     were capped away still reports its loss."""
-    empty = pd.DataFrame(
-        {
-            "src_id": pd.Series([], dtype=np.int64),
-            "dst_id": pd.Series([], dtype=np.int64),
-            "dropped": pd.Series([], dtype=np.int64),
-        }
-    )
-    if len(pdf) == 0:
-        return empty
-    pdf = pdf.sort_values(["block_key", "id"], kind="mergesort")
-    keys = pdf["block_key"].to_numpy()
-    ids = pdf["id"].to_numpy()
-    pref = pdf["is_prefix"].to_numpy()
+    from entity_resolution_engine_ray.stages.dedup import _distinct, _int64
+
+    if tbl.num_rows == 0:
+        return _CANDS.empty_table(), {"dropped": 0}
+    keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
+    order = np.lexsort((ids, keys))
+    keys, ids = keys[order], ids[order]
+    pref = tbl["is_prefix"].to_numpy(zero_copy_only=False)[order]
     change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    starts = np.r_[0, change]
-    ends = np.r_[change, len(pdf)]
     srcs, dsts = [], []
     dropped = 0
-    for s, e in zip(starts, ends):
+    for s, e in zip(np.r_[0, change], np.r_[change, len(ids)]):
         m = e - s
         if m < 2:
             continue
@@ -128,27 +130,10 @@ def _candidate_partition(pdf: pd.DataFrame, cap: int) -> pd.DataFrame:
         srcs.append(src[keep])
         dsts.append(dst[keep])
     if not srcs:
-        if dropped:
-            # loss-marker row (dropped < 0 ⇒ not a candidate): a partition
-            # whose ONLY candidates were capped away still reports its loss
-            return pd.DataFrame(
-                {
-                    "src_id": pd.Series([0], dtype=np.int64),
-                    "dst_id": pd.Series([0], dtype=np.int64),
-                    "dropped": pd.Series([-dropped], dtype=np.int64),
-                }
-            )
-        return empty
-    out = pd.DataFrame(
-        {"src_id": np.concatenate(srcs), "dst_id": np.concatenate(dsts)}
-    ).drop_duplicates()
-    drops = np.zeros(len(out), dtype=np.int64)
-    drops[0] = dropped
-    return out.assign(dropped=drops)
-
-
-def _dedup_cands(pdf: pd.DataFrame) -> pd.DataFrame:
-    return pdf.drop_duplicates(["src_id", "dst_id"])
+        return _CANDS.empty_table(), {"dropped": dropped}
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    sel = _distinct(src, dst)
+    return pa.table([src[sel], dst[sel]], schema=_CANDS), {"dropped": dropped}
 
 
 def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> int:
@@ -187,7 +172,12 @@ def containment_self_join(
     (true of the fixtures; same caveat as prefix_jaccard_self_join)."""
     import ray.data as rd
 
-    from entity_resolution_engine_ray.stages.dedup import _dedup_featurize_batch
+    from entity_resolution_engine_ray.stages.dedup import (
+        _dedup_featurize_batch,
+        _dedup_pairs,
+        n_list_values,
+    )
+    from entity_resolution_engine_ray.stages.pairs import pair_partitions
 
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
@@ -214,53 +204,22 @@ def containment_self_join(
         .materialize()
     )
 
-    slim = feats.map_batches(
-        _slim_explode, fn_kwargs={"threshold": threshold}, batch_format="pyarrow"
+    n_slim = n_list_values(feats, "token_ids")
+    parts = pair_partitions(max(n_slim, 1), num_partitions)
+    cands, counts = hash_exchange_chained(
+        feats,
+        ["block_key"],
+        functools.partial(_candidate_partition, cap=max_block_size),
+        parts,
+        ["src_id", "dst_id"],
+        functools.partial(_dedup_pairs, left="src_id", right="dst_id"),
+        parts,
+        arrow_fns=True,
+        block_fn=functools.partial(_slim_explode, threshold=threshold),
     )
-    n_fat = sum(
-        r["n"]
-        for r in feats.map_batches(
-            lambda t: pa.table(
-                {
-                    "n": pa.array(
-                        [len(t["token_ids"].combine_chunks().values)
-                         if isinstance(t["token_ids"], pa.ChunkedArray)
-                         else len(t["token_ids"].values)],
-                        type=pa.int64(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        ).take_all()
-    )
-    parts = num_partitions or auto_partitions(max(n_fat, 1))
-    raw = partition_map_groups(
-        slim, ["block_key"], lambda p: _candidate_partition(p, max_block_size), parts
-    ).materialize()
-    stats = raw.map_batches(
-        lambda t: pa.table(
-            {
-                "dropped": pa.array(
-                    [int(np.abs(t["dropped"].to_numpy(zero_copy_only=False)).sum())],
-                    type=pa.int64(),
-                ),
-                "n_real": pa.array(
-                    [int((t["dropped"].to_numpy(zero_copy_only=False) >= 0).sum())],
-                    type=pa.int64(),
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    ).take_all()
-    dropped = sum(r["dropped"] for r in stats)
-    n_real = sum(r["n_real"] for r in stats)
-    if n_real == 0:
+    dropped = counts.get("dropped", 0)
+    if cands.count() == 0:
         return rd.from_arrow(_EMPTY_OUT), dropped
-    # negative-dropped rows are pure loss markers from all-capped partitions
-    cands = raw.filter(expr="dropped >= 0").drop_columns(["dropped"])
-    cands = partition_map_groups(
-        cands, ["src_id", "dst_id"], _dedup_cands, auto_partitions(n_real, rows_per_partition=200_000)
-    )
 
     def attach_src(lpdf: pd.DataFrame, rpdf: pd.DataFrame) -> pd.DataFrame:
         f = rpdf.rename(columns={"id": "src_id", "token_ids": "src_tokens"})

@@ -2,10 +2,16 @@
 driver brief): exact, MinHash-LSH, SimHash, n-gram Jaccard — each expressed
 Ray-Data-first over an id+text Dataset of any size.
 
-Shared shape with the flagship ER pipeline (stages/block, stages/pairs):
-shingle → minhash → band → bucket groupby (partition-grouped, skew-capped) →
-candidate pairs → exact verification → connected components. Ids here are
-int64 (doc ids), so clustering uses numeric union semantics directly.
+Shared shape with the flagship ER pipeline (stages/block, stages/pairs,
+stages/score.fused_edges_stage): featurize once, then ONE candidate →
+verify → dedup tail (``_edges_from_feats``) on a chained hash exchange
+(stages/exchange.hash_exchange_chained). The band explode, singleton prune
+and hot-key salt run in its split tasks; stage 1 forms each bucket's pairs
+(skew-capped), verifies them exactly and returns the cap's dropped count
+out of band of the rows; stage 2 dedups the pairs. No marker row, no
+driver-side pass over the candidates. Connected components follow for the
+clustering operators. Ids here are int64 (doc ids), so clustering uses
+numeric union semantics directly.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from entity_resolution_engine_ray.functions.similarity import (
     stable_hash64,
 )
 from entity_resolution_engine_ray.oracle.serial import canonical_tokens
-from entity_resolution_engine_ray.stages.grouping import auto_partitions, partition_map_groups
+from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
 
 class _DedupFeatures:
@@ -156,51 +162,64 @@ class _DedupFeatures:
         )
 
 
-def _pairs_partition(pdf: pd.DataFrame, cap: int) -> pd.DataFrame:
-    """One hash partition of (id, block_key) rows → candidate pairs.
+_PAIRS_SCHEMA = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
 
-    Buckets over ``cap`` members are deterministically truncated (sorted by
-    id) and the dropped members are COUNTED in a ``dropped`` column — never
-    silent (same contract as the pages pairgen, stages/pairs.py)."""
+_VERIFY_SCHEMA = _PAIRS_SCHEMA.append(pa.field("jaccard", pa.float64()))
+
+_HAMMING_SCHEMA = _PAIRS_SCHEMA.append(pa.field("hamming", pa.int64()))
+
+
+def _int64(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
+def _distinct(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row indices of the first occurrence of each distinct (left, right)
+    pair, in pair order."""
+    perm = np.lexsort((right, left))
+    ls, rs = left[perm], right[perm]
+    return perm[np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])][: len(perm)]]
+
+
+def _dedup_pairs(tbl: pa.Table, left: str = "left_id", right: str = "right_id") -> pa.Table:
+    """Pair-dedup stage of every blocked-pair operator: one row per
+    (``left``, ``right``) pair. Duplicate rows of a pair come from several
+    blocks holding both members and carry identical values."""
+    if tbl.num_rows == 0:
+        return tbl
+    return tbl.take(pa.array(_distinct(_int64(tbl[left]), _int64(tbl[right]))))
+
+
+def _pairs_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
+    """One hash partition of (id, block_key) rows → (candidate pairs,
+    {"dropped": n}). Buckets over ``cap`` members are deterministically
+    truncated (sorted by id) and the pairs lost are counted out of band of
+    the rows — never silent (same contract as the pages pairgen)."""
     from entity_resolution_engine_ray.stages.score import triu_pairs
 
-    pdf = pdf.sort_values(["block_key", "id"], kind="mergesort")
-    keys = pdf["block_key"].to_numpy()
-    ids = pdf["id"].to_numpy()
+    if tbl.num_rows == 0:
+        return _PAIRS_SCHEMA.empty_table(), {"dropped": 0}
+    keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
+    order = np.lexsort((ids, keys))
+    keys, ids = keys[order], ids[order]
     change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    starts = np.r_[0, change]
-    ends = np.r_[change, len(pdf)]
     lefts, rights = [], []
     dropped = 0
-    for s, e in zip(starts, ends):
+    for s, e in zip(np.r_[0, change], np.r_[change, len(ids)]):
         m = e - s
-        if m < 2:
-            continue
         if m > cap:  # skew cap: deterministic truncation of the sorted bucket
             dropped += (m * (m - 1) - cap * (cap - 1)) // 2
-            e = s + cap
-            m = cap
+            e, m = s + cap, cap
+        if m < 2:
+            continue
         ii, jj = triu_pairs(m)
         lefts.append(ids[s:e][ii])
         rights.append(ids[s:e][jj])
     if not lefts:
-        return pd.DataFrame(
-            {
-                "left_id": pd.Series([], dtype=np.int64),
-                "right_id": pd.Series([], dtype=np.int64),
-                "dropped": pd.Series([], dtype=np.int64),
-            }
-        )
-    out = pd.DataFrame(
-        {"left_id": np.concatenate(lefts), "right_id": np.concatenate(rights)}
-    ).drop_duplicates()
-    drops = np.zeros(len(out), dtype=np.int64)
-    drops[0] = dropped
-    return out.assign(dropped=drops)
-
-
-def _dedup_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
-    return pdf.drop_duplicates(["left_id", "right_id"])
+        return _PAIRS_SCHEMA.empty_table(), {"dropped": dropped}
+    left, right = np.concatenate(lefts), np.concatenate(rights)
+    sel = _distinct(left, right)
+    return pa.table([left[sel], right[sel]], schema=_PAIRS_SCHEMA), {"dropped": dropped}
 
 
 def _explode_fat(batch: pa.Table) -> pa.Table:
@@ -241,128 +260,93 @@ def _salted_fat_rows(batch: pa.Table, keep_ref, hot: dict[int, int]) -> pa.Table
     return _salt_batch(fat, hot, hash_col="id")
 
 
-_VERIFY_COLS = ["left_id", "right_id", "jaccard", "dropped", "is_marker"]
+def _bucket_layout(tbl: pa.Table, *minor: np.ndarray) -> tuple:
+    """Shared layout of the verify partitions over fat (id, token_ids,
+    block_key[, salt]) rows: rows sorted by (block_key, salt, *minor, id)
+    → (order, sorted ids, the flat token layout (values, starts, lengths)
+    in sorted row order, bucket starts, bucket ends). A bucket is one
+    (block_key, salt); hot buckets arrive pre-split by salt (Arrow-native,
+    the layout of the pages scorer, stages/score._pair_score_partition)."""
+    from entity_resolution_engine_ray.stages.score import _combined
 
-_VERIFY_SCHEMA = pa.schema(
-    [
-        ("left_id", pa.int64()),
-        ("right_id", pa.int64()),
-        ("jaccard", pa.float64()),
-        ("dropped", pa.int64()),
-        ("is_marker", pa.bool_()),
-    ]
-)
-
-
-def _verify_stats_batch(t: pa.Table) -> pa.Table:
-    """Per-batch (dropped total, non-marker survivor count) over a verify
-    output — shared by the single-corpus and cross-corpus edge tails so the
-    marker/dropped accounting can never drift between them."""
-    import pyarrow.compute as pc
-
-    return pa.table(
-        {
-            "dropped": pa.array([pc.sum(t["dropped"]).as_py() or 0], type=pa.int64()),
-            "n_real": pa.array(
-                [t.num_rows - (pc.sum(pc.cast(t["is_marker"], pa.int64())).as_py() or 0)],
-                type=pa.int64(),
-            ),
-        }
-    )
+    keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
+    salts = _int64(tbl["salt"]) if "salt" in tbl.column_names else np.zeros(len(keys), np.int64)
+    order = np.lexsort((ids, *minor, salts, keys))
+    keys, salts = keys[order], salts[order]
+    tok = _combined(tbl["token_ids"])
+    toffs = _int64(tok.offsets)
+    flat = (_int64(tok.values), toffs[:-1][order], (toffs[1:] - toffs[:-1])[order])
+    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
+    return order, ids[order], flat, np.r_[0, change], np.r_[change, tbl.num_rows]
 
 
-def _marker_table(dropped: int) -> pa.Table:
-    return pa.table(
-        {
-            "left_id": pa.array([0], type=pa.int64()),
-            "right_id": pa.array([0], type=pa.int64()),
-            "jaccard": pa.array([0.0], type=pa.float64()),
-            "dropped": pa.array([dropped], type=pa.int64()),
-            "is_marker": pa.array([True], type=pa.bool_()),
-        }
-    )
+def _verified(ids: np.ndarray, flat: tuple, lefts: list, rights: list, threshold: float) -> pa.Table:
+    """Shared tail of the verify partitions: candidate row-index pairs into
+    the sorted layout → partition-local pair dedup, exact Jaccard over the
+    flat token layout, threshold. Empty-set semantics: both docs empty →
+    1.0 inside the kernel; empty vs non-empty → 0.0."""
+    from entity_resolution_engine_ray.stages.score import _grouped_jaccard_flat
+
+    if not lefts:
+        return _VERIFY_SCHEMA.empty_table()
+    lidx, ridx = np.concatenate(lefts), np.concatenate(rights)
+    sel = _distinct(ids[lidx], ids[ridx])
+    lidx, ridx = lidx[sel], ridx[sel]
+    jac = _grouped_jaccard_flat(*flat, lidx, ridx)
+    keep = jac >= threshold
+    return pa.table([ids[lidx[keep]], ids[ridx[keep]], jac[keep]], schema=_VERIFY_SCHEMA)
 
 
-def _pair_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> pa.Table:
+def _pair_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[pa.Table, dict]:
     """One hash partition of fat (id, token_ids, block_key[, salt]) rows →
-    VERIFIED edges (exact Jaccard ≥ threshold). Hot buckets arrive pre-split
-    by salt; the cap + ``dropped`` counter remain as the backstop for salt
-    hash variance.
-
-    Arrow-native (same layout trick as the pages scorer,
-    stages/score._pair_score_partition): keys sort via ``np.lexsort``,
-    Jaccard runs on the grouped-searchsorted kernel over the token
-    ListArray's flat (values, offsets) buffers — no pandas conversion, no
-    per-row numpy objects, no Python set objects. When drops occur but no
-    pair clears the threshold, the count rides on an ``is_marker=True`` row
-    (NEVER an id sentinel: any int64 — including negative values — is a
-    legal document id)."""
-    from entity_resolution_engine_ray.stages.score import (
-        _combined,
-        _grouped_jaccard_flat,
-        triu_pairs,
-    )
+    (VERIFIED edges (exact Jaccard ≥ threshold), {"dropped": n}). Pairs
+    form within each bucket; the cap remains as the backstop for salt hash
+    variance, and the pairs it loses are counted out of band of the rows,
+    so a partition whose every pair is capped away still reports them."""
+    from entity_resolution_engine_ray.stages.score import triu_pairs
 
     if tbl.num_rows == 0:
-        return _VERIFY_SCHEMA.empty_table()
-    keys = tbl["block_key"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    ids = tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    if "salt" in tbl.column_names:
-        salts = tbl["salt"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    else:
-        salts = np.zeros(len(keys), dtype=np.int64)
-    order = np.lexsort((ids, salts, keys))  # primary key: block_key
-    keys, salts, ids = keys[order], salts[order], ids[order]
-    tok = _combined(tbl["token_ids"])
-    toffs = tok.offsets.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    tvals = tok.values.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    tstarts = toffs[:-1][order]
-    tlens = (toffs[1:] - toffs[:-1])[order]
-    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
-    starts = np.r_[0, change]
-    ends = np.r_[change, tbl.num_rows]
+        return _VERIFY_SCHEMA.empty_table(), {"dropped": 0}
+    _, ids, flat, starts, ends = _bucket_layout(tbl)
     lefts, rights = [], []
     dropped = 0
     for s, e in zip(starts, ends):
         m = e - s
-        if m < 2:
-            continue
         if m > cap:
             dropped += (m * (m - 1) - cap * (cap - 1)) // 2
-            e = s + cap
             m = cap
+        if m < 2:
+            continue
         ii, jj = triu_pairs(m)
         lefts.append(ii + s)
         rights.append(jj + s)
-    if not lefts:
-        return _marker_table(dropped) if dropped else _VERIFY_SCHEMA.empty_table()
-    lidx = np.concatenate(lefts)
-    ridx = np.concatenate(rights)
-    # partition-local pair dedup before the (expensive) exact verify
-    pl, pr = ids[lidx], ids[ridx]
-    perm = np.lexsort((pr, pl))
-    pls, prs = pl[perm], pr[perm]
-    first = np.r_[True, (pls[1:] != pls[:-1]) | (prs[1:] != prs[:-1])]
-    sel = perm[first]
-    lidx, ridx = lidx[sel], ridx[sel]
-    # empty-set semantics match the old string-set path: union==0 (both
-    # docs empty) → 1.0 inside the kernel; empty vs non-empty → 0.0
-    jac = _grouped_jaccard_flat(tvals, tstarts, tlens, lidx, ridx)
-    keep = jac >= threshold
-    n_keep = int(keep.sum())
-    if n_keep == 0:
-        return _marker_table(dropped) if dropped else _VERIFY_SCHEMA.empty_table()
-    drops = np.zeros(n_keep, dtype=np.int64)
-    drops[0] = dropped
-    return pa.table(
-        {
-            "left_id": pa.array(ids[lidx[keep]], type=pa.int64()),
-            "right_id": pa.array(ids[ridx[keep]], type=pa.int64()),
-            "jaccard": pa.array(jac[keep], type=pa.float64()),
-            "dropped": pa.array(drops, type=pa.int64()),
-            "is_marker": pa.array(np.zeros(n_keep, dtype=bool), type=pa.bool_()),
-        }
-    )
+    return _verified(ids, flat, lefts, rights, threshold), {"dropped": dropped}
+
+
+def _cross_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[pa.Table, dict]:
+    """One hash partition of fat (id, token_ids, block_key[, salt], side)
+    rows → (verified NEW x OLD edges, {"dropped": n}). Pair generation is
+    the CROSS product of a bucket's side=1 (new) and side=0 (old) members —
+    new x new and old x old pairs are never formed. ``cap`` bounds each
+    side of a bucket; the pairs it loses are counted out of band."""
+    if tbl.num_rows == 0:
+        return _VERIFY_SCHEMA.empty_table(), {"dropped": 0}
+    sides = _int64(tbl["side"])
+    # side DESC inside each bucket: new (1) rows first, then old (0)
+    order, ids, flat, starts, ends = _bucket_layout(tbl, -sides)
+    sides = sides[order]
+    lefts, rights = [], []
+    dropped = 0
+    for s, e in zip(starts, ends):
+        n_new = int(sides[s:e].sum())
+        n_old = (e - s) - n_new
+        use_new, use_old = min(n_new, cap), min(n_old, cap)
+        dropped += n_new * n_old - use_new * use_old
+        if use_new == 0 or use_old == 0:
+            continue
+        lefts.append(np.repeat(np.arange(use_new, dtype=np.int64), use_old) + s)
+        rights.append(np.tile(np.arange(use_old, dtype=np.int64), use_new) + s + n_new)
+    return _verified(ids, flat, lefts, rights, threshold), {"dropped": dropped}
 
 
 # process-global featureizer cache (the stages/block.featurize_batch
@@ -395,9 +379,11 @@ def near_dup_edges(
     featurize_batch_size: int = 512,
 ):
     """(id, text) → (verified edge Dataset (left_id, right_id, jaccard),
-    dropped_pair_count). Fully distributed: feature → fat band explode →
-    ONE hash exchange with in-partition pair-gen + exact-Jaccard verify →
-    one slim dedup exchange."""
+    dropped_pair_count). Fully distributed: one featurize pass, then the
+    shared candidate → verify → dedup tail (``_edges_from_feats``): the fat
+    band explode runs in the split tasks of one chained exchange whose
+    first stage pairs and verifies each bucket and whose second dedups the
+    pairs; the cap's dropped count comes back out of band of the rows."""
     import ray.data as rd
 
     if bands > num_perm or num_perm % bands != 0:
@@ -414,14 +400,7 @@ def near_dup_edges(
     # zero-row inputs skip lazy transforms, leaving blocks with the SOURCE
     # schema — the exchange would then see no block_key column; short-circuit
     if ds.count() == 0:
-        empty = pa.table(
-            {
-                "left_id": pa.array([], type=pa.int64()),
-                "right_id": pa.array([], type=pa.int64()),
-                "jaccard": pa.array([], type=pa.float64()),
-            }
-        )
-        return rd.from_arrow(empty), 0
+        return rd.from_arrow(_VERIFY_SCHEMA.empty_table()), 0
 
     feats = ds.map_batches(
         _dedup_featurize_batch,
@@ -442,6 +421,7 @@ def near_dup_edges(
 
     return _edges_from_feats(
         feats,
+        _pair_verify_partition,
         threshold=threshold,
         max_block_size=max_block_size,
         num_partitions=num_partitions,
@@ -449,82 +429,54 @@ def near_dup_edges(
     )
 
 
-def _edges_from_feats(feats, *, threshold, max_block_size, num_partitions, n_fat):
-    """Shared candidate→verify→dedup tail over a materialized
-    (id, token_ids, band_keys) feature Dataset. Candidate semantics are
-    whatever produced ``band_keys`` — LSH bands (near_dup_edges) or the
-    lossless PPJoin prefix (prefix_jaccard_self_join); everything after the
-    key column is identical: ONE salted fat hash exchange with in-partition
-    pair-gen + exact-Jaccard verify, then one slim pair-dedup exchange.
-    ``n_fat`` is the exploded (id, key) row count for partition sizing."""
+def _edges_from_feats(feats, verify, *, threshold, max_block_size, num_partitions, n_fat):
+    """Shared candidate → verify → dedup tail over a materialized
+    (id, token_ids, band_keys[, side]) feature Dataset. Candidate semantics
+    are whatever produced ``band_keys`` — LSH bands (near_dup_edges,
+    cross_corpus_near_dup_pairs) or the lossless PPJoin prefix
+    (prefix_jaccard_self_join) — and ``verify`` forms the pairs of one
+    partition: ``_pair_verify_partition`` (all pairs of a bucket) or
+    ``_cross_verify_partition`` (new x old only).
+
+    1. ``pairs.key_stats`` with the key-only explode as its split function
+       → the hot keys and the pairable keys;
+    2. one chained exchange (exchange.hash_exchange_chained): its split
+       tasks run the fat explode, the singleton prune and the hot-key salt
+       (``_salted_fat_rows``: buckets over the cap split into deterministic
+       id-hash sub-buckets instead of being truncated), stage 1 runs
+       ``verify`` per (block_key, salt) and returns its dropped count out
+       of band, stage 2 dedups the (left_id, right_id) pairs.
+
+    ``n_fat`` is the exploded (id, key) row count; the exchange is sized by
+    ``pairs.pair_partitions`` over the rows that enter it."""
+    import ray
     import ray.data as rd
 
-    # hot-bucket salting (same scheme as the pages pipeline, same vectorized
-    # kernel — stages/pairs._salt_batch with the doc id as the mixing hash):
-    # buckets over the cap are split into deterministic id-hash sub-buckets
-    # instead of being truncated — identical docs beyond the cap still pair
-    # (within their salt; cross-salt recall is carried by the other bands).
-    # The count pass runs over key-only rows — no token payload.
-    import ray
-
     from entity_resolution_engine_ray.stages.block import block_keys
-    from entity_resolution_engine_ray.stages.pairs import key_stats
+    from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained
+    from entity_resolution_engine_ray.stages.pairs import key_stats, pair_partitions
 
-    # the key-only explode runs inside key_stats' split tasks; the
-    # metadata-only count on the materialized features sizes its exchange
     hot, pairable, n_pruned = key_stats(feats, max_block_size, n_rows_hint=n_fat, block_fn=block_keys)
+    if pairable is not None and len(pairable) == 0:
+        # no bucket has ≥ 2 members: no candidate pair, nothing dropped
+        return rd.from_arrow(_VERIFY_SCHEMA.empty_table()), 0
     # singleton-bucket prune: keys with one member can never pair — their
-    # fat (token-payload) rows are dropped in the split tasks, before the
-    # hash exchange (exactly output-preserving; see pairs.key_stats)
+    # fat rows are dropped in the split tasks (output-preserving, see
+    # pairs.key_stats); when the prune is skipped every fat row ships
     keep_ref = None if pairable is None else ray.put(pairable)
-    # partition counts scale with the PRUNED row count (the rows that
-    # actually enter the exchange) AND the cluster; ~200k rows/partition —
-    # the fused-exchange cost model from the 1M sweep (pairs.key_stats
-    # docstring) — unless the caller pins an explicit count
-    fat_parts = (
-        auto_partitions(n_pruned if pairable is not None else n_fat,
-                        rows_per_partition=200_000)
-        if num_partitions is None
-        else int(np.clip(n_fat // 50_000 + 1, 4, num_partitions))
-    )
-    raw = partition_map_groups(
+    parts = pair_partitions(n_fat if pairable is None else n_pruned, num_partitions)
+    edges, counts = hash_exchange_chained(
         feats,
         ["block_key", "salt"],
-        lambda p: _pair_verify_partition(p, max_block_size, threshold),
-        fat_parts,
-        arrow_fns=True,
-        block_fn=functools.partial(_salted_fat_rows, keep_ref=keep_ref, hot=hot),
-    ).materialize()
-    # ONE pass over raw computes both the dropped total (over ALL rows —
-    # is_marker rows exist exactly so a partition with drops but no
-    # surviving pair still reports them) and the survivor count
-    parts = raw.map_batches(_verify_stats_batch, batch_format="pyarrow").take_all()
-    dropped = sum(r["dropped"] for r in parts)
-    n_real = sum(r["n_real"] for r in parts)
-    edges = raw.filter(expr="is_marker == False")
-    # an all-marker result would leave zero-row (or zero-column) blocks that
-    # crash the downstream exchange — short-circuit to the typed empty table
-    if n_real == 0:
-        empty = pa.table(
-            {
-                "left_id": pa.array([], type=pa.int64()),
-                "right_id": pa.array([], type=pa.int64()),
-                "jaccard": pa.array([], type=pa.float64()),
-            }
-        )
-        return rd.from_arrow(empty), dropped
-    dedup_parts = (
-        auto_partitions(n_real, rows_per_partition=100_000)
-        if num_partitions is None
-        else int(np.clip(n_real // 100_000 + 1, 4, num_partitions))
-    )
-    edges = partition_map_groups(
-        edges.drop_columns(["dropped", "is_marker"]),
+        functools.partial(verify, cap=max_block_size, threshold=threshold),
+        parts,
         ["left_id", "right_id"],
         _dedup_pairs,
-        dedup_parts,
+        parts,
+        arrow_fns=True,
+        block_fn=functools.partial(_salted_fat_rows, keep_ref=keep_ref, hot=hot),
     )
-    return edges, dropped
+    return edges, counts.get("dropped", 0)
 
 
 def _prefix_keys_batch(batch: pa.Table, threshold: float) -> pa.Table:
@@ -566,11 +518,23 @@ def _prefix_keys_batch(batch: pa.Table, threshold: float) -> pa.Table:
     )
 
 
-def _key_count_batch(t: pa.Table) -> pa.Table:
-    keys = t["band_keys"]
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    return pa.table({"n": pa.array([len(keys.values)], type=pa.int64())})
+def _list_values(t: pa.Table, col: str) -> pa.Table:
+    import pyarrow.compute as pc
+
+    n = pc.sum(pc.list_value_length(t[col])).as_py() if t.num_rows else 0
+    return pa.table({"n": pa.array([n or 0], type=pa.int64())})
+
+
+def n_list_values(ds, col: str) -> int:
+    """Total list values of ``col`` over ``ds`` — the exploded row count
+    that sizes a pair exchange — with one plain task per in-memory block
+    (no Ray Data execution)."""
+    import ray
+
+    from entity_resolution_engine_ray.stages.exchange import _map_block_refs
+
+    parts = _map_block_refs(ds, functools.partial(_list_values, col=col))
+    return sum(t["n"][0].as_py() for t in ray.get([t for t, _ in parts]))
 
 
 def prefix_jaccard_self_join(
@@ -604,14 +568,7 @@ def prefix_jaccard_self_join(
 
     ds = ds.materialize()
     if ds.count() == 0:
-        empty = pa.table(
-            {
-                "left_id": pa.array([], type=pa.int64()),
-                "right_id": pa.array([], type=pa.int64()),
-                "jaccard": pa.array([], type=pa.float64()),
-            }
-        )
-        return rd.from_arrow(empty), 0
+        return rd.from_arrow(_VERIFY_SCHEMA.empty_table()), 0
 
     feats = (
         ds.map_batches(
@@ -636,18 +593,15 @@ def prefix_jaccard_self_join(
         )
         .materialize()
     )
-    # exact exploded key count: one cheap offsets-only pass over the
-    # materialized features (prefix lengths vary per doc, unlike LSH's
+    # exact exploded key count (prefix lengths vary per doc, unlike LSH's
     # constant bands-per-doc)
-    n_fat = sum(
-        r["n"] for r in feats.map_batches(_key_count_batch, batch_format="pyarrow").take_all()
-    )
     return _edges_from_feats(
         feats,
+        _pair_verify_partition,
         threshold=threshold,
         max_block_size=max_block_size,
         num_partitions=num_partitions,
-        n_fat=max(n_fat, 1),
+        n_fat=max(n_list_values(feats, "band_keys"), 1),
     )
 
 
@@ -835,18 +789,27 @@ def simhash_near_dup_pairs(
     qualifying pair. Per-bucket membership beyond ``bucket_cap`` is
     deterministically truncated (sorted by id) — boilerplate-heavy web
     corpora hit this; lift it with the salting pattern of stages/pairs
-    (_salt_batch) when precision-complete output matters. Duplicate pair
-    emissions across bands are removed by a second hash exchange keyed on
-    the id pair. max_hamming <= 7 keeps band width >= 8 bits."""
+    (_salt_batch) when precision-complete output matters. Each partition
+    returns its truncation count out of band of the rows and the run's
+    total is logged once. The band explode runs in the split tasks of one
+    chained exchange whose second stage removes duplicate pair emissions
+    across bands. max_hamming <= 7 keeps band width >= 8 bits."""
     if not 0 <= max_hamming <= 7:
         raise ValueError("simhash_near_dup_pairs: max_hamming must be in [0, 7]")
     n_bands = max_hamming + 1
     width = 64 // n_bands
     mask = np.uint64((1 << width) - 1)
 
-    fp = simhash_stage(ds, id_col=id_col, text_col=text_col)
+    import logging
+
+    from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained
+    from entity_resolution_engine_ray.stages.pairs import pair_partitions
+
+    fp = simhash_stage(ds, id_col=id_col, text_col=text_col).materialize()
 
     def explode_bands(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return pa.table({})
         ids = t[id_col].to_numpy()
         sh = t["simhash"].to_numpy().view(np.uint64)
         n = len(ids)
@@ -862,29 +825,17 @@ def simhash_near_dup_pairs(
             }
         )
 
-    exploded = fp.map_batches(explode_bands, batch_format="pyarrow")
-
-    empty_pairs = pd.DataFrame(
-        {
-            "left_id": pd.Series([], dtype=np.int64),
-            "right_id": pd.Series([], dtype=np.int64),
-            "hamming": pd.Series([], dtype=np.int64),
-        }
-    )
-
-    def bucket_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
-        if pdf.empty:
-            return empty_pairs.copy()
-        pdf = pdf.sort_values(["band_key", id_col], kind="mergesort")
-        keys = pdf["band_key"].to_numpy()
-        ids = pdf[id_col].to_numpy()
-        sh = pdf["simhash"].to_numpy().view(np.uint64)
+    def bucket_pairs(t: pa.Table) -> tuple[pa.Table, dict]:
+        if t.num_rows == 0:
+            return _HAMMING_SCHEMA.empty_table(), {"truncated": 0}
+        keys, ids = _int64(t["band_key"]), _int64(t[id_col])
+        order = np.lexsort((ids, keys))
+        keys, ids = keys[order], ids[order]
+        sh = _int64(t["simhash"])[order].view(np.uint64)
         change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        starts = np.r_[0, change]
-        ends = np.r_[change, len(pdf)]
         lefts, rights, hams = [], [], []
         truncated = 0
-        for s, e in zip(starts, ends):
+        for s, e in zip(np.r_[0, change], np.r_[change, len(ids)]):
             m = min(e - s, bucket_cap)
             truncated += (e - s) - m
             if m < 2:
@@ -897,104 +848,32 @@ def simhash_near_dup_pairs(
             lefts.append(sub_ids[ii[keep]])
             rights.append(sub_ids[jj[keep]])
             hams.append(h[keep].astype(np.int64))
-        if truncated:  # counted, never silent (same contract as _pairs_partition)
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "simhash_near_dup_pairs: %d bucket members beyond bucket_cap %d "
-                "truncated in one partition (recall guarantee voided for them; "
-                "lift with the stages/pairs salting pattern)",
-                truncated,
-                bucket_cap,
-            )
         if not lefts:
-            return empty_pairs.copy()
-        return pd.DataFrame(
-            {
-                "left_id": np.concatenate(lefts),
-                "right_id": np.concatenate(rights),
-                "hamming": np.concatenate(hams),
-            }
-        )
+            return _HAMMING_SCHEMA.empty_table(), {"truncated": truncated}
+        cols = [np.concatenate(lefts), np.concatenate(rights), np.concatenate(hams)]
+        return pa.table(cols, schema=_HAMMING_SCHEMA), {"truncated": truncated}
 
-    pairs = partition_map_groups(exploded, ["band_key"], bucket_pairs, num_partitions)
-
-    def distinct_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
-        if pdf.empty:
-            return empty_pairs.copy()
-        return pdf.drop_duplicates(["left_id", "right_id"])
-
-    return partition_map_groups(pairs, ["left_id", "right_id"], distinct_pairs, num_partitions)
-
-
-def _cross_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> pa.Table:
-    """One hash partition of fat (id, token_ids, block_key[, salt], side)
-    rows → verified NEW x OLD edges (exact Jaccard >= threshold). Same
-    Arrow-flat layout as ``_pair_verify_partition``, but pair generation is
-    the CROSS product of a block's side=1 (new) and side=0 (old) members —
-    new x new and old x old pairs are never formed. ``cap`` bounds each
-    side of a block; capped pairs are counted in ``dropped``."""
-    from entity_resolution_engine_ray.stages.score import _combined, _grouped_jaccard_flat
-
-    if tbl.num_rows == 0:
-        return _VERIFY_SCHEMA.empty_table()
-    keys = tbl["block_key"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    ids = tbl["id"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    sides = tbl["side"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    if "salt" in tbl.column_names:
-        salts = tbl["salt"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    else:
-        salts = np.zeros(len(keys), dtype=np.int64)
-    # side DESC inside each block: new (1) rows first, then old (0)
-    order = np.lexsort((ids, -sides, salts, keys))
-    keys, salts, ids, sides = keys[order], salts[order], ids[order], sides[order]
-    tok = _combined(tbl["token_ids"])
-    toffs = tok.offsets.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    tvals = tok.values.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    tstarts = toffs[:-1][order]
-    tlens = (toffs[1:] - toffs[:-1])[order]
-    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
-    starts = np.r_[0, change]
-    ends = np.r_[change, tbl.num_rows]
-    lefts, rights = [], []
-    dropped = 0
-    for s, e in zip(starts, ends):
-        n_new = int(sides[s:e].sum())
-        n_old = (e - s) - n_new
-        if n_new == 0 or n_old == 0:
-            continue
-        use_new, use_old = min(n_new, cap), min(n_old, cap)
-        dropped += n_new * n_old - use_new * use_old
-        ii = np.repeat(np.arange(use_new, dtype=np.int64), use_old) + s
-        jj = np.tile(np.arange(use_old, dtype=np.int64), use_new) + s + n_new
-        lefts.append(ii)
-        rights.append(jj)
-    if not lefts:
-        return _marker_table(dropped) if dropped else _VERIFY_SCHEMA.empty_table()
-    lidx = np.concatenate(lefts)
-    ridx = np.concatenate(rights)
-    pl, pr = ids[lidx], ids[ridx]
-    perm = np.lexsort((pr, pl))
-    pls, prs = pl[perm], pr[perm]
-    first = np.r_[True, (pls[1:] != pls[:-1]) | (prs[1:] != prs[:-1])]
-    sel = perm[first]
-    lidx, ridx = lidx[sel], ridx[sel]
-    jac = _grouped_jaccard_flat(tvals, tstarts, tlens, lidx, ridx)
-    keep = jac >= threshold
-    n_keep = int(keep.sum())
-    if n_keep == 0:
-        return _marker_table(dropped) if dropped else _VERIFY_SCHEMA.empty_table()
-    drops = np.zeros(n_keep, dtype=np.int64)
-    drops[0] = dropped
-    return pa.table(
-        {
-            "left_id": pa.array(ids[lidx[keep]], type=pa.int64()),
-            "right_id": pa.array(ids[ridx[keep]], type=pa.int64()),
-            "jaccard": pa.array(jac[keep], type=pa.float64()),
-            "dropped": pa.array(drops, type=pa.int64()),
-            "is_marker": pa.array(np.zeros(n_keep, dtype=bool), type=pa.bool_()),
-        }
+    parts = pair_partitions(fp.count() * n_bands, num_partitions)
+    pairs, counts = hash_exchange_chained(
+        fp,
+        ["band_key"],
+        bucket_pairs,
+        parts,
+        ["left_id", "right_id"],
+        _dedup_pairs,
+        parts,
+        arrow_fns=True,
+        block_fn=explode_bands,
     )
+    if counts.get("truncated"):  # counted, never silent: once per run
+        logging.getLogger(__name__).warning(
+            "simhash_near_dup_pairs: %d bucket members beyond bucket_cap %d "
+            "truncated (recall guarantee voided for them; lift with the "
+            "stages/pairs salting pattern)",
+            counts["truncated"],
+            bucket_cap,
+        )
+    return pairs
 
 
 def cross_corpus_near_dup_pairs(
@@ -1035,13 +914,6 @@ def cross_corpus_near_dup_pairs(
         "k": k,
         "mode": mode,
     }
-    empty = pa.table(
-        {
-            "left_id": pa.array([], type=pa.int64()),
-            "right_id": pa.array([], type=pa.int64()),
-            "jaccard": pa.array([], type=pa.float64()),
-        }
-    )
     # materialize BEFORE the empty-side guard: count() on an unmaterialized
     # (typically filtered) dataset would execute each input pipeline once
     # for the guard and again for the featurize pass; after materialize the
@@ -1049,7 +921,7 @@ def cross_corpus_near_dup_pairs(
     new_ds = new_ds.materialize()
     old_ds = old_ds.materialize()
     if new_ds.count() == 0 or old_ds.count() == 0:
-        return rd.from_arrow(empty), 0
+        return rd.from_arrow(_VERIFY_SCHEMA.empty_table()), 0
 
     def tag(side: int):
         def add(t: pa.Table) -> pa.Table:
@@ -1067,47 +939,11 @@ def cross_corpus_near_dup_pairs(
         .materialize()
     )
 
-    import ray
-
-    from entity_resolution_engine_ray.stages.block import block_keys
-    from entity_resolution_engine_ray.stages.pairs import key_stats
-
-    hot, pairable, n_pruned = key_stats(
-        feats, max_block_size, n_rows_hint=feats.count() * bands, block_fn=block_keys
-    )
-    # singleton-bucket prune (output-preserving; see pairs.key_stats)
-    keep_ref = None if pairable is None else ray.put(pairable)
-    n_fat = feats.count() * bands
-    fat_parts = (
-        auto_partitions(n_pruned if pairable is not None else n_fat,
-                        rows_per_partition=200_000)
-        if num_partitions is None
-        else int(np.clip(n_fat // 50_000 + 1, 4, num_partitions))
-    )
-    raw = partition_map_groups(
+    return _edges_from_feats(
         feats,
-        ["block_key", "salt"],
-        lambda p: _cross_verify_partition(p, max_block_size, threshold),
-        fat_parts,
-        arrow_fns=True,
-        block_fn=functools.partial(_salted_fat_rows, keep_ref=keep_ref, hot=hot),
-    ).materialize()
-
-    parts = raw.map_batches(_verify_stats_batch, batch_format="pyarrow").take_all()
-    dropped = sum(r["dropped"] for r in parts)
-    n_real = sum(r["n_real"] for r in parts)
-    if n_real == 0:
-        return rd.from_arrow(empty), dropped
-    edges = raw.filter(expr="is_marker == False")
-    dedup_parts = (
-        auto_partitions(n_real, rows_per_partition=100_000)
-        if num_partitions is None
-        else int(np.clip(n_real // 100_000 + 1, 4, num_partitions))
+        _cross_verify_partition,
+        threshold=threshold,
+        max_block_size=max_block_size,
+        num_partitions=num_partitions,
+        n_fat=feats.count() * bands,
     )
-    edges = partition_map_groups(
-        edges.drop_columns(["dropped", "is_marker"]),
-        ["left_id", "right_id"],
-        _dedup_pairs,
-        dedup_parts,
-    )
-    return edges, dropped

@@ -457,6 +457,14 @@ def hash_exchange_chained(
     ``arrow_fns``: both fns take and return ``pa.Table`` (no pandas
     round-trip — see ``_reduce_partition_arrow``). ``block_fn``: the
     map-side function stage 1's split tasks apply to each input block.
+
+    Callers — every blocked-pair operator, each as block_fn = its explode,
+    stage 1 = pair generation + verify with its dropped count, stage 2 =
+    pair dedup: ``score.fused_edges_stage`` (the pages pipeline),
+    ``dedup._edges_from_feats`` (``near_dup_edges``,
+    ``prefix_jaccard_self_join``, ``cross_corpus_near_dup_pairs``),
+    ``dedup.simhash_near_dup_pairs``, ``containment.containment_self_join``
+    and ``knn.cosine_near_dup_pairs``.
     """
     if p1 < 1 or p2 < 1:
         raise ValueError(

@@ -21,11 +21,18 @@
 
 from __future__ import annotations
 
+import functools
+import logging
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
+from entity_resolution_engine_ray.stages.dedup import _dedup_pairs, _pairs_partition
+from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained, hash_exchange_cogroup
 from entity_resolution_engine_ray.stages.grouping import partition_map_groups
+from entity_resolution_engine_ray.stages.pairs import pair_partitions
 
 _SRP_SEED = 0xA11CE
 
@@ -116,14 +123,13 @@ def cosine_near_dup_pairs(
             "documented per-band recall formula would not hold"
         )
     feats = ds.materialize()
-    if feats.count() == 0:
+    n_rows = feats.count()
+    if n_rows == 0:
         return _empty_pairs_ds()
 
     def sig_batch(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return pa.table(
-                {"id": pa.array([], type=pa.int64()), "block_key": pa.array([], type=pa.int64())}
-            )
+            return pa.table({})
         m = _to_matrix(t["embedding"])
         # seeded per call → identical hyperplanes on every worker
         planes_local = np.random.default_rng(_SRP_SEED).standard_normal((nbits, m.shape[1]))
@@ -137,27 +143,26 @@ def cosine_near_dup_pairs(
             }
         )
 
-    block_rows = feats.map_batches(sig_batch, batch_format="pyarrow")
-
-    from entity_resolution_engine_ray.stages.dedup import _dedup_pairs, _pairs_partition
-    from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
-
-    raw = partition_map_groups(
-        block_rows, ["block_key"], lambda p: _pairs_partition(p, max_block_size), num_partitions
-    ).materialize()
-    # dropped-pair count BEFORE dedup (dropped values don't survive dedup)
-    dropped = int(raw.sum("dropped") or 0)
-    if dropped:
-        import logging
-
+    # the band explode runs in the split tasks; stage 1 pairs each bucket
+    # and returns the cap's dropped-pair count out of band, stage 2 dedups
+    parts = pair_partitions(n_rows * (nbits // band_bits), num_partitions)
+    pairs, counts = hash_exchange_chained(
+        feats,
+        ["block_key"],
+        functools.partial(_pairs_partition, cap=max_block_size),
+        parts,
+        ["left_id", "right_id"],
+        _dedup_pairs,
+        parts,
+        arrow_fns=True,
+        block_fn=sig_batch,
+    )
+    if counts.get("dropped"):
         logging.getLogger(__name__).warning(
             "cosine_near_dup_pairs: %d candidate pairs dropped by bucket cap %d",
-            dropped,
+            counts["dropped"],
             max_block_size,
         )
-    pairs = partition_map_groups(
-        raw.drop_columns(["dropped"]), ["left_id", "right_id"], _dedup_pairs, num_partitions
-    )
 
     # verify = exact cosine per candidate pair. Two physical plans, gated on
     # the embedding-matrix footprint (rows × dim × 8 bytes):
@@ -168,12 +173,9 @@ def cosine_near_dup_pairs(
     #   each partition ships only the vectors its pairs reference. This is
     #   the only path that can run at 100 TB; the gate makes it impossible
     #   to broadcast a matrix that doesn't fit.
-    n_rows = feats.count()
     first = feats.take(1)
     dim_actual = len(first[0]["embedding"]) if first else (dim or 0)
     if n_rows * max(dim_actual, 1) * 8 <= broadcast_limit_bytes:
-        import ray
-
         emb_pdf = feats.to_pandas()
         ids = emb_pdf[id_col].to_numpy().astype(np.int64)
         m = np.vstack(emb_pdf["embedding"].to_numpy()).astype(np.float64)
@@ -312,7 +314,6 @@ def cosine_all_pairs_exact(ds, id_col: str = "vec_id", threshold: float = 0.95):
     SRP-LSH path (``cosine_near_dup_pairs``) is the sub-quadratic scale
     path. Returns a Dataset (left_id:int64, right_id:int64, cos:float64
     rounded to 4 — DuckDB ROUND semantics)."""
-    import ray
     import ray.data as rd
 
     normed = ds.map_batches(
@@ -674,7 +675,6 @@ def _exact_reciprocal_candidates(normed, k: int, chunk: int):
     each (block_i, block_j) task emits, per row of BOTH blocks, the
     ``_row_topk_superset`` of its local top-k. O(n²) compute in B(B+1)/2
     bounded-memory tasks — the oracle twin; use the IVF path at scale."""
-    import ray
     import ray.data as rd
 
     n_rows = normed.count()
@@ -740,8 +740,6 @@ def _ivf_reciprocal_candidates(
       (pinned by the paths-agree test); mutuality needs no extra care —
       within a shared list BOTH directions are emitted.
     """
-    import ray
-
     n_rows = normed.count()
     C = n_centroids or int(np.clip(4 * int(np.sqrt(max(n_rows, 1))), 16, 65_536))
     first = normed.take(1)
@@ -824,8 +822,6 @@ def _ivf_reciprocal_candidates(
                 ss, dd, cc = _row_topk_superset(c, gid[r0:r1], gid, k)
                 srcs.append(ss), dsts.append(dd), coss.append(cc)
         if dropped_rows:
-            import logging
-
             logging.getLogger(__name__).warning(
                 "ivf_reciprocal: %d rows truncated by list_cap %d", dropped_rows, list_cap
             )

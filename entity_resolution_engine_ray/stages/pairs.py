@@ -1,7 +1,8 @@
 """Stage 3 — block-key statistics and hot-key salting for pair generation.
 
-The pair exchange itself lives in ``stages/score.fused_edges_stage``; this
-module supplies the two pieces it (and the dedup operators) run first:
+The pair exchange itself lives in ``stages/score.fused_edges_stage`` (and
+``stages/dedup._edges_from_feats`` for the dedup operators); this module
+supplies the pieces they run first:
 
 1. ``key_stats`` — one counting pass over the exploded ``block_key`` rows:
    per-block ``value_counts`` partials inside the split tasks of one
@@ -14,6 +15,7 @@ module supplies the two pieces it (and the dedup operators) run first:
    keys), the same deterministic assignment as the serial oracle's
    ``split_block``, so pair semantics are identical and a hot bucket is
    never materialized in one task.
+3. ``pair_partitions`` — the one width rule of every blocked-pair exchange.
 """
 
 from __future__ import annotations
@@ -131,6 +133,19 @@ def key_stats(
         return hot, None, n_rows_multi
     pairable = np.sort(np.concatenate(key_chunks)) if key_chunks else np.empty(0, dtype=np.int64)
     return hot, pairable, n_rows_multi
+
+
+def pair_partitions(n_exchange: int, num_partitions: int | None = None) -> int:
+    """Width of a blocked-pair exchange over ``n_exchange`` rows (the
+    pruned rows, or all exploded rows when the prune was skipped): an
+    explicit ``num_partitions`` is exact, otherwise
+    ``grouping.auto_partitions(n_exchange, rows_per_partition=200_000)`` —
+    the ~200k-rows target of the 1M-page sweep (see ``key_stats``)."""
+    from entity_resolution_engine_ray.stages.grouping import auto_partitions
+
+    if num_partitions is not None:
+        return num_partitions
+    return auto_partitions(n_exchange, rows_per_partition=200_000)
 
 
 def _salt_batch(batch: pa.Table, hot: dict[int, int], hash_col: str = "url_hash") -> pa.Table:

@@ -357,14 +357,16 @@ def fused_edges_stage(
     Broadcast once via ``ray.put`` and applied by a vectorized searchsorted
     in the split tasks, so untouched blocks never enter the shuffle at all.
 
-    ``num_partitions=None`` scales with BOTH the cluster and the data:
-    max(1.5 × cluster CPUs, PRUNED fat rows / 200k), capped at 65,536 — a
-    fixed count would under-split a 256-node cluster and over-split a
-    laptop. The 200k-pruned-rows target replaces the old 50k-unpruned
-    target after a 1M-page sweep (BASELINE r5): each partition costs
-    ~0.1 s of fixed task/ref overhead in the chained exchange, so P=421
-    ran the stage in 107 s where P=96 ran it in 50 s with identical
-    edges; at sf0.1 the formula still lands on the 1.5×CPU floor (48,
+    ``num_partitions=None`` scales with BOTH the cluster and the data
+    (``pairs.pair_partitions``, the width rule of every blocked-pair
+    exchange): ``grouping.auto_partitions`` at 200k PRUNED fat rows per
+    partition — max(1.5 × cluster CPUs, rows / 200k), never finer than 2k
+    rows per partition, capped at 65,536; a fixed count would under-split
+    a 256-node cluster and over-split a laptop. The 200k-pruned-rows
+    target replaces the old 50k-unpruned target after a 1M-page sweep
+    (BASELINE r5): each partition costs ~0.1 s of fixed task/ref overhead
+    in the chained exchange, so P=421 ran the stage in 107 s where P=96
+    ran it in 50 s with identical edges; at sf0.1 the formula still lands on the 1.5×CPU floor (48,
     the measured best there). Partition payload at the target is ~60 MB
     of fat rows + in-flight pair arrays — well inside a worker heap; at
     the 65,536 cap (~13G pruned rows ≈ 6×10⁸ pages) shard the corpus via
@@ -373,7 +375,7 @@ def fused_edges_stage(
     import ray.data as rd
 
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained
-    from entity_resolution_engine_ray.stages.pairs import key_stats
+    from entity_resolution_engine_ray.stages.pairs import key_stats, pair_partitions
 
     cfg = cfg or PagesERConfig()
     features_ds = features_ds.materialize()
@@ -385,12 +387,11 @@ def fused_edges_stage(
         n_rows_hint=n_band_rows,
         block_fn=functools.partial(_band_keys, allowed_ref=filter_ref),
     )
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # when the pairable set exceeded its broadcast limit the prune is
-        # skipped, so the exchange really carries n_fat rows — size for it
-        n_exchange = n_pruned if pairable is not None else n_band_rows
-        num_partitions = int(np.clip(n_exchange // 200_000 + 1, int(1.5 * cpus), 65_536))
+    # when the pairable set exceeded its broadcast limit the prune is
+    # skipped, so the exchange really carries every band row — size for it
+    num_partitions = pair_partitions(
+        n_band_rows if pairable is None else n_pruned, num_partitions
+    )
     keep_ref = filter_ref
     if pairable is not None:
         if len(pairable) == 0:

@@ -83,10 +83,10 @@ def test_simhash_pairs_max_hamming_guard(ray_session):
         simhash_near_dup_pairs(None, max_hamming=8)
 
 
-def test_cross_verify_partition_caps_and_markers():
+def test_cross_verify_partition_caps_and_counts():
     """_cross_verify_partition: only new x old pairs form; per-side cap
-    counts dropped pairs; all-dropped partitions report via a marker row,
-    never an id sentinel (negative ids are legal)."""
+    counts dropped pairs out of band of the rows, also when no row
+    survives; ids are never sentinels (negative ids are legal)."""
     import numpy as np
     import pyarrow as pa
 
@@ -101,20 +101,21 @@ def test_cross_verify_partition_caps_and_markers():
             "side": pa.array([1, 1, 0, 0], type=pa.int64()),
         }
     )
-    out = _cross_verify_partition(tbl, cap=256, threshold=0.7)
-    real = out.filter(pa.array(~out["is_marker"].to_numpy(zero_copy_only=False)))
-    pairs = set(zip(real["left_id"].to_pylist(), real["right_id"].to_pylist()))
+    out, counts = _cross_verify_partition(tbl, cap=256, threshold=0.7)
+    pairs = set(zip(out["left_id"].to_pylist(), out["right_id"].to_pylist()))
     # new {-5,-6} x old {100}: identical token sets pass; old 101 disjoint
     assert pairs == {(-5, 100), (-6, 100)}
+    assert counts == {"dropped": 0}
 
     # cap=1 keeps 1x1 of the 2x2 cross product -> 3 dropped, counted
-    out2 = _cross_verify_partition(tbl, cap=1, threshold=0.7)
-    assert sum(out2["dropped"].to_pylist()) == 3
+    _, counts2 = _cross_verify_partition(tbl, cap=1, threshold=0.7)
+    assert counts2 == {"dropped": 3}
 
-    # nothing clears the threshold but drops occurred -> marker row only
-    out3 = _cross_verify_partition(tbl, cap=1, threshold=1.1)
-    assert out3.num_rows == 1 and out3["is_marker"][0].as_py() is True
-    assert out3["dropped"][0].as_py() == 3
+    # nothing clears the threshold but drops occurred -> no row, count kept
+    out3, counts3 = _cross_verify_partition(tbl, cap=1, threshold=1.1)
+    assert out3.num_rows == 0
+    assert out3.schema.names == ["left_id", "right_id", "jaccard"]
+    assert counts3 == {"dropped": 3}
 
 
 def test_hot_key_cluster_not_fragmented_by_salting(ray_session):

@@ -539,10 +539,10 @@ def test_near_dup_no_surviving_edges(ray_session):
     assert out["cluster_size"].tolist() == [1, 1]
 
 
-def test_pair_verify_marker_row_reports_drops():
+def test_pair_verify_reports_drops_out_of_band():
     """A verify partition whose every pair is capped away (or under
-    threshold) reports its dropped count via an is_marker row — never an id
-    sentinel."""
+    threshold) returns no row and reports its dropped count out of band of
+    the rows — never as an id sentinel or a marker row."""
     from entity_resolution_engine_ray.stages.dedup import _pair_verify_partition
 
     ids = np.arange(10, dtype=np.int64)
@@ -554,10 +554,11 @@ def test_pair_verify_marker_row_reports_drops():
             "block_key": pa.array(np.zeros(10, dtype=np.int64), type=pa.int64()),
         }
     )
-    out = _pair_verify_partition(tbl, cap=4, threshold=0.5).to_pandas()
-    assert out["is_marker"].all() and len(out) == 1
+    out, counts = _pair_verify_partition(tbl, cap=4, threshold=0.5)
+    assert out.num_rows == 0
+    assert out.schema.names == ["left_id", "right_id", "jaccard"]
     # 10 members capped to 4: (10*9 - 4*3)/2 = 39 dropped pairs
-    assert int(out["dropped"].iloc[0]) == 39
+    assert counts == {"dropped": 39}
 
 
 def test_simhash_stage(ray_session):
