@@ -7,7 +7,7 @@
 PY ?= python
 MYPY := $(shell command -v mypy 2>/dev/null)
 
-.PHONY: ci lint typecheck compile test test-coverage coverage security check check-sf0.1 check-pairs bench
+.PHONY: ci lint typecheck compile test test-coverage coverage security check check-sf0.1 check-pairs check-fold bench
 
 # make stops at the first failing gate, so reaching the summary means every
 # gate that ran passed; a gate whose tool is missing says so instead
@@ -77,6 +77,17 @@ PAIR_QUERIES := near_dup_minhash near_dup_ngram dup_cluster_histogram near_dup_k
 
 check-pairs:
 	$(PY) scripts/check_queries.py /root/testdata/sf0.01 $(PAIR_QUERIES)
+
+# the incremental fold, checkpoint read/write and clustering kernels: the
+# fold's equality and chain tests, the execution-count and checkpoint
+# hand-off pins, kill/resume, empty inputs and the CC/labelprop kernels —
+# a fast gate for a change to pipelines/pages_er, state/checkpoint or
+# stages/cluster
+FOLD_TESTS := tests/test_incremental.py tests/test_checkpoint_handoff.py tests/test_kill_resume.py \
+	tests/test_empty_inputs.py tests/test_cluster_kernel.py
+
+check-fold:
+	$(PY) -m pytest $(FOLD_TESTS) -x -q
 
 bench:
 	$(PY) bench.py

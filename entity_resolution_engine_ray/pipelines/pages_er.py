@@ -157,12 +157,9 @@ def _cluster_merge_metrics(
 
     The caller hands over its only references in ``data``, so each
     in-memory Dataset's blocks are freed once its last consumer here has
-    run; the result holds lazy reads of the checkpoints, so it pins no
-    blocks either."""
+    run; the result holds lazy ``read_parquet`` handles on the checkpoints,
+    so it pins no blocks either."""
     features, edges = data.pop("features"), data.pop("edges")
-    # a resumed checkpoint is read once here for all of its consumers; the
-    # in-memory blocks a write returned pass through unchanged
-    edges = edges.materialize()
     out_dir = store.out_dir
     timed = _timer(timings)
     edges_stage = "edges"
@@ -197,7 +194,7 @@ def _cluster_merge_metrics(
 
     # ---- stage 6: survivorship merge + lineage
     if resume and store.is_done("entities", phash) and store.is_done("lineage", phash):
-        n_entities = store.read("entities").count()
+        n_entities = store.num_rows("entities")
     else:
         with timed("entities"):
             from entity_resolution_engine_ray.stages.merge import (
@@ -242,12 +239,15 @@ def _cluster_merge_metrics(
         gate_result = evaluate_quality_gates([metrics], high_severity_count=high, run_id=run_id)
         write_quality_gate_result(os.path.join(out_dir, "history"), gate_result)
 
+    # lazy handles: the caller may never execute them
+    import ray.data as rd
+
     return {
         "out_dir": out_dir,
         "run_id": run_id,
-        "entities": store.read("entities"),
-        "lineage": store.read("lineage"),
-        "edges": store.read(edges_stage),
+        "entities": rd.read_parquet(store.stage_dir("entities")),
+        "lineage": rd.read_parquet(store.stage_dir("lineage")),
+        "edges": rd.read_parquet(store.stage_dir(edges_stage)),
         "metrics": metrics,
         "anomalies": anomalies,
         "quality_gate": gate_result,
@@ -342,11 +342,15 @@ def run_pages_er_incremental(
        the new batch touches — old-old pairs inside a touched block rescore
        to byte-identical edges; untouched blocks never enter the shuffle;
     3. unions the new edges with the previous ``edges`` checkpoint and
-       dedups on (left_id, right_id) — either copy of a rescored edge is
-       identical, so keep-first is exact;
+       dedups on (left_id, right_id), keeping the rescored copy: both
+       copies carry the same scores and decision, only ``block_key`` (the
+       block the pair was scored in) may differ;
     4. writes both unions as checkpoints in ``out_dir`` and hands the
        in-memory Datasets straight to clustering/merge/metrics, the same
-       code a full run ends with. A fold re-run on an ``out_dir`` whose
+       code a full run ends with. The previous checkpoints are read with
+       one task per part file and each union is a Dataset over both sides'
+       block refs, so the new batch's featurize is the fold's only Ray Data
+       execution. A fold re-run on an ``out_dir`` whose
        ``features``/``edges`` are already ``_DONE`` reads them back and
        resumes from there, the contract the kill/resume tests pin.
 
@@ -360,6 +364,8 @@ def run_pages_er_incremental(
     stay O(corpus) but shuffle-light (labels move O(|V|) rows)."""
     import numpy as np
 
+    from entity_resolution_engine_ray.stages.dedup import _dedup_pairs
+    from entity_resolution_engine_ray.stages.exchange import union_blocks
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
     cfg = cfg or PagesERConfig()
@@ -401,7 +407,7 @@ def run_pages_er_incremental(
             )
         )
 
-        features = prev.read("features").union(features_new)
+        features = union_blocks(prev.read("features"), features_new)
         features = store.write(features, "features", phash)
 
         # ---- rescore ONLY touched blocks over the unioned corpus
@@ -409,15 +415,14 @@ def run_pages_er_incremental(
             features, cfg, num_partitions=num_partitions, key_filter=touched
         )
 
-        # ---- edge union + exact dedup on the id pair
-        def dedup_pairs(pdf):
-            return pdf.drop_duplicates(["left_id", "right_id"], keep="first")
-
+        # ---- edge union + exact dedup on the id pair; the new edges come
+        # first, so the dedup keeps the rescored copy of an edge
         edges = partition_map_groups(
-            prev.read("edges").union(edges_new),
+            union_blocks(edges_new, prev.read("edges")),
             ["left_id", "right_id"],
-            dedup_pairs,
+            _dedup_pairs,
             num_partitions,
+            arrow_fns=True,
         )
         # dropped-pair accounting accumulates ACROSS folds (keeping only
         # the new batch's would silently degrade the count over a chain of

@@ -24,7 +24,10 @@ no edge is its own root). Two paths, over ``(left_id, right_id)`` /
       labels(v) ← min(labels(v), min_{(u,v) ∈ E∪Eᵀ} labels(u), labels(labels(v)))
 
   Its per-partition tasks hold node-sorted labels and use ``label_of`` plus
-  a numpy min-by-key. ``attach_labels`` joins its output back to rows.
+  a numpy min-by-key. Labels start from each partition's local components
+  (``connected_roots`` over the partition's own edges), so the rounds only
+  merge components that cross partitions. ``attach_labels`` joins its
+  output back to rows.
 
 The pages pipeline picks between them with ``PagesERConfig.cluster_method``
 and its approved-edge-count gate. Each labelprop round is checkpoint-free
@@ -120,13 +123,21 @@ def _lp_init_from_edges(edges_part: pa.Table):
     appears as a src in its owning partition. Labels keep these rows for
     the whole run, so the edges come back as (pos, dst) — pos is the src's
     row in the labels table — sorted by dst: a propagation round is then a
-    gather plus a min over dst runs, with no per-round search or sort."""
-    nodes, pos = np.unique(_np_col(edges_part, "src"), return_inverse=True)
-    dst = _np_col(edges_part, "dst")
+    gather plus a min over dst runs, with no per-round search or sort.
+
+    Each node starts at its root in the partition's own edges
+    (``connected_roots``; the local-then-global union-find of BTS, ICDE
+    2024): the minimum id of its component within this partition, an id in
+    its global component and no larger than itself, so the fixpoint is
+    still the component minimum and the rounds only merge what crosses
+    partitions — with one partition the first round already changes
+    nothing."""
+    src, dst = _np_col(edges_part, "src"), _np_col(edges_part, "dst")
+    nodes, pos = np.unique(src, return_inverse=True)
+    start = label_of(*connected_roots(src, dst), nodes)
     order = np.argsort(dst, kind="stable")
     edges = pa.table({"pos": pos[order].astype(np.int64), "dst": dst[order]})
-    nodes = pa.array(nodes, pa.int64())
-    return edges, pa.table({"node": nodes, "label": nodes})
+    return edges, pa.table({"node": pa.array(nodes, pa.int64()), "label": pa.array(start, pa.int64())})
 
 
 @ray.remote
@@ -200,18 +211,21 @@ def _lp_partitions(n_directed_rows: int) -> int:
     """Labelprop width. NOT ``auto_partitions(n_rows)`` with the generic
     50k-row target: a labelprop ROUND has driver-side cost O(P × split
     groups) object refs and ~3P tasks, paid EVERY round (~20 rounds on web
-    graphs) — sizing P like a one-shot row shuffle melted the scheduler at
-    1M pages (measured 2026-08-19: P≈3200 from the 50k-row formula pushed
-    the labels stage 73 s → 749 s at ~10 % CPU; the round-2/3 fixed width
-    64 at the same 160M directed edges ran it in 73 s). Target ~2M directed
-    edge rows (~32 MB of int64 pairs) per partition — per-round tasks stay
-    1–3 s of vectorized work — with the 1.5×CPU floor so small graphs still
-    fill the cluster. Above _LP_TWO_LEVEL_MIN_P the round exchange runs
-    hierarchically (two levels, O(S·G + 2P) refs/round instead of O(S·P)),
-    which keeps the driver viable to the 16,384 cap — ~32G directed edge
-    rows (≈0.5 TB of int64 pairs) before the cap binds; past that, shard
-    the corpus (incremental key_filter path) rather than widening one
-    labelprop."""
+    graphs when every node started from its own id; the start from each
+    partition's local components took a 2,000-page fold's 7,950 approved
+    edges from 8 waves to 2 at P=1 and to 7 at P=4 and 16, the delayed
+    convergence check's extra wave included) — sizing P like a one-shot
+    row shuffle melted the scheduler at 1M pages (measured 2026-08-19:
+    P≈3200 from the 50k-row formula pushed the labels stage 73 s → 749 s
+    at ~10 % CPU; the round-2/3 fixed width 64 at the same 160M directed
+    edges ran it in 73 s). Target ~2M directed edge rows (~32 MB of int64
+    pairs) per partition — per-round tasks stay 1–3 s of vectorized work —
+    with the 1.5×CPU floor so small graphs still fill the cluster. Above
+    _LP_TWO_LEVEL_MIN_P the round exchange runs hierarchically (two levels,
+    O(S·G + 2P) refs/round instead of O(S·P)), which keeps the driver
+    viable to the 16,384 cap — ~32G directed edge rows (≈0.5 TB of int64
+    pairs) before the cap binds; past that, shard the corpus (incremental
+    key_filter path) rather than widening one labelprop."""
     from entity_resolution_engine_ray.stages.grouping import auto_partitions
 
     return min(

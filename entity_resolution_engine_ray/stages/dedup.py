@@ -181,6 +181,13 @@ def _distinct(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return perm[np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])][: len(perm)]]
 
 
+def _src_dst(t: pa.Table) -> pa.Table:
+    """A (left_id, right_id) pair block as labelprop's int64 (src, dst)."""
+    if t.num_rows == 0:
+        return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
+    return pa.table({"src": _int64(t["left_id"]), "dst": _int64(t["right_id"])})
+
+
 def _dedup_pairs(tbl: pa.Table, left: str = "left_id", right: str = "right_id") -> pa.Table:
     """Pair-dedup stage of every blocked-pair operator: one row per
     (``left``, ``right``) pair. Duplicate rows of a pair come from several
@@ -642,8 +649,9 @@ def near_dup_clusters(
         connected_components_labelprop_ids,
         label_of,
     )
+    from entity_resolution_engine_ray.stages.exchange import map_blocks
 
-    ds = ds.materialize()  # consumed by the guard, near_dup_edges AND ids_only
+    ds = ds.materialize()  # consumed by the guard, near_dup_edges and the attach
     if ds.count() == 0:
         return rd.from_arrow(
             pa.table(
@@ -668,8 +676,6 @@ def near_dup_clusters(
         num_partitions=num_partitions,
         featurize_batch_size=featurize_batch_size,
     )
-    edges = edges.materialize()  # consumed by the gate count + clustering
-    ids_only = ds.select_columns([id_col])
     n_edges = edges.count()
 
     if n_edges <= local_cluster_edge_threshold:
@@ -692,14 +698,13 @@ def near_dup_clusters(
                 }
             )
 
-        return ids_only.map_batches(attach, batch_format="pyarrow")
+        return ds.select_columns([id_col]).map_batches(attach, batch_format="pyarrow")
 
-    int_edges = edges.map_batches(
-        lambda t: pa.table({"src": t["left_id"], "dst": t["right_id"]}),
-        batch_format="pyarrow",
-    )
+    # the src/dst rename is one plain task per in-memory edge block, and the
+    # id projection runs in the attach exchange's split tasks
+    int_edges = map_blocks(edges, _src_dst)
     labels = connected_components_labelprop_ids(int_edges, num_partitions=num_partitions)
-    labeled = attach_labels(ids_only, id_col, labels, num_partitions)
+    labeled = attach_labels(ds, id_col, labels, num_partitions, columns=[id_col])
 
     def sizes_partition(pdf: pd.DataFrame) -> pd.DataFrame:
         size = pdf.groupby("cluster_label")[id_col].transform("size")

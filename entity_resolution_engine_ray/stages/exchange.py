@@ -30,6 +30,8 @@ polling on a small host, against ~3 ms for one plain task per block):
 - ``map_blocks(ds, fn)``: one plain task per block, for a per-block
   function that no exchange follows.
 
+``union_blocks`` unions such Datasets by their block refs.
+
 Either function must accept a zero-row block, including the zero-column
 blocks a 0-row Dataset can surface, and should return its typed empty
 output for it.
@@ -568,3 +570,10 @@ def map_blocks(ds, fn):
         typed = [t for (t, _), (_n, c) in zip(outs, shapes) if c > 0]
         keep = typed[:1] or [outs[0][0]]
     return rd.from_arrow_refs(keep)
+
+
+def union_blocks(*datasets):
+    """A Dataset over every block of ``datasets``, in order: the union of
+    Datasets whose blocks are already in the object store, by handing their
+    refs on — ``Dataset.union`` would start a Ray Data execution."""
+    return rd.from_arrow_refs([r for ds in datasets for r in _arrow_refs(ds)])

@@ -30,7 +30,12 @@ import pyarrow as pa
 import ray
 
 from entity_resolution_engine_ray.stages.dedup import _dedup_pairs, _pairs_partition
-from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained, hash_exchange_cogroup
+from entity_resolution_engine_ray.stages.exchange import (
+    _ensure_table,
+    hash_exchange_chained,
+    hash_exchange_cogroup,
+    map_blocks,
+)
 from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 from entity_resolution_engine_ray.stages.pairs import pair_partitions
 
@@ -48,6 +53,23 @@ def _to_matrix(col) -> np.ndarray:
     offsets = col.offsets.to_numpy(zero_copy_only=False)
     d = offsets[1] - offsets[0]
     return flat.reshape(len(col), d)
+
+
+@ray.remote
+def _first_list_len(block, col: str) -> int:
+    import pyarrow.compute as pc
+
+    return pc.list_value_length(_ensure_table(block)[col].slice(0, 1))[0].as_py()
+
+
+def _vector_width(ds, col: str = "embedding") -> int:
+    """Length of the first ``col`` list of a materialized Dataset, read by
+    one task on its first non-empty block (0 when it has no rows)."""
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                return ray.get(_first_list_len.remote(ref, col))
+    return 0
 
 
 def knn_brute_force(ds, query: np.ndarray, k: int, id_col: str = "vec_id", exclude_ids=frozenset()):
@@ -173,8 +195,7 @@ def cosine_near_dup_pairs(
     #   each partition ships only the vectors its pairs reference. This is
     #   the only path that can run at 100 TB; the gate makes it impossible
     #   to broadcast a matrix that doesn't fit.
-    first = feats.take(1)
-    dim_actual = len(first[0]["embedding"]) if first else (dim or 0)
+    dim_actual = _vector_width(feats)
     if n_rows * max(dim_actual, 1) * 8 <= broadcast_limit_bytes:
         emb_pdf = feats.to_pandas()
         ids = emb_pdf[id_col].to_numpy().astype(np.int64)
@@ -206,11 +227,9 @@ def cosine_near_dup_pairs(
         return pairs.map_batches(verify_broadcast, batch_format="pandas")
 
     # shared vectorized normalize kernel (one fix point for offset/empty
-    # handling); materialized because BOTH attach cogroups consume it — a
-    # lazy map would re-run the full corpus normalization pass twice
-    emb_norm = feats.map_batches(
-        _norm_block, fn_kwargs={"id_col": id_col}, batch_format="pyarrow"
-    ).materialize()
+    # handling), one plain task per in-memory block: BOTH attach cogroups
+    # consume the normalized blocks
+    emb_norm = map_blocks(feats, functools.partial(_norm_block, id_col=id_col))
 
     def attach(col_from: str, col_to: str):
         def fn(pairs_pdf: pd.DataFrame, emb_pdf: pd.DataFrame) -> pd.DataFrame:

@@ -5,12 +5,14 @@ reference ues_writer/writer.py:25-37): each pipeline stage writes its output
 Dataset to ``<out_dir>/<stage>/`` atomically (write to a temp sibling dir,
 rename, then write ``_DONE``), stamped with a hash of the stage parameters.
 A killed job re-run skips every stage whose ``_DONE`` manifest matches and
-``read_parquet``s the checkpoint instead — the north rule's "resumes from the
-last completed stage".
+reads the checkpoint instead — the north rule's "resumes from the last
+completed stage".
 
 A write executes its stage once and hands the materialized blocks back to
 the caller, so a run reads Parquet only for the stages it resumes; the files
-are written from those same blocks, one small task per block.
+are written from those same blocks, one small task per block, and a read
+is one ``pq.read_table`` task per part file — neither starts a Ray Data
+execution.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ DONE_FILE = "_DONE"
 @ray.remote
 def _write_block(block, path: str) -> None:
     pq.write_table(_ensure_table(block), path)
+
+
+@ray.remote
+def _read_part(path: str):
+    return pq.read_table(path)
 
 
 class CheckpointStore:
@@ -61,8 +68,21 @@ class CheckpointStore:
             return False
         return manifest.get("params_hash") == params_hash
 
+    def _part_files(self, stage: str) -> list[str]:
+        """The stage's Parquet part files, in name order."""
+        d = self.stage_dir(stage)
+        return [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+
     def read(self, stage: str) -> rd.Dataset:
-        return rd.read_parquet(self.stage_dir(stage))
+        """The stage checkpoint as a Dataset over in-memory blocks: one
+        ``pq.read_table`` task per part file, so its consumers hand the
+        block refs on without a Ray Data execution. A zero-row checkpoint
+        is its one typed zero-row file."""
+        return rd.from_arrow_refs([_read_part.remote(p) for p in self._part_files(stage)])
+
+    def num_rows(self, stage: str) -> int:
+        """The checkpoint's row count from its Parquet footers."""
+        return sum(pq.read_metadata(p).num_rows for p in self._part_files(stage))
 
     def manifest(self, stage: str) -> dict:
         with open(self._manifest_path(stage)) as f:

@@ -4,6 +4,8 @@ it resumes.
 
 - the Dataset a write returns equals what ``store.read`` gets back from disk
   (same schema, same rows), including a zero-row typed Dataset;
+- ``store.read`` (one ``pq.read_table`` task per part file) equals a plain
+  ``pq.read_table`` of the stage directory;
 - a full run and an incremental fold each stay within a fixed number of
   Ray Data executions, so a reintroduced read-back fails here;
 - a fold resumed on an ``out_dir`` whose ``features``/``edges`` are already
@@ -30,11 +32,11 @@ from entity_resolution_engine_ray.state.checkpoint import DONE_FILE, CheckpointS
 from tests.conftest import count_executions
 
 # Ray Data executions per call: 1 for a full run (read → extract →
-# featurize) and 3 for a labelprop fold (the new batch's featurize and the
-# Parquet reads of the previous run's features and edges); every other step
-# works on in-memory blocks with plain tasks or inside an exchange
+# featurize) and 1 for a labelprop fold (the new batch's featurize; the
+# previous run's checkpoints are read with one task per part file); every
+# other step works on in-memory blocks with plain tasks or inside an exchange
 MAX_RUN_EXECUTIONS = 1
-MAX_FOLD_EXECUTIONS = 3
+MAX_FOLD_EXECUTIONS = 1
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -109,6 +111,18 @@ def test_written_dataset_equals_checkpoint(runs, call, stage):
     assert _sorted(a, stage).equals(_sorted(b, stage))
 
 
+@pytest.mark.parametrize("call", ["run", "fold"])
+@pytest.mark.parametrize("stage", sorted(SORT_KEYS))
+def test_read_equals_parquet_of_the_stage_dir(runs, call, stage):
+    store = CheckpointStore(str(runs["root"] / call))
+    got = _as_table(store.read(stage))
+    want = pq.read_table(store.stage_dir(stage))
+    assert got.num_rows == want.num_rows > 0
+    assert got.schema.equals(want.schema, check_metadata=False), (got.schema, want.schema)
+    assert _sorted(got, stage).equals(_sorted(want, stage))
+    assert store.num_rows(stage) == want.num_rows
+
+
 def test_zero_row_checkpoint_keeps_its_schema(ray_session, tmp_path):
     import ray.data as rd
 
@@ -123,6 +137,8 @@ def test_zero_row_checkpoint_keeps_its_schema(ray_session, tmp_path):
     resumed = CheckpointStore(str(tmp_path / "out")).read("edges")
     assert resumed.schema().base_schema.equals(schema, check_metadata=False)
     assert resumed.count() == 0
+    assert _as_table(resumed).schema.equals(schema, check_metadata=False)
+    assert store.num_rows("edges") == 0
 
 
 def test_resumed_fold_writes_the_fresh_fold_labels(runs):

@@ -1,6 +1,7 @@
 """The connected-components kernel (``stages/cluster.connected_roots``) and
 its id → label lookup (``label_of``), pinned against the serial oracle's
-union-find; the distributed labelprop path must agree with the kernel."""
+union-find; the distributed labelprop path, which starts each node from its
+root in its partition's own edges, must agree with the kernel."""
 
 import numpy as np
 import pyarrow as pa
@@ -94,22 +95,73 @@ def test_label_of_absent_ids_and_empty_nodes():
     assert label_of(empty, empty, empty).tolist() == []
 
 
-@pytest.mark.parametrize("num_partitions", [1, 4])
-def test_labelprop_agrees_with_kernel(ray_session, num_partitions):
+def _labelprop(src, dst, num_partitions):
     import ray.data as rd
 
     from entity_resolution_engine_ray.stages.cluster import (
         connected_components_labelprop_ids,
     )
 
+    edges = rd.from_arrow(
+        pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
+    )
+    return connected_components_labelprop_ids(
+        edges, num_partitions=num_partitions
+    ).to_pandas().sort_values("node")
+
+
+def _assert_labelprop_matches_kernel(src, dst, num_partitions):
+    got = _labelprop(src, dst, num_partitions)
+    nodes, roots = connected_roots(src, dst)
+    assert got["node"].tolist() == nodes.tolist()
+    assert got["cluster_label"].tolist() == roots.tolist()
+
+
+@pytest.mark.parametrize("num_partitions", [1, 4])
+def test_labelprop_agrees_with_kernel(ray_session, num_partitions):
     for seed in range(3):
-        src, dst = _random_graph(seed)
-        edges = rd.from_arrow(
-            pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
-        )
-        got = connected_components_labelprop_ids(
-            edges, num_partitions=num_partitions
-        ).to_pandas().sort_values("node")
-        nodes, roots = connected_roots(src, dst)
-        assert got["node"].tolist() == nodes.tolist()
-        assert got["cluster_label"].tolist() == roots.tolist()
+        _assert_labelprop_matches_kernel(*_random_graph(seed), num_partitions)
+
+
+def _chained_graph(seed: int):
+    """Full-range int64 ids in a few long shuffled chains with random
+    chords: components that span every partition, so the local starting
+    roots differ from the global ones."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(I64_MIN, I64_MAX, 600, dtype=np.int64, endpoint=True)
+    src, dst = [], []
+    for chain in np.array_split(rng.permutation(ids), 3):
+        src.append(chain[:-1])
+        dst.append(chain[1:])
+    chords = rng.integers(0, len(ids), (2, 40))
+    src.append(ids[chords[0]])
+    dst.append(ids[chords[1]])
+    order = rng.permutation(sum(len(s) for s in src))
+    return np.concatenate(src)[order], np.concatenate(dst)[order]
+
+
+@pytest.mark.parametrize("num_partitions", [1, 3, 8])
+def test_labelprop_local_start_matches_kernel(ray_session, num_partitions):
+    for seed in range(10, 13):
+        _assert_labelprop_matches_kernel(*_random_graph(seed), num_partitions)
+        _assert_labelprop_matches_kernel(*_chained_graph(seed), num_partitions)
+
+
+def test_labelprop_one_partition_converges_in_the_first_round(ray_session, monkeypatch):
+    """One partition holds every edge, so the local roots are the component
+    minima: the first refine wave changes nothing and the delayed check
+    stops the loop after the one speculative wave."""
+    from entity_resolution_engine_ray.stages import cluster
+
+    waves = {"refines": 0}
+    refine = cluster._lp_refine
+
+    class CountingRefine:
+        @staticmethod
+        def remote(*args):
+            waves["refines"] += 1
+            return refine.remote(*args)
+
+    monkeypatch.setattr(cluster, "_lp_refine", CountingRefine)
+    _assert_labelprop_matches_kernel(*_chained_graph(20), 1)
+    assert 1 <= waves["refines"] <= 2, waves

@@ -17,17 +17,20 @@ from tests.conftest import count_executions
 
 SF_DIR = "/root/testdata/sf0.01"
 
-# Ray Data executions per call on materialized input: the featurize pass
-# (cosine's SRP signatures run in the split tasks; its one execution reads
-# the vector width)
-EXECUTIONS_PER_CALL = 1
-OPS = [
-    "containment_self_join",
-    "cosine_near_dup_pairs",
-    "cross_corpus_near_dup_pairs",
-    "near_dup_edges",
-    "prefix_jaccard_self_join",
-]
+# Ray Data executions per call on materialized input: the featurize pass;
+# cosine has none (its SRP signatures run in the split tasks, the vector
+# width is read by one task and the cogroup path's normalize is one task
+# per block), on either verify path
+EXECUTIONS_PER_CALL = {
+    "containment_self_join": 1,
+    "cosine_near_dup_pairs": 0,
+    "cosine_near_dup_pairs_cogroup": 0,
+    "cross_corpus_near_dup_pairs": 1,
+    "near_dup_clusters_labelprop": 1,
+    "near_dup_edges": 1,
+    "prefix_jaccard_self_join": 1,
+}
+OPS = sorted(EXECUTIONS_PER_CALL)
 
 _PAIRS = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
 _JACCARD = _PAIRS.append(pa.field("jaccard", pa.float64()))
@@ -63,6 +66,7 @@ def test_executions_per_call(sf_inputs, op):
     from entity_resolution_engine_ray.stages.containment import containment_self_join
     from entity_resolution_engine_ray.stages.dedup import (
         cross_corpus_near_dup_pairs,
+        near_dup_clusters,
         near_dup_edges,
         prefix_jaccard_self_join,
     )
@@ -78,10 +82,17 @@ def test_executions_per_call(sf_inputs, op):
         "cosine_near_dup_pairs": lambda: cosine_near_dup_pairs(
             sf_inputs["emb"], threshold=0.4, band_bits=4
         ),
+        "cosine_near_dup_pairs_cogroup": lambda: cosine_near_dup_pairs(
+            sf_inputs["emb"], threshold=0.4, band_bits=4, broadcast_limit_bytes=0
+        ),
+        # the distributed clustering path: labelprop + the attach exchange
+        "near_dup_clusters_labelprop": lambda: near_dup_clusters(
+            sf_inputs["docs"], local_cluster_edge_threshold=0
+        ),
     }
     with count_executions() as n:
         out = calls[op]()
-    assert n["n"] == EXECUTIONS_PER_CALL, n["n"]
+    assert n["n"] == EXECUTIONS_PER_CALL[op], n["n"]
     ds = out[0] if isinstance(out, tuple) else out
     assert ds.count() > 0
 
