@@ -80,11 +80,11 @@ check-pairs:
 
 # the incremental fold, checkpoint read/write and clustering kernels: the
 # fold's equality and chain tests, the execution-count and checkpoint
-# hand-off pins, kill/resume, empty inputs and the CC/labelprop kernels —
-# a fast gate for a change to pipelines/pages_er, state/checkpoint or
-# stages/cluster
+# hand-off pins, kill/resume, empty inputs, the CC/labelprop kernels and
+# the benchmark tracer's hooks on those functions — a fast gate for a
+# change to pipelines/pages_er, state/checkpoint or stages/cluster
 FOLD_TESTS := tests/test_incremental.py tests/test_checkpoint_handoff.py tests/test_kill_resume.py \
-	tests/test_empty_inputs.py tests/test_cluster_kernel.py
+	tests/test_empty_inputs.py tests/test_cluster_kernel.py tests/test_erbench_tracing.py
 
 check-fold:
 	$(PY) -m pytest $(FOLD_TESTS) -x -q

@@ -87,8 +87,9 @@ class PagesERConfig:
     ``fallback_mode`` (auto_approve default, mirroring the reference router's
     LLM-disabled path, validation/router.py:81-94).
     Clustering: connected components over approved edges — the driver-side
-    vectorised kernel up to ``local_cluster_edge_threshold`` edges,
-    distributed min-label propagation above it (``cluster_method``).
+    vectorised kernel up to ``stages/cluster.DRIVER_EDGE_LIMIT`` edges,
+    distributed min-label propagation above it or when ``cluster_method``
+    is "labelprop".
     """
 
     shingle_k: int = 3
@@ -122,18 +123,10 @@ class PagesERConfig:
     # decision == "review" edges; off by default (reference parity: the
     # pipeline must be fully correct without it)
     enable_llm_validation: bool = False
-    # "auto": driver connected-components kernel when the approved-edge list
-    # is provably small (≪ object-store budget), distributed label
-    # propagation otherwise.
-    cluster_method: str = "auto"  # "labelprop" | "local" | "auto"
-    # "auto" gate: approved-edge count above which the driver kernel is
-    # refused and the fully-distributed labelprop path runs instead. The
-    # driver kernel holds the edge ids and the connected nodes as int64
-    # arrays (two per edge, two per node, plus their sort): measured on one
-    # core at 10M edges / 2M nodes, 6.4 s and about 870 MB above the input
-    # arrays, well under the driver heap; real near-dup workloads land ~50×
-    # lower.
-    local_cluster_edge_threshold: int = 10_000_000
+    # "auto": driver connected-components kernel up to
+    # stages/cluster.DRIVER_EDGE_LIMIT approved edges, distributed label
+    # propagation above it; "labelprop": always distributed.
+    cluster_method: str = "auto"  # "auto" | "labelprop"
     # labelprop rounds are O(|V|) traffic (stationary edges + pointer
     # jumping) — a generous budget is cheap; the changed-count early exit
     # stops at convergence (measured: 19 rounds on a 2M-edge fixture)
@@ -151,9 +144,9 @@ class PagesERConfig:
             raise ValueError(
                 f"max_block_size must be >= 2 (got {self.max_block_size})"
             )
-        if self.cluster_method not in ("auto", "local", "labelprop"):
+        if self.cluster_method not in ("auto", "labelprop"):
             raise ValueError(
-                "cluster_method must be 'auto', 'local' or 'labelprop' "
+                "cluster_method must be 'auto' or 'labelprop' "
                 f"(got {self.cluster_method!r})"
             )
         if self.bands > self.num_perm or self.num_perm % self.bands != 0:

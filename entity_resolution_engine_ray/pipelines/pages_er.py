@@ -15,7 +15,6 @@ Usage::
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from contextlib import contextmanager
@@ -29,6 +28,7 @@ from entity_resolution_engine_ray.stages.block import feature_stage, featurize_b
 from entity_resolution_engine_ray.stages.extract import extract_batch, extract_stage
 from entity_resolution_engine_ray.stages.score import (
     DroppedPairs,
+    _dedup_edges_partition,
     fused_edges_stage,
     gate_metrics,
 )
@@ -260,17 +260,18 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
     lazy Dataset the ``labeled`` checkpoint stores. Its temporaries (the
     approved edge ids, the broadcast roots) die when it returns.
 
-    "auto"/"local": the approved edge ids are collected on the driver, the
-    vectorised connected-components kernel runs there, and its (nodes,
-    roots) arrays are broadcast to one labeling pass — no shuffle.
-    "labelprop": fully-distributed min-label propagation for inputs whose
-    edge list exceeds driver memory.
+    "auto": at or below ``cluster.DRIVER_EDGE_LIMIT`` approved edges, the
+    approved edge ids are collected on the driver, the vectorised
+    connected-components kernel runs there, and its (nodes, roots) arrays
+    are broadcast to one labeling pass — no shuffle. Above it, and always
+    under "labelprop": fully-distributed min-label propagation for inputs
+    whose edge list exceeds driver memory.
 
     Every step reads the in-memory edge and features blocks with plain
     tasks or inside an exchange — no Ray Data execution."""
     import ray
 
-    from entity_resolution_engine_ray.stages.cluster import cluster_label_map
+    from entity_resolution_engine_ray.stages import cluster
     from entity_resolution_engine_ray.stages.exchange import map_blocks
     from entity_resolution_engine_ray.stages.merge import (
         build_labeled,
@@ -278,29 +279,15 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
     )
 
     # approved filter + ids-only projection, one task per edge block: the
-    # gate count below and the clustering pass both read the slim blocks;
-    # labelprop gets them already named (src, dst)
-    lp_names = ("src", "dst")
-    names = lp_names if cfg.cluster_method == "labelprop" else ("left_id", "right_id")
-    approved = map_blocks(edges, functools.partial(_approved_ids, names=names))
-    # size gate: the driver kernel holds the approved edge ids and the
-    # connected nodes as int64 arrays, so it is only safe when the edge
-    # list fits driver memory — "auto" counts approved edges
-    # (metadata-only on the in-memory slim blocks) and falls through to
-    # fully-distributed labelprop above the threshold
-    method = cfg.cluster_method
-    if method == "auto":
-        method = "local" if approved.count() <= cfg.local_cluster_edge_threshold else "labelprop"
-    if method == "local":
-        roots_ref = ray.put(cluster_label_map(approved))
+    # gate count below and both clustering paths read the slim blocks
+    approved = map_blocks(edges, _approved_ids)
+    # the count is metadata-only on the in-memory slim blocks
+    if cfg.cluster_method == "auto" and approved.count() <= cluster.DRIVER_EDGE_LIMIT:
+        roots_ref = ray.put(cluster.cluster_label_map(approved))
         return label_features_broadcast(features, roots_ref)
     # ids-only CC: edges carry int64 url hashes, labels come back keyed by
     # hash, urls rejoin from the features side
-    from entity_resolution_engine_ray.stages.cluster import connected_components_labelprop_ids
-
-    if names != lp_names:
-        approved = map_blocks(approved, lambda t: t.rename_columns(list(lp_names)))
-    labels = connected_components_labelprop_ids(
+    labels = cluster.connected_components_labelprop_ids(
         approved,
         num_partitions=num_partitions,
         max_iterations=cfg.max_cc_iterations,
@@ -311,13 +298,14 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
 _APPROVED = pa.array(["auto_approve", "gray_approve", "llm_approve"])
 
 
-def _approved_ids(t: pa.Table, names: tuple[str, str]) -> pa.Table:
-    """An edge block → the int64 id pairs of its approved edges."""
+def _approved_ids(t: pa.Table) -> pa.Table:
+    """An edge block → the int64 (left_id, right_id) pairs of its approved
+    edges."""
     if t.num_rows == 0:
-        return pa.schema([(n, pa.int64()) for n in names]).empty_table()
+        return pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())]).empty_table()
     t = t.filter(pc.is_in(t["decision"], value_set=_APPROVED))
     return pa.table(
-        {names[0]: pc.cast(t["left_id"], pa.int64()), names[1]: pc.cast(t["right_id"], pa.int64())}
+        {"left_id": pc.cast(t["left_id"], pa.int64()), "right_id": pc.cast(t["right_id"], pa.int64())}
     )
 
 
@@ -342,9 +330,10 @@ def run_pages_er_incremental(
        the new batch touches — old-old pairs inside a touched block rescore
        to byte-identical edges; untouched blocks never enter the shuffle;
     3. unions the new edges with the previous ``edges`` checkpoint and
-       dedups on (left_id, right_id), keeping the rescored copy: both
-       copies carry the same scores and decision, only ``block_key`` (the
-       block the pair was scored in) may differ;
+       dedups on (left_id, right_id) by the full run's rule
+       (``score._dedup_edges_partition``): both copies carry the same
+       scores and decision, and the one with the minimum ``block_key``
+       (the block the pair was scored in) survives;
     4. writes both unions as checkpoints in ``out_dir`` and hands the
        in-memory Datasets straight to clustering/merge/metrics, the same
        code a full run ends with. The previous checkpoints are read with
@@ -364,7 +353,6 @@ def run_pages_er_incremental(
     stay O(corpus) but shuffle-light (labels move O(|V|) rows)."""
     import numpy as np
 
-    from entity_resolution_engine_ray.stages.dedup import _dedup_pairs
     from entity_resolution_engine_ray.stages.exchange import union_blocks
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
@@ -415,12 +403,11 @@ def run_pages_er_incremental(
             features, cfg, num_partitions=num_partitions, key_filter=touched
         )
 
-        # ---- edge union + exact dedup on the id pair; the new edges come
-        # first, so the dedup keeps the rescored copy of an edge
+        # ---- edge union + exact dedup on the id pair, min block_key kept
         edges = partition_map_groups(
             union_blocks(edges_new, prev.read("edges")),
             ["left_id", "right_id"],
-            _dedup_pairs,
+            _dedup_edges_partition,
             num_partitions,
             arrow_fns=True,
         )

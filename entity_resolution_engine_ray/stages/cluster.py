@@ -10,11 +10,11 @@ One kernel, ``connected_roots``: a vectorised Shiloach–Vishkin pass
 (hook with ``np.minimum.at``, pointer-jump to a fixpoint) that maps int64
 edges to ``(nodes, roots)``, nodes sorted and root = the component's min
 id. ``label_of`` is the one id → label lookup (a searchsorted; an id with
-no edge is its own root). Two paths, over ``(left_id, right_id)`` /
-``(src, dst)`` int64 edges:
+no edge is its own root). Two paths, both over ``(left_id, right_id)`` int
+edges, the schema every edge producer emits:
 
 - ``cluster_label_map`` — collects the edge ids on the driver and runs the
-  kernel there. Used when the edge list fits driver memory.
+  kernel there. Used up to ``DRIVER_EDGE_LIMIT`` edges.
 - ``connected_components_labelprop_ids`` — fully distributed,
   hash-partitioned min-label propagation (the north rule's "distributed
   union-find"; cf. PAPERS.md "BTS: Load-Balanced Distributed Union-Find",
@@ -29,10 +29,11 @@ no edge is its own root). Two paths, over ``(left_id, right_id)`` /
   merge components that cross partitions. ``attach_labels`` joins its
   output back to rows.
 
-The pages pipeline picks between them with ``PagesERConfig.cluster_method``
-and its approved-edge-count gate. Each labelprop round is checkpoint-free
-but bounded: `max_iterations` guards pathological chains, and convergence
-is detected with a changed-label count.
+``DRIVER_EDGE_LIMIT`` is the one gate between them: the pages pipeline
+(``cluster_method="auto"``) and ``dedup.near_dup_clusters`` both read it at
+call time. Each labelprop round is checkpoint-free but bounded:
+`max_iterations` guards pathological chains, and convergence is detected
+with a changed-label count.
 """
 
 from __future__ import annotations
@@ -46,18 +47,27 @@ import ray
 import ray.data as rd
 
 
+# approved-edge count above which the driver kernel is refused and
+# labelprop runs instead. The driver kernel holds the edge ids and the
+# connected nodes as int64 arrays (two per edge, two per node, plus their
+# sort): measured on one core at 10M edges / 2M nodes, 6.4 s and about
+# 870 MB above the input arrays, well under the driver heap; real near-dup
+# workloads land ~50× lower.
+DRIVER_EDGE_LIMIT = 10_000_000
+
 _DIRECTED = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 
 
 def _both_orientations(t: pa.Table) -> pa.Table:
-    """Split function of the labelprop edge exchange: an int (src, dst)
-    block → both orientations of each edge as int64 (src, dst) rows."""
+    """Split function of the labelprop edge exchange: an int (left_id,
+    right_id) block → both orientations of each edge as int64 (src, dst)
+    rows."""
     import pyarrow.compute as pc
 
     if t.num_rows == 0:
         return _DIRECTED.empty_table()
-    src = pc.cast(t["src"], pa.int64()).chunks
-    dst = pc.cast(t["dst"], pa.int64()).chunks
+    src = pc.cast(t["left_id"], pa.int64()).chunks
+    dst = pc.cast(t["right_id"], pa.int64()).chunks
     return pa.table(
         {"src": pa.chunked_array(src + dst, pa.int64()), "dst": pa.chunked_array(dst + src, pa.int64())}
     )
@@ -199,38 +209,24 @@ def _lp_refine(labels_part: pa.Table, *cand_subparts: pa.Table):
     return out, int(ch.sum()), _cand_table(old[hook], new[hook])
 
 
-# above this width the per-round candidate exchange switches from flat
-# (S split tasks × num_returns=P ⇒ O(S·P) driver refs) to the hierarchical
-# two-level form (group split then member split ⇒ O(S·G + 2P) refs) — see
-# _lp_run._subs_per_partition for the ref-count math
-_LP_TWO_LEVEL_MIN_P = 1024
-_LP_GROUP = 32  # partitions per group in the two-level exchange
-
-
 def _lp_partitions(n_directed_rows: int) -> int:
     """Labelprop width. NOT ``auto_partitions(n_rows)`` with the generic
     50k-row target: a labelprop ROUND has driver-side cost O(P × split
-    groups) object refs and ~3P tasks, paid EVERY round (~20 rounds on web
-    graphs when every node started from its own id; the start from each
-    partition's local components took a 2,000-page fold's 7,950 approved
-    edges from 8 waves to 2 at P=1 and to 7 at P=4 and 16, the delayed
-    convergence check's extra wave included) — sizing P like a one-shot
-    row shuffle melted the scheduler at 1M pages (measured 2026-08-19:
-    P≈3200 from the 50k-row formula pushed the labels stage 73 s → 749 s
-    at ~10 % CPU; the round-2/3 fixed width 64 at the same 160M directed
-    edges ran it in 73 s). Target ~2M directed edge rows (~32 MB of int64
-    pairs) per partition — per-round tasks stay 1–3 s of vectorized work —
-    with the 1.5×CPU floor so small graphs still fill the cluster. Above
-    _LP_TWO_LEVEL_MIN_P the round exchange runs hierarchically (two levels,
-    O(S·G + 2P) refs/round instead of O(S·P)), which keeps the driver
-    viable to the 16,384 cap — ~32G directed edge rows (≈0.5 TB of int64
-    pairs) before the cap binds; past that, shard the corpus (incremental
-    key_filter path) rather than widening one labelprop."""
+    groups) object refs and ~3P tasks, paid EVERY round — sizing P like a
+    one-shot row shuffle melted the scheduler at 1M pages (measured
+    2026-08-19: P≈3200 from the 50k-row formula pushed the labels stage
+    73 s → 749 s at ~10 % CPU; the fixed width 64 at the same 160M
+    directed edges ran it in 73 s). Target ~2M directed edge rows (~32 MB
+    of int64 pairs) per partition — per-round tasks stay 1–3 s of
+    vectorized work — with the 1.5×CPU floor so small graphs still fill
+    the cluster. The cap of 1,024 bounds the round exchange's O(split
+    tasks × P) driver-held refs; it binds only past ~2G directed edge rows
+    (≈1B approved edges, ≥16 GB of int64 pairs). Past that, shard the
+    corpus (incremental key_filter path) rather than widening one
+    labelprop."""
     from entity_resolution_engine_ray.stages.grouping import auto_partitions
 
-    return min(
-        auto_partitions(n_directed_rows, rows_per_partition=2_000_000), 16_384
-    )
+    return min(auto_partitions(n_directed_rows, rows_per_partition=2_000_000), 1024)
 
 
 @ray.remote
@@ -267,55 +263,13 @@ def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -
     parallelism). Cost: one speculative wave runs after the fixpoint
     round — harmless, because a fixpoint is stable under propagate / jump
     / hook, so the speculative wave's labels are identical."""
-    from entity_resolution_engine_ray.stages.exchange import (
-        _coalesce_refs,
-        _default_split_tasks,
-        _split_block,
-        _split_block_groups,
-        _split_group_members,
-    )
+    from entity_resolution_engine_ray.stages.exchange import _partition_subs, _split_all
 
     def _subs_per_partition(refs, key):
-        """Candidate refs → per-partition sub-ref lists (subs[p]).
-
-        Flat path (P ≤ _LP_TWO_LEVEL_MIN_P): S coalesced split tasks ×
-        num_returns=P ⇒ O(S·P) driver-held refs per round — fine to ~1024
-        partitions, scheduler-melting beyond (S ≈ 3P/coalesce candidate
-        refs at width P, so refs grow ~P²).
-
-        Two-level path (P > _LP_TWO_LEVEL_MIN_P): level 1 routes rows to
-        G = ceil(P/K) partition GROUPS (S tasks × G returns), level 2
-        splits each group into its K members (G tasks × K returns = P
-        refs), and each refine consumes exactly ONE sub-ref. Per-round
-        driver refs: S·G + P + P vs S·P flat — at P = 4096, K = 32,
-        S = 200 that is ~33.6k refs vs ~820k. Partition identity is
-        hash % P at both levels, so owners match the stationary
-        label/edge partitioning exactly."""
-        groups = _coalesce_refs(list(refs), _default_split_tasks())
-        if P <= _LP_TWO_LEVEL_MIN_P:
-            splits = [
-                _split_block.options(num_returns=P).remote([key], P, None, *group)
-                for group in groups
-            ]
-            if P == 1:
-                return [list(splits)]
-            return [[s[p] for s in splits] for p in range(P)]
-        K = _LP_GROUP
-        G = -(-P // K)
-        lvl1 = [
-            _split_block_groups.options(num_returns=G).remote([key], P, K, *group)
-            for group in groups
-        ]
-        subs = []
-        for g in range(G):
-            Kg = min(K, P - g * K)
-            gsubs = [l[g] for l in lvl1] if G > 1 else list(lvl1)
-            ref = _split_group_members.options(num_returns=Kg).remote([key], P, K, g, *gsubs)
-            if Kg == 1:
-                subs.append([ref])
-            else:
-                subs.extend([r] for r in ref)
-        return subs
+        """Candidate refs → per-partition sub-ref lists (subs[p]): the
+        exchange's stage 1 hashed on ``key`` into the P label owners."""
+        splits = _split_all(refs, [key], P, None)
+        return [_partition_subs(splits, p, P) for p in range(P)]
 
     def _refine_with(cand_refs, parts):
         subs = _subs_per_partition(cand_refs, "dst")
@@ -371,7 +325,7 @@ def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -
 def connected_components_labelprop_ids(
     edges_ds, num_partitions=None, max_iterations: int = 50
 ):
-    """int edges (src:int64, dst:int64) → labels (node:int64,
+    """int edges (left_id, right_id) → labels (node:int64,
     cluster_label:int64) over the connected node set. cluster_label = min
     node id of the component (min-label fixpoint), so labels are stable and
     join-free to interpret. Only nodes that appear in an edge are labeled

@@ -181,13 +181,6 @@ def _distinct(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return perm[np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])][: len(perm)]]
 
 
-def _src_dst(t: pa.Table) -> pa.Table:
-    """A (left_id, right_id) pair block as labelprop's int64 (src, dst)."""
-    if t.num_rows == 0:
-        return pa.schema([("src", pa.int64()), ("dst", pa.int64())]).empty_table()
-    return pa.table({"src": _int64(t["left_id"]), "dst": _int64(t["right_id"])})
-
-
 def _dedup_pairs(tbl: pa.Table, left: str = "left_id", right: str = "right_id") -> pa.Table:
     """Pair-dedup stage of every blocked-pair operator: one row per
     (``left``, ``right``) pair. Duplicate rows of a pair come from several
@@ -623,32 +616,27 @@ def near_dup_clusters(
     mode: str = "token_shingle",
     max_block_size: int = 256,
     num_partitions: int | None = None,
-    local_cluster_edge_threshold: int = 2_000_000,
     featurize_batch_size: int = 512,
 ):
     """Generic near-dup clustering: (id, text) → Dataset (doc_id, cluster_id,
     cluster_size). Candidate pairs verified with EXACT Jaccard ≥ threshold;
     cluster_id = min doc_id of the connected component on both finish paths.
 
-    Size-gated finish (the same gate as the flagship pages pipeline,
-    pipelines/pages_er.py): at or below ``local_cluster_edge_threshold``
-    verified edges, the driver-side connected-components kernel
-    (stages/cluster.cluster_label_map → sorted ``(nodes, roots)`` arrays over
-    CONNECTED nodes only) + one broadcast attach pass that also looks up
-    cluster sizes. Above it — a web corpus where 30-50% of docs are
-    near-dups makes the connected-node set O(corpus) — the fully-distributed
-    labelprop CC (connected_components_labelprop_ids) + a co-partitioned
-    exchange attach (stages/cluster.attach_labels) + one slim sizes
-    exchange: nothing driver-side ever materializes the node set."""
+    Size-gated finish, on the gate the flagship pages pipeline reads
+    (stages/cluster.DRIVER_EDGE_LIMIT): at or below it, the driver-side
+    connected-components kernel (stages/cluster.cluster_label_map → sorted
+    ``(nodes, roots)`` arrays over CONNECTED nodes only) + one broadcast
+    attach task per block that also looks up cluster sizes. Above it — a
+    web corpus where 30-50% of docs are near-dups makes the connected-node
+    set O(corpus) — the fully-distributed labelprop CC
+    (connected_components_labelprop_ids) + a co-partitioned exchange
+    attach (stages/cluster.attach_labels) + one slim sizes exchange:
+    nothing driver-side ever materializes the node set."""
     import ray
     import ray.data as rd
 
-    from entity_resolution_engine_ray.stages.cluster import (
-        attach_labels,
-        cluster_label_map,
-        connected_components_labelprop_ids,
-        label_of,
-    )
+    from entity_resolution_engine_ray.stages import cluster
+    from entity_resolution_engine_ray.stages.cluster import label_of
     from entity_resolution_engine_ray.stages.exchange import map_blocks
 
     ds = ds.materialize()  # consumed by the guard, near_dup_edges and the attach
@@ -678,15 +666,15 @@ def near_dup_clusters(
     )
     n_edges = edges.count()
 
-    if n_edges <= local_cluster_edge_threshold:
-        nodes, roots = cluster_label_map(edges)
+    if n_edges <= cluster.DRIVER_EDGE_LIMIT:
+        nodes, roots = cluster.cluster_label_map(edges)
         # non-singleton cluster sizes come from the roots driver-side; ids
         # with no edge are singletons of size 1
         state_ref = ray.put((nodes, roots, *np.unique(roots, return_counts=True)))
 
         def attach(t: pa.Table) -> pa.Table:
             nodes, roots, clusters, sizes = ray.get(state_ref)
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            ids = _int64(t[id_col]) if t.num_rows else np.empty(0, np.int64)
             labels = label_of(nodes, roots, ids)
             return pa.table(
                 {
@@ -698,13 +686,11 @@ def near_dup_clusters(
                 }
             )
 
-        return ds.select_columns([id_col]).map_batches(attach, batch_format="pyarrow")
+        return map_blocks(ds, attach)
 
-    # the src/dst rename is one plain task per in-memory edge block, and the
-    # id projection runs in the attach exchange's split tasks
-    int_edges = map_blocks(edges, _src_dst)
-    labels = connected_components_labelprop_ids(int_edges, num_partitions=num_partitions)
-    labeled = attach_labels(ds, id_col, labels, num_partitions, columns=[id_col])
+    # the id projection runs in the attach exchange's split tasks
+    labels = cluster.connected_components_labelprop_ids(edges, num_partitions=num_partitions)
+    labeled = cluster.attach_labels(ds, id_col, labels, num_partitions, columns=[id_col])
 
     def sizes_partition(pdf: pd.DataFrame) -> pd.DataFrame:
         size = pdf.groupby("cluster_label")[id_col].transform("size")

@@ -218,40 +218,6 @@ def _split_block(key_cols: list[str], num_partitions: int, block_fn, *tbls: pa.T
     return tuple(out) if num_partitions > 1 else out[0]
 
 
-@ray.remote
-def _split_block_groups(key_cols: list[str], P: int, K: int, *tbls: pa.Table):
-    """Hierarchical-exchange level 1: route rows to partition GROUPS.
-
-    Partition identity stays ``hash % P`` (so rows land on the same owner
-    as every single-level exchange over the same key); a group is K
-    consecutive partitions, g = p // K, G = ceil(P / K) outputs."""
-    tbl = _mapped_input(None, tbls)
-    G = -(-P // K)
-    if tbl.num_rows == 0:
-        return tuple([tbl] * G) if G > 1 else tbl
-    pg = _partition_hash(tbl, key_cols, P) // K
-    order = np.argsort(pg, kind="stable")
-    bounds = np.searchsorted(pg[order], np.arange(G + 1))
-    out = [tbl.take(pa.array(order[bounds[g] : bounds[g + 1]])) for g in range(G)]
-    return tuple(out) if G > 1 else out[0]
-
-
-@ray.remote
-def _split_group_members(key_cols: list[str], P: int, K: int, g: int, *tbls: pa.Table):
-    """Hierarchical-exchange level 2: split ONE group's rows into its
-    member partitions (g*K .. min(g*K+K, P)-1). Kg outputs, index i ↔
-    partition g*K + i."""
-    tbl = _mapped_input(None, tbls)
-    Kg = min(K, P - g * K)
-    if tbl.num_rows == 0:
-        return tuple([tbl] * Kg) if Kg > 1 else tbl
-    local = _partition_hash(tbl, key_cols, P) - g * K
-    order = np.argsort(local, kind="stable")
-    bounds = np.searchsorted(local[order], np.arange(Kg + 1))
-    out = [tbl.take(pa.array(order[bounds[i] : bounds[i + 1]])) for i in range(Kg)]
-    return tuple(out) if Kg > 1 else out[0]
-
-
 def _from_pandas(result: pd.DataFrame, *inputs: pa.Table) -> pa.Table:
     """A pandas partition result as Arrow, without pandas metadata
     (schema-identity noise downstream). pandas types the object columns of

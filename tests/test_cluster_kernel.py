@@ -103,7 +103,7 @@ def _labelprop(src, dst, num_partitions):
     )
 
     edges = rd.from_arrow(
-        pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
+        pa.table({"left_id": pa.array(src, pa.int64()), "right_id": pa.array(dst, pa.int64())})
     )
     return connected_components_labelprop_ids(
         edges, num_partitions=num_partitions

@@ -42,13 +42,10 @@ def test_incremental_equals_full(ray_session, tmp_path):
     ei = (
         inc["edges"].to_pandas().sort_values(["left_id", "right_id"]).reset_index(drop=True)
     )
-    assert len(ef) == len(ei)
-    # block_key/salt are PROVENANCE (which block copy survived pair-dedup) —
-    # a pair living in several blocks may keep a different copy per run;
-    # every semantic column must match exactly
-    sem = [c for c in ef.columns if c not in ("block_key", "salt")]
-    assert {"left_id", "right_id", "score", "decision"} <= set(sem)
-    pd.testing.assert_frame_equal(ei[sem], ef[sem], check_like=False)
+    # every column, block_key included: the fold dedups by the full run's
+    # rule (the pair's minimum block_key survives)
+    assert {"left_id", "right_id", "block_key", "score", "decision"} <= set(ef.columns)
+    pd.testing.assert_frame_equal(ei, ef, check_like=False)
 
     lf = CheckpointStore(str(tmp_path / "full")).read("labeled").to_pandas()
     li = CheckpointStore(str(tmp_path / "inc")).read("labeled").to_pandas()
@@ -98,9 +95,7 @@ def test_incremental_chain_two_batches(ray_session, tmp_path):
 
     ef = full["edges"].to_pandas().sort_values(["left_id", "right_id"]).reset_index(drop=True)
     ei = inc["edges"].to_pandas().sort_values(["left_id", "right_id"]).reset_index(drop=True)
-    assert len(ef) == len(ei)
-    sem = [c for c in ef.columns if c not in ("block_key", "salt")]
-    pd.testing.assert_frame_equal(ei[sem], ef[sem], check_like=False)
+    pd.testing.assert_frame_equal(ei, ef, check_like=False)
 
     lf = CheckpointStore(str(tmp_path / "full")).read("labeled").to_pandas()
     li = CheckpointStore(str(tmp_path / "runC")).read("labeled").to_pandas()

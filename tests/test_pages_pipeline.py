@@ -230,8 +230,7 @@ def test_labelprop_long_chain_converges(ray_session):
             "right_id": pa.array(ids[1:], type=pa.int64()),
         }
     )
-    int_edges = rd.from_arrow(edges.rename_columns(["src", "dst"]))
-    labels = connected_components_labelprop_ids(int_edges, num_partitions=8).to_pandas()
+    labels = connected_components_labelprop_ids(rd.from_arrow(edges), num_partitions=8).to_pandas()
     assert len(labels) == n
     assert labels["cluster_label"].nunique() == 1
     # min-label fixpoint: the one label is the component's min node id
@@ -264,11 +263,7 @@ def test_cluster_paths_handle_empty_edges(ray_session):
     approved = rd.from_arrow(edges).filter(expr="decision == 'auto_approve'")
     nodes, roots = cluster_label_map(approved)
     assert len(nodes) == 0 and len(roots) == 0
-    int_edges = approved.map_batches(
-        lambda t: pa.table({"src": t["left_id"], "dst": t["right_id"]}),
-        batch_format="pyarrow",
-    )
-    labels = connected_components_labelprop_ids(int_edges).to_pandas()
+    labels = connected_components_labelprop_ids(approved).to_pandas()
     assert len(labels) == 0
 
 

@@ -62,7 +62,8 @@ def sf_inputs(ray_session):
 
 
 @pytest.mark.parametrize("op", OPS)
-def test_executions_per_call(sf_inputs, op):
+def test_executions_per_call(sf_inputs, op, monkeypatch):
+    from entity_resolution_engine_ray.stages import cluster
     from entity_resolution_engine_ray.stages.containment import containment_self_join
     from entity_resolution_engine_ray.stages.dedup import (
         cross_corpus_near_dup_pairs,
@@ -85,11 +86,12 @@ def test_executions_per_call(sf_inputs, op):
         "cosine_near_dup_pairs_cogroup": lambda: cosine_near_dup_pairs(
             sf_inputs["emb"], threshold=0.4, band_bits=4, broadcast_limit_bytes=0
         ),
-        # the distributed clustering path: labelprop + the attach exchange
-        "near_dup_clusters_labelprop": lambda: near_dup_clusters(
-            sf_inputs["docs"], local_cluster_edge_threshold=0
-        ),
+        # the distributed clustering path (a zero driver edge limit):
+        # labelprop + the attach exchange
+        "near_dup_clusters_labelprop": lambda: near_dup_clusters(sf_inputs["docs"]),
     }
+    if op == "near_dup_clusters_labelprop":
+        monkeypatch.setattr(cluster, "DRIVER_EDGE_LIMIT", 0)
     with count_executions() as n:
         out = calls[op]()
     assert n["n"] == EXECUTIONS_PER_CALL[op], n["n"]

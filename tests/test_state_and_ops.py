@@ -454,12 +454,14 @@ def test_near_dup_clusters_token_and_ngram(ray_session):
     assert out2[out2["doc_id"] == 0]["cluster_id"].iloc[0] == out2[out2["doc_id"] == 1]["cluster_id"].iloc[0]
 
 
-def test_near_dup_clusters_gate_parity(ray_session):
-    """The labelprop finish (forced via local_cluster_edge_threshold=0) must
-    produce the SAME cluster partitions — and the same min-doc_id cluster
-    ids — as the driver-map finish (the default gate at this size)."""
+def test_near_dup_clusters_gate_parity(ray_session, monkeypatch):
+    """The labelprop finish (forced by a zero cluster.DRIVER_EDGE_LIMIT)
+    must produce the SAME cluster partitions — and the same min-doc_id
+    cluster ids — as the driver-map finish (the default gate at this
+    size)."""
     import ray.data as rd
 
+    from entity_resolution_engine_ray.stages import cluster
     from entity_resolution_engine_ray.stages.dedup import near_dup_clusters
 
     base = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
@@ -478,8 +480,9 @@ def test_near_dup_clusters_gate_parity(ray_session):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(cluster, "DRIVER_EDGE_LIMIT", 0)
     lp = (
-        near_dup_clusters(rd.from_arrow(tbl), threshold=0.5, local_cluster_edge_threshold=0)
+        near_dup_clusters(rd.from_arrow(tbl), threshold=0.5)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -689,8 +692,7 @@ def test_labelprop_matches_local_unionfind(ray_session):
             "right_id": pa.array([stable_hash64(b) for _, b in edges], type=pa.int64()),
         }
     )
-    int_edges = rd.from_arrow(tbl.rename_columns(["src", "dst"]))
-    lp = connected_components_labelprop_ids(int_edges, num_partitions=4).to_pandas()
+    lp = connected_components_labelprop_ids(rd.from_arrow(tbl), num_partitions=4).to_pandas()
     assert partitions(dict(zip(lp["node"], lp["cluster_label"]))) == expected
 
     # the driver kernel groups hashes identically
@@ -1213,15 +1215,15 @@ def test_dedup_review_guards(ray_session):
             cross_corpus_near_dup_pairs(empty, empty, **bad)
 
 
-def test_labelprop_two_level_exchange_matches_flat(ray_session, monkeypatch):
-    """Hierarchical (two-level) candidate exchange == flat exchange == local
-    union-find, on a random graph wide enough that every group has several
-    member partitions. The threshold is monkeypatched low so the two-level
-    path actually runs (production engages it above P=1024)."""
+def test_labelprop_wide_exchange_matches_unionfind(ray_session):
+    """Labelprop at 12 partitions == the serial oracle's union-find, on a
+    random graph with a long chain, so every round's candidate exchange
+    routes rows between many label owners."""
     import numpy as np
     import ray.data as rd
 
-    from entity_resolution_engine_ray.stages import cluster as cl
+    from entity_resolution_engine_ray.oracle.serial import UnionFind
+    from entity_resolution_engine_ray.stages.cluster import connected_components_labelprop_ids
 
     rng = np.random.default_rng(5)
     # chains + random unions over 400 nodes → nontrivial component shapes
@@ -1230,32 +1232,19 @@ def test_labelprop_two_level_exchange_matches_flat(ray_session, monkeypatch):
     chain = np.arange(100, dtype=np.int64)
     tbl = pa.table(
         {
-            "src": pa.array(np.r_[src, chain[:-1] + 1000], type=pa.int64()),
-            "dst": pa.array(np.r_[dst, chain[1:] + 1000], type=pa.int64()),
+            "left_id": pa.array(np.r_[src, chain[:-1] + 1000], type=pa.int64()),
+            "right_id": pa.array(np.r_[dst, chain[1:] + 1000], type=pa.int64()),
         }
     )
-
-    def comps(df):
-        groups = {}
-        for n, l in zip(df["node"], df["cluster_label"]):
-            groups.setdefault(l, set()).add(n)
-        return {frozenset(g) for g in groups.values()}
-
-    flat = cl.connected_components_labelprop_ids(rd.from_arrow(tbl), num_partitions=12)
-    flat_parts = comps(flat.to_pandas())
-    monkeypatch.setattr(cl, "_LP_TWO_LEVEL_MIN_P", 4)
-    monkeypatch.setattr(cl, "_LP_GROUP", 5)  # 12 partitions → groups of 5,5,2
-    two = cl.connected_components_labelprop_ids(rd.from_arrow(tbl), num_partitions=12)
-    two_parts = comps(two.to_pandas())
-    assert two_parts == flat_parts
-
-    # ground truth: the serial oracle's union-find
-    from entity_resolution_engine_ray.oracle.serial import UnionFind
+    lp = connected_components_labelprop_ids(rd.from_arrow(tbl), num_partitions=12).to_pandas()
+    got = {}
+    for n, l in zip(lp["node"], lp["cluster_label"]):
+        got.setdefault(l, set()).add(n)
 
     uf = UnionFind()
-    for u, v in zip(tbl["src"].to_pylist(), tbl["dst"].to_pylist()):
+    for u, v in zip(tbl["left_id"].to_pylist(), tbl["right_id"].to_pylist()):
         uf.union(u, v)
     want = {}
-    for n in set(tbl["src"].to_pylist()) | set(tbl["dst"].to_pylist()):
+    for n in set(tbl["left_id"].to_pylist()) | set(tbl["right_id"].to_pylist()):
         want.setdefault(uf.find(n), set()).add(n)
-    assert two_parts == {frozenset(g) for g in want.values()}
+    assert {frozenset(g) for g in got.values()} == {frozenset(g) for g in want.values()}

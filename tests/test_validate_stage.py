@@ -168,8 +168,8 @@ def test_config_validation_rejects_unknown_cluster_method():
 
     from entity_resolution_engine_ray.config import PagesERConfig
 
-    for bad in ("Local", "lp", ""):
+    for bad in ("local", "Local", "lp", ""):
         with pytest.raises(ValueError, match="cluster_method"):
             PagesERConfig(cluster_method=bad)
-    for ok in ("auto", "local", "labelprop"):
+    for ok in ("auto", "labelprop"):
         assert PagesERConfig(cluster_method=ok).cluster_method == ok
