@@ -3,9 +3,13 @@ cluster → merge, each stage checkpointed to Parquet with a ``_DONE``
 manifest (resume from the last completed stage — north rule).
 
 Lifecycle mirror of SURVEY.md §3.4. The reference's single-process
-five-entity loop (cli/run_mapping.py:37-188) becomes a streaming Dataset
-DAG; its driver-held dict "joins" become Dataset hash joins; its
-``writer.reset()`` full-restart becomes checkpoint resume.
+five-entity loop (cli/run_mapping.py:37-188) becomes one Ray Data execution
+(read → extract → featurize) followed by task-level exchanges; its
+driver-held dict "joins" become hash exchanges; its ``writer.reset()``
+full-restart becomes checkpoint resume. The stages hand each other
+``exchange.Blocks`` (block refs with their row counts), not Datasets: a
+Dataset is built only for the input read and for a result handle a caller
+reads.
 
 Usage::
 
@@ -25,6 +29,7 @@ import pyarrow.compute as pc
 from entity_resolution_engine_ray.config import PagesERConfig, config_hash
 from entity_resolution_engine_ray.sources.pages import PAGES_SCHEMA
 from entity_resolution_engine_ray.stages.block import feature_stage, featurize_batch
+from entity_resolution_engine_ray.stages.exchange import Blocks, as_blocks
 from entity_resolution_engine_ray.stages.extract import extract_batch, extract_stage
 from entity_resolution_engine_ray.stages.score import (
     DroppedPairs,
@@ -105,7 +110,7 @@ def run_pages_er(
             with timed("edges_compute"):
                 edges, dropped = fused_edges_stage(features, cfg, num_partitions=num_partitions)
             with timed("edges_write"):
-                edges = store.write(edges, "edges", phash, extra=_drop_counts(dropped))
+                edges = store.write(edges, "edges", phash, extra=_edges_manifest(dropped))
 
     data = {"features": features, "edges": edges}
     del features, edges
@@ -115,28 +120,35 @@ def run_pages_er(
     )
 
 
-def _features_of(pages_ds, cfg: PagesERConfig):
-    """Extract + featurize, executed once. A 0-row input skips the lazy
-    maps and surfaces blocks without the features schema, so it becomes one
-    typed empty features block: the real extract and featurize kernels run
-    over an empty pages table of the input's schema."""
-    features = feature_stage(extract_stage(pages_ds), cfg).materialize()
+def _features_of(pages_ds, cfg: PagesERConfig) -> Blocks:
+    """Extract + featurize, executed once — the call's one Ray Data
+    execution — as ``Blocks``. A 0-row input skips the lazy maps and
+    surfaces blocks without the features schema, so it becomes one typed
+    empty features block: the real extract and featurize kernels run over
+    an empty pages table of the input's schema."""
+    features = as_blocks(feature_stage(extract_stage(pages_ds), cfg))
     if features.count():
         return features
-    import ray.data as rd
-
     sch = getattr(pages_ds.schema(), "base_schema", None) or PAGES_SCHEMA
-    return rd.from_arrow(featurize_batch(extract_batch(sch.empty_table()), cfg))
+    return Blocks.of(featurize_batch(extract_batch(sch.empty_table()), cfg))
 
 
 def _drop_counts(dropped) -> dict:
-    """The edges manifest's pair-drop counts of a ``DroppedPairs``."""
+    """The pair-drop counts of a ``DroppedPairs``."""
     return {"dropped_pairs": int(dropped), "prefiltered_pairs": dropped.prefiltered}
+
+
+def _edges_manifest(dropped) -> dict:
+    """The edges manifest's fields of a ``DroppedPairs``: its counts and
+    whether the singleton prune was skipped."""
+    return {**_drop_counts(dropped), "prune_skipped": dropped.prune_skipped}
 
 
 def _dropped_of(manifest: dict) -> DroppedPairs:
     return DroppedPairs(
-        int(manifest.get("dropped_pairs", 0) or 0), int(manifest.get("prefiltered_pairs", 0) or 0)
+        int(manifest.get("dropped_pairs", 0) or 0),
+        int(manifest.get("prefiltered_pairs", 0) or 0),
+        bool(manifest.get("prune_skipped", False)),
     )
 
 
@@ -153,12 +165,14 @@ def _cluster_merge_metrics(
     t_start: float,
 ) -> dict:
     """Stages 4b-6 and the run metrics over the ``features`` and ``edges``
-    Datasets in ``data``, shared by the full run and the incremental fold.
+    ``Blocks`` in ``data``, shared by the full run and the incremental fold.
 
     The caller hands over its only references in ``data``, so each
-    in-memory Dataset's blocks are freed once its last consumer here has
-    run; the result holds lazy ``read_parquet`` handles on the checkpoints,
-    so it pins no blocks either."""
+    in-memory block list is freed once its last consumer here has run. The
+    result's ``entities``, ``lineage`` and ``edges`` are ``read_parquet``
+    handles on the checkpoints, each built when a caller first reads it, so
+    the result pins no blocks and a caller that never reads them pays
+    nothing."""
     features, edges = data.pop("features"), data.pop("edges")
     out_dir = store.out_dir
     timed = _timer(timings)
@@ -202,7 +216,6 @@ def _cluster_merge_metrics(
                 lineage_from_labeled,
             )
 
-            labeled = labeled.materialize()
             n_entities = store.write(entities_from_labeled(labeled), "entities", phash).count()
             store.write(lineage_from_labeled(labeled), "lineage", phash)
     del labeled
@@ -239,15 +252,12 @@ def _cluster_merge_metrics(
         gate_result = evaluate_quality_gates([metrics], high_severity_count=high, run_id=run_id)
         write_quality_gate_result(os.path.join(out_dir, "history"), gate_result)
 
-    # lazy handles: the caller may never execute them
-    import ray.data as rd
-
     return {
         "out_dir": out_dir,
         "run_id": run_id,
-        "entities": rd.read_parquet(store.stage_dir("entities")),
-        "lineage": rd.read_parquet(store.stage_dir("lineage")),
-        "edges": rd.read_parquet(store.stage_dir(edges_stage)),
+        "entities": ParquetHandle(store.stage_dir("entities")),
+        "lineage": ParquetHandle(store.stage_dir("lineage")),
+        "edges": ParquetHandle(store.stage_dir(edges_stage)),
         "metrics": metrics,
         "anomalies": anomalies,
         "quality_gate": gate_result,
@@ -255,9 +265,32 @@ def _cluster_merge_metrics(
     }
 
 
-def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None):
+class ParquetHandle:
+    """A ``ray.data.read_parquet`` Dataset on a checkpoint directory, built
+    the first time a caller reads it: every Dataset attribute is forwarded
+    to it. Building one costs a Ray Data stats-actor round trip and a file
+    listing, which a caller that only wants the run metrics never pays."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._ds = None
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        if self._ds is None:
+            import ray.data as rd
+
+            self._ds = rd.read_parquet(self.path)
+        return getattr(self._ds, name)
+
+    def __repr__(self) -> str:
+        return f"ParquetHandle({self.path!r})"
+
+
+def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None) -> Blocks:
     """Cluster the approved edges and attach each page's cluster label: the
-    lazy Dataset the ``labeled`` checkpoint stores. Its temporaries (the
+    ``Blocks`` the ``labeled`` checkpoint stores. Its temporaries (the
     approved edge ids, the broadcast roots) die when it returns.
 
     "auto": at or below ``cluster.DRIVER_EDGE_LIMIT`` approved edges, the
@@ -281,7 +314,7 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
     # approved filter + ids-only projection, one task per edge block: the
     # gate count below and both clustering paths read the slim blocks
     approved = map_blocks(edges, _approved_ids)
-    # the count is metadata-only on the in-memory slim blocks
+    # the count is the map tasks' row counts
     if cfg.cluster_method == "auto" and approved.count() <= cluster.DRIVER_EDGE_LIMIT:
         roots_ref = ray.put(cluster.cluster_label_map(approved))
         return label_features_broadcast(features, roots_ref)
@@ -334,14 +367,15 @@ def run_pages_er_incremental(
        (``score._dedup_edges_partition``): both copies carry the same
        scores and decision, and the one with the minimum ``block_key``
        (the block the pair was scored in) survives;
-    4. writes both unions as checkpoints in ``out_dir`` and hands the
-       in-memory Datasets straight to clustering/merge/metrics, the same
+    4. writes both unions as checkpoints in ``out_dir`` and hands their
+       in-memory ``Blocks`` straight to clustering/merge/metrics, the same
        code a full run ends with. The previous checkpoints are read with
-       one task per part file and each union is a Dataset over both sides'
-       block refs, so the new batch's featurize is the fold's only Ray Data
-       execution. A fold re-run on an ``out_dir`` whose
-       ``features``/``edges`` are already ``_DONE`` reads them back and
-       resumes from there, the contract the kill/resume tests pin.
+       one task per part file and each union is the concatenation of both
+       sides' block lists, so the new batch's featurize is the fold's only
+       Ray Data execution and no Dataset is built after it. A fold re-run
+       on an ``out_dir`` whose ``features``/``edges`` are already ``_DONE``
+       reads them back and resumes from there, the contract the
+       kill/resume tests pin.
 
     Equality contract (pinned in tests/test_incremental.py): the result
     equals a full run over old ∪ new — same edges, same cluster partitions
@@ -386,9 +420,8 @@ def run_pages_er_incremental(
         import ray
 
         from entity_resolution_engine_ray.stages.block import block_keys_stage
-        from entity_resolution_engine_ray.stages.exchange import _arrow_refs
 
-        key_blocks = ray.get(_arrow_refs(block_keys_stage(features_new)))
+        key_blocks = ray.get(list(block_keys_stage(features_new).refs))
         touched = np.unique(
             np.concatenate(
                 [np.empty(0, np.int64)] + [t["block_key"].to_numpy() for t in key_blocks]
@@ -416,16 +449,19 @@ def run_pages_er_incremental(
         # folds). Upper bound: an over-cap block that is ALSO touched has
         # its drops counted in both terms — exact subtraction would need
         # per-block drop attribution, which the slim count doesn't carry.
+        # A prune skipped on either side is reported.
         dropped_prev = _dropped_of(prev.manifest("edges"))
         dropped = DroppedPairs(
-            dropped_prev + dropped_new, dropped_prev.prefiltered + dropped_new.prefiltered
+            dropped_prev + dropped_new,
+            dropped_prev.prefiltered + dropped_new.prefiltered,
+            dropped_prev.prune_skipped or dropped_new.prune_skipped,
         )
         edges = store.write(
             edges,
             "edges",
             phash,
             extra={
-                **_drop_counts(dropped),
+                **_edges_manifest(dropped),
                 "incremental_from": prev_out_dir,
                 "touched_blocks": int(len(touched)),
             },

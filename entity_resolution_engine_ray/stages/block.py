@@ -186,10 +186,9 @@ class FeatureExtractor:
 def default_pool_size() -> tuple[int, int]:
     """Autoscaling actor-pool bounds sized to the cluster CPUs (leave head
     room for the read/write stages so the pool doesn't starve the pipeline)."""
-    import ray
+    from entity_resolution_engine_ray.stages.exchange import cluster_cpus
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return (1, max(2, cpus - 2))
+    return (1, max(2, cluster_cpus() - 2))
 
 
 # process-global featureizer cache: plain-function map_batches tasks are
@@ -276,9 +275,10 @@ def in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == values
 
 
-def block_keys_stage(features_ds):
-    """``block_keys`` over every block of an in-memory features Dataset,
-    one plain task per block (stages/exchange.map_blocks)."""
+def block_keys_stage(features):
+    """``block_keys`` over every block of in-memory features (``Blocks`` or
+    a Dataset, returned in kind), one plain task per block
+    (stages/exchange.map_blocks)."""
     from entity_resolution_engine_ray.stages.exchange import map_blocks
 
-    return map_blocks(features_ds, block_keys)
+    return map_blocks(features, block_keys)

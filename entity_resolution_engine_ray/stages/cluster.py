@@ -44,7 +44,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-import ray.data as rd
 
 
 # approved-edge count above which the driver kernel is refused and
@@ -56,6 +55,7 @@ import ray.data as rd
 DRIVER_EDGE_LIMIT = 10_000_000
 
 _DIRECTED = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+_LABELS = pa.schema([("node", pa.int64()), ("cluster_label", pa.int64())])
 
 
 def _both_orientations(t: pa.Table) -> pa.Table:
@@ -209,7 +209,7 @@ def _lp_refine(labels_part: pa.Table, *cand_subparts: pa.Table):
     return out, int(ch.sum()), _cand_table(old[hook], new[hook])
 
 
-def _lp_partitions(n_directed_rows: int) -> int:
+def _lp_partitions(n_directed_rows: int, cpus: int) -> int:
     """Labelprop width. NOT ``auto_partitions(n_rows)`` with the generic
     50k-row target: a labelprop ROUND has driver-side cost O(P × split
     groups) object refs and ~3P tasks, paid EVERY round — sizing P like a
@@ -226,7 +226,7 @@ def _lp_partitions(n_directed_rows: int) -> int:
     labelprop."""
     from entity_resolution_engine_ray.stages.grouping import auto_partitions
 
-    return min(auto_partitions(n_directed_rows, rows_per_partition=2_000_000), 1024)
+    return min(auto_partitions(n_directed_rows, rows_per_partition=2_000_000, cpus=cpus), 1024)
 
 
 @ray.remote
@@ -252,9 +252,10 @@ def _lp_jump_answer(labels_part: pa.Table, *req_subparts: pa.Table) -> pa.Table:
     return _cand_table(_np_col(req, "node"), label_of(nodes, labels, _np_col(req, "key")))
 
 
-def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -> list:
+def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int, cpus: int) -> list:
     """The labelprop round loop: stationary edge partitions, min-label propagation + pointer jumping +
-    union hooking per round, exit at the exact changed==0 fixpoint.
+    union hooking per round, exit at the exact changed==0 fixpoint. ``cpus``
+    (the cluster's, read once per call) bounds each round's split tasks.
 
     The convergence check is DELAYED BY ONE ROUND: each wave of tasks is
     submitted before the previous wave's aggregated changed-count is read,
@@ -268,7 +269,7 @@ def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -
     def _subs_per_partition(refs, key):
         """Candidate refs → per-partition sub-ref lists (subs[p]): the
         exchange's stage 1 hashed on ``key`` into the P label owners."""
-        splits = _split_all(refs, [key], P, None)
+        splits = _split_all(refs, [key], P, None, cpus)
         return [_partition_subs(splits, p, P) for p in range(P)]
 
     def _refine_with(cand_refs, parts):
@@ -323,13 +324,14 @@ def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int) -
 
 
 def connected_components_labelprop_ids(
-    edges_ds, num_partitions=None, max_iterations: int = 50
+    edges, num_partitions=None, max_iterations: int = 50
 ):
     """int edges (left_id, right_id) → labels (node:int64,
-    cluster_label:int64) over the connected node set. cluster_label = min
-    node id of the component (min-label fixpoint), so labels are stable and
-    join-free to interpret. Only nodes that appear in an edge are labeled
-    (singletons are handled by the merge stage).
+    cluster_label:int64) over the connected node set, of the kind given
+    (``exchange.Blocks`` or a Dataset). cluster_label = min node id of the
+    component (min-label fixpoint), so labels are stable and join-free to
+    interpret. Only nodes that appear in an edge are labeled (singletons
+    are handled by the merge stage).
 
     Fully distributed min-label propagation with STATIONARY edge partitions:
     edges are hash-partitioned by src exactly once
@@ -343,47 +345,45 @@ def connected_components_labelprop_ids(
     fewer than diameter rounds (measured: 19 rounds on a 2M-edge / 95k-node
     web fixture with deep chain components). Safe when the connected-node
     set exceeds driver memory."""
-    from entity_resolution_engine_ray.stages.exchange import exchange_partition_refs
+    from entity_resolution_engine_ray.stages.exchange import (
+        Blocks,
+        _as_given,
+        _kept,
+        as_blocks,
+        cluster_cpus,
+        exchange_partition_refs,
+    )
 
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
+    blocks = as_blocks(edges)
+    n_edges = blocks.count()
+    cpus = cluster_cpus()
     # width sized by the DIRECTED edge count but with the round-loop cost
     # model (_lp_partitions), NOT the one-shot-shuffle formula
-    P = num_partitions or _lp_partitions(2 * n_edges)
+    P = num_partitions or _lp_partitions(2 * n_edges, cpus)
     if n_edges == 0:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], type=pa.int64()),
-                    "cluster_label": pa.array([], type=pa.int64()),
-                }
-            )
-        )
-    edge_parts = exchange_partition_refs(edges, ["src"], P, block_fn=_both_orientations)
+        return _as_given((edges,), Blocks.of(_LABELS.empty_table()))
+    edge_parts = exchange_partition_refs(blocks, ["src"], P, block_fn=_both_orientations)
     inits = [_lp_init_from_edges.remote(e) for e in edge_parts]
     edge_parts, labels_parts = [e for e, _ in inits], [l for _, l in inits]
-    labels_parts = _lp_run(edge_parts, labels_parts, P, max_iterations)
+    labels_parts = _lp_run(edge_parts, labels_parts, P, max_iterations, cpus)
 
     emitted = [_lp_emit_ids.remote(l) for l in labels_parts]
-    tables = [t for t, _ in emitted]
     counts = ray.get([c for _, c in emitted])
-    keep = [t for t, n in zip(tables, counts) if n > 0]
-    if not keep:
-        keep = [tables[0]]
-    return rd.from_arrow_refs(keep)
+    return _as_given((edges,), _kept([t for t, _ in emitted], counts))
 
 
-def cluster_label_map(edges_ds) -> tuple[np.ndarray, np.ndarray]:
+def cluster_label_map(edges) -> tuple[np.ndarray, np.ndarray]:
     """(left_id, right_id) int64 edges → driver-side ``(nodes, roots)`` by
     ``connected_roots`` over the collected id columns: two int64 arrays
     over the connected nodes, root = min member id. For inputs whose edge
     list exceeds driver memory use ``connected_components_labelprop_ids``
-    (the fully-distributed path) instead. The blocks are fetched with
-    ``ray.get``, so in-memory edges cost no Ray Data execution."""
-    from entity_resolution_engine_ray.stages.exchange import _arrow_refs, _ensure_table
+    (the fully-distributed path) instead. The blocks (``exchange.Blocks``
+    or a Dataset's) are fetched with ``ray.get``, so in-memory edges cost
+    no Ray Data execution."""
+    from entity_resolution_engine_ray.stages.exchange import _ensure_table, as_blocks
 
     src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for b in map(_ensure_table, ray.get(_arrow_refs(edges_ds))):
+    for b in map(_ensure_table, ray.get(list(as_blocks(edges).refs))):
         if b.num_rows:
             src.append(_np_col(b, "left_id"))
             dst.append(_np_col(b, "right_id"))
@@ -394,10 +394,12 @@ def attach_labels(
     ds, id_col: str, labels_ds, num_partitions: int | None = None, columns: list[str] | None = None
 ):
     """Every row of ``ds`` gains ``cluster_label``: its ``id_col``'s label
-    from a (node, cluster_label) Dataset, or the id itself when the id has
-    no edge. One co-partitioned exchange (``exchange.hash_exchange_cogroup``
-    on the 8-byte id) and a ``label_of`` per partition — no driver-side map,
-    so it is safe when the connected-node set is O(corpus).
+    from a (node, cluster_label) table, or the id itself when the id has
+    no edge. Both inputs are ``exchange.Blocks`` or Datasets; the result is
+    Blocks when both are. One co-partitioned exchange
+    (``exchange.hash_exchange_cogroup`` on the 8-byte id) and a
+    ``label_of`` per partition — no driver-side map, so it is safe when the
+    connected-node set is O(corpus).
 
     ``columns``: keep only these columns of ``ds`` (plus ``cluster_label``);
     the projection runs in the exchange's split tasks, so the dropped

@@ -17,6 +17,13 @@ Results are identical to ``grouping.partition_map_groups`` for any
 per-group-pure function (same partitioner hash). Deterministic: partition
 assignment depends only on key values.
 
+Stages hand each other ``Blocks``: block refs with the row counts that the
+tasks making them report. Every entry point takes ``Blocks`` or a Dataset
+and returns the kind it was given, so a pipeline passing Blocks builds no
+Dataset between stages (each costs a stats-actor round trip, and reading
+its blocks back a ``materialize()`` walk); a Dataset result is wrapped
+once, at the return.
+
 Two ways to transform blocks that are already in the object store without a
 Ray Data execution (each costs ~40 ms of streaming-executor start-up and
 polling on a small host, against ~3 ms for one plain task per block):
@@ -27,14 +34,15 @@ polling on a small host, against ~3 ms for one plain task per block):
   MapReduce map stage does. The mapped rows exist only inside that task,
   so a fat intermediate (e.g. features × bands rows) is never materialized
   whole. The width auto-sizing still counts the input rows.
-- ``map_blocks(ds, fn)``: one plain task per block, for a per-block
+- ``map_blocks(data, fn)``: one plain task per block, for a per-block
   function that no exchange follows.
 
-``union_blocks`` unions such Datasets by their block refs.
+``union_blocks`` unions such inputs by their block refs.
 
-Either function must accept a zero-row block, including the zero-column
-blocks a 0-row Dataset can surface, and should return its typed empty
-output for it.
+Either function must accept a zero-row block, and should return its typed
+empty output for it. A zero-COLUMN block reaches it only from a 0-row
+Dataset input with no typed block (a filter or map over no rows emits
+them).
 
 Scale notes (both matter at 100 TB and were measured locally):
 
@@ -43,14 +51,16 @@ Scale notes (both matter at 100 TB and were measured locally):
   buffers in full (measured: a 1% slice of a 41 MB string table pickles to
   41 MB), so a slice-based split amplifies shuffle bytes ×P. ``take``
   produces compact, truncated buffers.
-- Input blocks are coalesced into at most ``max_split_tasks`` split groups
-  before partitioning, so the intermediate object count is
+- Input blocks are coalesced into at most ``max(8, cluster CPUs)`` split
+  groups before partitioning, so the intermediate object count is
   O(split_tasks × P), not O(input_blocks × P) — checkpoint re-reads and
   fine-grained upstream stages would otherwise explode the object count
   (measured 3× wall-time at 172 input blocks vs 86 on identical data).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -99,73 +109,103 @@ def _partition_hash(tbl: pa.Table, key_cols: list[str], num_partitions: int) -> 
         return (h % np.uint64(num_partitions)).astype(np.int64)
 
 
-def _arrow_refs(ds) -> list:
-    """Arrow block refs of ``ds`` WITHOUT the schema probe.
-
-    ``Dataset.to_arrow_refs()`` ends with ``schema(fetch_if_missing=True)``,
-    which on a lazy (non-materialized) dataset launches a SECOND limit-1
-    execution of the entire upstream plan — measured 33.6 s against a 38.2 s
-    real pass at 1M pages (the limit-1 still runs whole upstream blocks).
-    Every producer in this engine emits Arrow blocks (map_batches
-    batch_format="pyarrow" / read_parquet / from_arrow_refs), so the
-    zero-copy path is guaranteed and the probe is pure waste: flatten the
-    ref bundles directly."""
-    return _arrow_refs_counted(ds)[0]
+def cluster_cpus() -> int:
+    """The cluster's CPU count, 8 before ``ray.init``. A GCS round trip, so
+    each exchange or labelprop call reads it once and passes it down."""
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
-def _arrow_refs_counted(ds) -> tuple[list, int | None]:
-    """(block refs, total rows) in ONE bundle walk — the row count comes
-    from block METADATA (RefBundle.num_rows), so auto-sizing the exchange
-    width by actual input size costs nothing extra. Rows may be None when
-    a bundle lacks metadata; callers fall back to the CPU-floor width.
+@dataclass(frozen=True)
+class Blocks:
+    """In-memory Arrow blocks handed from stage to stage in place of a
+    Dataset: the block refs, in order, and each block's row count.
 
-    The walk goes through ``materialize()``: a lazy plan executes once
-    either way, but a Dataset over blocks already in the object store (a
-    ``from_arrow_refs`` output) then hands its refs over without starting a
-    streaming execution of its trivial plan."""
-    refs: list = []
-    total = 0
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-        n = bundle.num_rows()
-        if n is None:
-            total = None
-        if total is not None:
-            total += n
-    return refs, total
+    Built from the counts the producing tasks return, so it costs no task,
+    no stats-actor round trip and no metadata walk. A Blocks a stage makes
+    is never empty: a zero-row one is a single typed zero-row block, so
+    every consumer still sees the schema. The read methods are the few
+    Dataset reads its callers use; ``to_dataset`` wraps it at a public
+    boundary."""
+
+    refs: tuple
+    rows: tuple
+
+    @classmethod
+    def of(cls, table: pa.Table) -> Blocks:
+        return cls((ray.put(table),), (table.num_rows,))
+
+    def count(self) -> int:
+        return sum(self.rows)
+
+    def schema(self) -> pa.Schema:
+        return ray.get(self.refs[0]).schema
+
+    def iter_batches(self, batch_format: str = "pyarrow"):
+        if batch_format != "pyarrow":
+            raise ValueError(f"Blocks.iter_batches: pyarrow batches only, not {batch_format!r}")
+        for ref in self.refs:
+            yield ray.get(ref)
+
+    def select_columns(self, cols: list[str]) -> Blocks:
+        return map_blocks(self, lambda t: t.select(cols))
+
+    def to_pandas(self) -> pd.DataFrame:
+        return typed_to_pandas(self)
+
+    def to_dataset(self) -> rd.Dataset:
+        return rd.from_arrow_refs(list(self.refs))
 
 
-def _default_split_tasks() -> int:
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(8, cpus)
+def _kept(refs, rows) -> Blocks:
+    """Blocks over the refs that have rows, or over the first ref when none
+    has (its typed zero-row table keeps the schema)."""
+    keep = [(r, n) for r, n in zip(refs, rows) if n > 0] or [(refs[0], rows[0])]
+    return Blocks(tuple(r for r, _ in keep), tuple(n for _, n in keep))
 
 
-def _coalesce_refs(refs: list, max_groups: int) -> list[list]:
+def as_blocks(data) -> Blocks:
+    """``data`` as ``Blocks``. A Dataset executes once if it is lazy and
+    hands over its non-empty block refs with their metadata row counts —
+    one walk, no block is read. With no rows it keeps one zero-row block, a
+    typed one where it has one; with no block at all, one of its schema
+    (free to fetch: such a Dataset is fully executed), column-less when
+    even that is unknown."""
+    if isinstance(data, Blocks):
+        return data
+    refs, rows, typed, empty = [], [], [], []
+    for bundle in data.materialize().iter_internal_ref_bundles():
+        has_columns = bundle.schema is not None and len(bundle.schema.names) > 0
+        for ref, meta in bundle.blocks:
+            if meta.num_rows:
+                refs.append(ref)
+                rows.append(meta.num_rows)
+            else:
+                (typed if has_columns else empty).append(ref)
+    if refs:
+        return Blocks(tuple(refs), tuple(rows))
+    if typed or empty:
+        return Blocks(((typed or empty)[0],), (0,))
+    base = getattr(data.schema(fetch_if_missing=True), "base_schema", None)
+    return Blocks.of(base.empty_table() if isinstance(base, pa.Schema) else pa.table({}))
+
+
+def _as_given(inputs: tuple, out: Blocks):
+    """``out`` as the kind the entry point was given: ``Blocks`` when every
+    input was one, else a Dataset over its blocks — the one wrap."""
+    return out if all(isinstance(d, Blocks) for d in inputs) else out.to_dataset()
+
+
+def _coalesce_refs(refs, max_groups: int) -> list[list]:
     """Contiguous grouping of block refs into ≤ max_groups split tasks."""
     n = len(refs)
     g = min(n, max_groups)
     bounds = np.linspace(0, n, g + 1).astype(int)
-    return [refs[bounds[i] : bounds[i + 1]] for i in range(g) if bounds[i] < bounds[i + 1]]
-
-
-def _empty_block_like(ds) -> pa.Table:
-    """Typed zero-row table matching ``ds``'s schema (a dataset with zero
-    block refs is already fully executed, so the schema fetch is free);
-    falls back to a column-less table when even the schema is unknown."""
-    try:
-        sch = ds.schema(fetch_if_missing=True)
-        base = getattr(sch, "base_schema", sch)
-        if isinstance(base, pa.Schema):
-            return base.empty_table()
-    except Exception:  # noqa: BLE001 - schema probe must never kill the exchange
-        pass
-    return pa.table({})
+    return [list(refs[bounds[i] : bounds[i + 1]]) for i in range(g) if bounds[i] < bounds[i + 1]]
 
 
 def _ensure_table(block) -> pa.Table:
-    # blocks are Arrow throughout this engine, but two sources of pandas
-    # blocks exist: from_pandas datasets, and the source blocks a 0-row
-    # dataset surfaces when its lazy map_batches is skipped entirely
+    # blocks are Arrow throughout this engine, but a from_pandas Dataset
+    # input hands over pandas blocks
     if isinstance(block, pa.Table):
         return block
     return pa.Table.from_pandas(block, preserve_index=False)
@@ -173,22 +213,19 @@ def _ensure_table(block) -> pa.Table:
 
 def project_block(t: pa.Table, cols: list[str]) -> pa.Table:
     """Per-block projection for a map-side function: ``cols`` of ``t``, or
-    a zero-column table for a zero-row block that lacks them (the source
-    blocks of a skipped lazy map); ``_merge_tables`` then prefers a typed
-    block wherever one exists."""
+    a zero-column table for a zero-row block that lacks them (a 0-row
+    Dataset input with no typed block, see the module docstring)."""
     if t.num_rows == 0 and not set(cols) <= set(t.column_names):
         return pa.table({})
     return t.select(cols)
 
 
 def _merge_tables(tbls) -> pa.Table:
-    """Concatenate the non-empty tables; with none, the first zero-row
-    table that has columns (a zero-column block from a skipped lazy map
-    must not stand in for a typed one), else the first."""
+    """Concatenate the non-empty tables; with none, the first."""
     parts = [t for t in tbls if t.num_rows > 0]
     if parts:
         return pa.concat_tables(parts, promote_options="default") if len(parts) > 1 else parts[0]
-    return next((t for t in tbls if t.num_columns), tbls[0])
+    return tbls[0]
 
 
 def _mapped_input(block_fn, tbls) -> pa.Table:
@@ -203,8 +240,8 @@ def _mapped_input(block_fn, tbls) -> pa.Table:
 def _split_block(key_cols: list[str], num_partitions: int, block_fn, *tbls: pa.Table):
     tbl = _mapped_input(block_fn, tbls)
     if tbl.num_rows == 0:
-        # nothing to hash — a 0-row dataset's skipped lazy map can surface
-        # zero-COLUMN source blocks that would KeyError on the key lookup
+        # nothing to hash — and a column-less block would KeyError on the
+        # key lookup
         return tuple([tbl] * num_partitions) if num_partitions > 1 else tbl
     pg = _partition_hash(tbl, key_cols, num_partitions)
     order = np.argsort(pg, kind="stable")
@@ -263,15 +300,16 @@ def _reduce_cogroup(fn, n_left: int, *subtables: pa.Table):
     return out, out.num_rows
 
 
-def _split_all(refs: list, key_cols: list[str], num_partitions: int, block_fn) -> list:
-    """Stage 1 over ``refs``: coalesced split tasks, each ``block_fn``
-    first. ``result[b][p]`` is split b's sub-table for partition p (a
-    single ref per split when ``num_partitions`` is 1)."""
+def _split_all(refs, key_cols: list[str], num_partitions: int, block_fn, cpus: int) -> list:
+    """Stage 1 over ``refs``: at most ``max(8, cpus)`` coalesced split
+    tasks, each ``block_fn`` first. ``result[b][p]`` is split b's
+    sub-table for partition p (a single ref per split when
+    ``num_partitions`` is 1)."""
     return [
         _split_block.options(num_returns=num_partitions).remote(
             key_cols, num_partitions, block_fn, *group
         )
-        for group in _coalesce_refs(refs, _default_split_tasks())
+        for group in _coalesce_refs(refs, max(8, cpus))
     ]
 
 
@@ -279,18 +317,18 @@ def _partition_subs(splits: list, p: int, num_partitions: int) -> list:
     return [s[p] for s in splits] if num_partitions > 1 else list(splits)
 
 
-def _dataset_of(reduced: list, count_refs: list):
-    """Dataset over the reduce outputs with rows, or over the first output
-    when all are empty so the schema survives (Ray's hash join mishandles
-    some empty-block layouts). Only the row counts reach the driver."""
-    n_rows = ray.get(count_refs)
-    keep = [r for r, n in zip(reduced, n_rows) if n > 0]
-    return rd.from_arrow_refs(keep or [reduced[0]])
+def _width(num_partitions: int | None, n_rows: int, cpus: int) -> int:
+    """An explicit width, else ``grouping.auto_partitions`` of the rows."""
+    if num_partitions is not None:
+        return num_partitions
+    from entity_resolution_engine_ray.stages.grouping import auto_partitions
+
+    return auto_partitions(n_rows, cpus=cpus)
 
 
 def hash_exchange_cogroup(
-    left_ds,
-    right_ds,
+    left,
+    right,
     left_keys: list[str],
     right_keys: list[str],
     fn,
@@ -298,35 +336,22 @@ def hash_exchange_cogroup(
     left_block_fn=None,
     right_block_fn=None,
 ):
-    """Co-partitioned two-sided exchange: rows of both datasets with the
+    """Co-partitioned two-sided exchange: rows of both inputs with the
     same key hash meet in one partition; ``fn(left_pdf, right_pdf)`` runs
     once per partition (the task-level hash join / cogroup primitive —
     key semantics are up to ``fn``). ``num_partitions=None`` →
-    ``grouping.auto_partitions(rows)`` sized by the LARGER side's actual
-    row count (free — block metadata), CPU floor when metadata is absent.
-    ``left_block_fn`` / ``right_block_fn``: map-side functions applied to
-    each block of that side in its split tasks."""
-    l_refs, l_rows = _arrow_refs_counted(left_ds)
-    r_refs, r_rows = _arrow_refs_counted(right_ds)
-    # a zero-block side must still reach fn as a TYPED empty frame — with
-    # no left sub-tables the reduce fallback would otherwise hand fn the
-    # first RIGHT sub-table as its left argument (and an empty right side
-    # would IndexError); synthesize one empty block from the side's schema
-    if not l_refs:
-        l_refs = [ray.put(_empty_block_like(left_ds))]
-        l_rows = 0
-    if not r_refs:
-        r_refs = [ray.put(_empty_block_like(right_ds))]
-        r_rows = 0
-    if num_partitions is None:
-        from entity_resolution_engine_ray.stages.grouping import auto_partitions
+    ``grouping.auto_partitions(rows)`` sized by the LARGER side's row
+    count. ``left_block_fn`` / ``right_block_fn``: map-side functions
+    applied to each block of that side in its split tasks.
 
-        # either side metadata-less → no hint (CPU floor): a known-small
-        # side must not collapse the width under an unknown-LARGE one
-        hint = None if (l_rows is None or r_rows is None) else max(l_rows, r_rows)
-        num_partitions = auto_partitions(hint)
-    l_splits = _split_all(l_refs, left_keys, num_partitions, left_block_fn)
-    r_splits = _split_all(r_refs, right_keys, num_partitions, right_block_fn)
+    A side with no rows still reaches ``fn`` as a TYPED empty frame (see
+    ``as_blocks``), so ``fn`` never gets the right side's sub-tables as its
+    left argument."""
+    lb, rb = as_blocks(left), as_blocks(right)
+    cpus = cluster_cpus()
+    num_partitions = _width(num_partitions, max(lb.count(), rb.count()), cpus)
+    l_splits = _split_all(lb.refs, left_keys, num_partitions, left_block_fn, cpus)
+    r_splits = _split_all(rb.refs, right_keys, num_partitions, right_block_fn, cpus)
     reduced, counts = [], []
     for p in range(num_partitions):
         lsub = _partition_subs(l_splits, p, num_partitions)
@@ -334,20 +359,18 @@ def hash_exchange_cogroup(
         t_ref, c_ref = _reduce_cogroup.remote(fn, len(lsub), *(lsub + rsub))
         reduced.append(t_ref)
         counts.append(c_ref)
-    return _dataset_of(reduced, counts)
+    return _as_given((left, right), _kept(reduced, ray.get(counts)))
 
 
-def typed_to_pandas(ds) -> pd.DataFrame:
+def typed_to_pandas(data) -> pd.DataFrame:
     """Schema-preserving driver collect. ``Dataset.to_pandas()`` on a
     fully-EMPTY dataset returns a column-less frame even when every block
     is a typed 0-row table (Ray 2.49 — verified with both Arrow and pandas
     blocks), so downstream ``df[col]`` access KeyErrors on legitimately
-    empty results. Concatenating the materialized block tables directly
-    keeps the schema; for non-empty datasets this is equivalent to (and no
-    slower than) ``to_pandas``."""
-    tbls = [_ensure_table(t) for t in ray.get(_arrow_refs(ds))]
-    if not tbls:
-        return pd.DataFrame()
+    empty results. Concatenating the block tables directly keeps the
+    schema; for non-empty inputs this is equivalent to (and no slower
+    than) ``to_pandas``."""
+    tbls = [_ensure_table(t) for t in ray.get(list(as_blocks(data).refs))]
     return pa.concat_tables(tbls, promote_options="default").to_pandas()
 
 
@@ -357,24 +380,20 @@ def _concat_parts(*subtables: pa.Table) -> pa.Table:
 
 
 def exchange_partition_refs(
-    ds, key_cols: list[str], num_partitions: int | None = None, block_fn=None
+    data, key_cols: list[str], num_partitions: int | None = None, block_fn=None
 ) -> list:
-    """Hash-partition ``ds`` ONCE and return the P partition tables as object
-    refs (index p = partition p — alignment is guaranteed, empty partitions
-    included). The building block for ITERATIVE algorithms where one side
-    stays stationary across rounds (connected components: edges are
-    partitioned once; only labels/candidates move per round).
+    """Hash-partition ``data`` ONCE and return the P partition tables as
+    object refs (index p = partition p — alignment is guaranteed, empty
+    partitions included). The building block for ITERATIVE algorithms where
+    one side stays stationary across rounds (connected components: edges
+    are partitioned once; only labels/candidates move per round).
     ``num_partitions=None`` → ``grouping.auto_partitions(rows)`` sized by
-    the actual input row count (free — block metadata). ``block_fn``: the
-    map-side function each split task applies to its blocks."""
-    refs, n_rows = _arrow_refs_counted(ds)
-    if num_partitions is None:
-        from entity_resolution_engine_ray.stages.grouping import auto_partitions
-
-        num_partitions = auto_partitions(n_rows)
-    if not refs:
-        raise ValueError("exchange_partition_refs: empty dataset")
-    splits = _split_all(refs, key_cols, num_partitions, block_fn)
+    the input row count. ``block_fn``: the map-side function each split
+    task applies to its blocks."""
+    blocks = as_blocks(data)
+    cpus = cluster_cpus()
+    num_partitions = _width(num_partitions, blocks.count(), cpus)
+    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus)
     return [
         _concat_parts.remote(*_partition_subs(splits, p, num_partitions))
         for p in range(num_partitions)
@@ -397,7 +416,7 @@ def _reduce_counted(fn, arrow_fns: bool, *subtables: pa.Table):
 
 
 def hash_exchange_chained(
-    ds,
+    data,
     keys1: list[str],
     fn1,
     p1: int,
@@ -418,9 +437,9 @@ def hash_exchange_chained(
     remains (the final row counts — by then all work is done anyway).
 
     Stage-1 counts: ``fn1`` may return ``(table, counts)`` with a dict of
-    int counts kept out of band of the rows. Returns ``(Dataset, totals)``,
-    ``totals`` the key-wise sum of ``fn1``'s count dicts (``{}`` when it
-    returned none or there were no rows).
+    int counts kept out of band of the rows. Returns ``(result, totals)``,
+    ``result`` of the kind given, ``totals`` the key-wise sum of ``fn1``'s
+    count dicts (``{}`` when it returned none or there were no rows).
 
     ``arrow_fns``: both fns take and return ``pa.Table`` (no pandas
     round-trip — see ``_reduce_partition_arrow``). ``block_fn``: the
@@ -438,10 +457,9 @@ def hash_exchange_chained(
         raise ValueError(
             f"hash_exchange_chained: partition counts must be >= 1 (got p1={p1}, p2={p2})"
         )
-    block_refs = _arrow_refs(ds)
-    if not block_refs:
-        return rd.from_items([]), {}
-    splits1 = _split_all(block_refs, keys1, p1, block_fn)
+    blocks = as_blocks(data)
+    cpus = cluster_cpus()
+    splits1 = _split_all(blocks.refs, keys1, p1, block_fn, cpus)
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     # stage-1 reduce → immediately a stage-2 split on the SAME ref: no
     # driver involvement between the waves
@@ -455,39 +473,16 @@ def hash_exchange_chained(
         t_ref, n_ref = reduce_task.remote(fn2, *_partition_subs(splits2, q, p2))
         reduced.append(t_ref)
         rows.append(n_ref)
-    out = _dataset_of(reduced, rows)
+    out = _kept(reduced, ray.get(rows))
     totals: dict = {}
     for c in ray.get(count_refs):
         for k, v in c.items():
             totals[k] = totals.get(k, 0) + v
-    return out, totals
-
-
-def _map_groups_refs(
-    ds, key_cols: list[str], fn, num_partitions=None, arrow_fns=False, block_fn=None
-) -> tuple[list, list]:
-    """``hash_exchange_map_groups`` up to its reduce tasks: (table refs,
-    row-count refs), one each per partition; ``([], [])`` for a Dataset
-    with no blocks."""
-    block_refs, n_rows = _arrow_refs_counted(ds)
-    if num_partitions is None:
-        from entity_resolution_engine_ray.stages.grouping import auto_partitions
-
-        num_partitions = auto_partitions(n_rows)
-    if not block_refs:
-        return [], []
-    splits = _split_all(block_refs, key_cols, num_partitions, block_fn)
-    reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
-    reduced, counts = [], []
-    for p in range(num_partitions):
-        table_ref, count_ref = reduce_task.remote(fn, *_partition_subs(splits, p, num_partitions))
-        reduced.append(table_ref)
-        counts.append(count_ref)
-    return reduced, counts
+    return _as_given((data,), out), totals
 
 
 def hash_exchange_map_groups(
-    ds,
+    data,
     key_cols: list[str],
     fn,
     num_partitions: int | None = None,
@@ -499,47 +494,49 @@ def hash_exchange_map_groups(
     handle an empty input frame, and be per-group-pure — the same contract
     as grouping.partition_map_groups. ``arrow_fns=True``: ``fn`` takes and
     returns ``pa.Table`` (no pandas round-trip). ``num_partitions=None`` →
-    ``grouping.auto_partitions(rows)`` sized by the actual input row count
-    (free — block metadata). ``block_fn``: the map-side function the split
-    tasks apply to each input block before hashing."""
-    reduced, counts = _map_groups_refs(ds, key_cols, fn, num_partitions, arrow_fns, block_fn)
-    if not reduced:
-        return rd.from_items([])
-    return _dataset_of(reduced, counts)
+    ``grouping.auto_partitions(rows)`` sized by the input row count.
+    ``block_fn``: the map-side function the split tasks apply to each input
+    block before hashing. Returns the kind it was given."""
+    blocks = as_blocks(data)
+    cpus = cluster_cpus()
+    num_partitions = _width(num_partitions, blocks.count(), cpus)
+    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus)
+    reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
+    reduced, counts = [], []
+    for p in range(num_partitions):
+        table_ref, count_ref = reduce_task.remote(fn, *_partition_subs(splits, p, num_partitions))
+        reduced.append(table_ref)
+        counts.append(count_ref)
+    return _as_given((data,), _kept(reduced, ray.get(counts)))
 
 
 @ray.remote(num_returns=2)
 def _map_block(fn, block):
     out = fn(_ensure_table(block))
-    return out, (out.num_rows, out.num_columns)
+    return out, out.num_rows
 
 
-def _map_block_refs(ds, fn) -> list:
-    """One ``_map_block`` task per block of ``ds`` → [(table ref, (rows,
-    columns) ref)]. A Dataset with no blocks maps one typed empty block
-    from its schema."""
-    refs = _arrow_refs(ds) or [ray.put(_empty_block_like(ds))]
-    return [_map_block.remote(fn, r) for r in refs]
+def _map_block_refs(data, fn) -> list:
+    """One ``_map_block`` task per block of ``data`` → [(table ref, rows
+    ref)]."""
+    return [_map_block.remote(fn, r) for r in as_blocks(data).refs]
 
 
-def map_blocks(ds, fn):
-    """``fn(pa.Table) -> pa.Table`` over every block of ``ds`` with one
+def map_blocks(data, fn):
+    """``fn(pa.Table) -> pa.Table`` over every block of ``data`` with one
     plain task per block — no Ray Data execution, for blocks that are
-    already in the object store (a lazy ``ds`` executes once to produce
-    them). Returns a Dataset over the non-empty outputs; when every output
-    is empty, over one of them, preferring one that has columns, so the
-    result stays typed."""
-    outs = _map_block_refs(ds, fn)
-    shapes = ray.get([s for _, s in outs])
-    keep = [t for (t, _), (n, _c) in zip(outs, shapes) if n > 0]
-    if not keep:
-        typed = [t for (t, _), (_n, c) in zip(outs, shapes) if c > 0]
-        keep = typed[:1] or [outs[0][0]]
-    return rd.from_arrow_refs(keep)
+    already in the object store (a lazy Dataset executes once to produce
+    them). The result, of the kind given, holds the non-empty outputs, or
+    the first output when all are empty, so it stays typed."""
+    outs = _map_block_refs(data, fn)
+    return _as_given((data,), _kept([t for t, _ in outs], ray.get([n for _, n in outs])))
 
 
-def union_blocks(*datasets):
-    """A Dataset over every block of ``datasets``, in order: the union of
-    Datasets whose blocks are already in the object store, by handing their
-    refs on — ``Dataset.union`` would start a Ray Data execution."""
-    return rd.from_arrow_refs([r for ds in datasets for r in _arrow_refs(ds)])
+def union_blocks(*inputs):
+    """Every block of ``inputs``, in order, without executing anything —
+    ``Dataset.union`` would start a Ray Data execution. A Blocks when every
+    input is one, else a Dataset."""
+    parts = [as_blocks(d) for d in inputs]
+    refs = [r for b in parts for r in b.refs]
+    rows = [n for b in parts for n in b.rows]
+    return _as_given(inputs, _kept(refs, rows))

@@ -24,6 +24,7 @@ def auto_partitions(
     n_rows_hint: int | None = None,
     rows_per_partition: int = 50_000,
     min_rows_per_partition: int = 2_000,
+    cpus: int | None = None,
 ) -> int:
     """Shuffle width that scales with BOTH the cluster and the data — the
     flagship edge-shuffle formula (stages/score.py, A/B-verified at sf0.1:
@@ -37,10 +38,11 @@ def auto_partitions(
     fixture must not pay a 48-task exchange — partitioning is distribution,
     not semantics, so fewer partitions on small data is pure win); hard cap
     65,536 (beyond that per-task scheduling overhead dominates). Without a
-    row hint, 1.5 × CPUs."""
-    import ray
+    row hint, 1.5 × CPUs. ``cpus``: the cluster's CPU count when the caller
+    has read it already (``exchange.cluster_cpus``)."""
+    from entity_resolution_engine_ray.stages.exchange import cluster_cpus
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    cpus = cluster_cpus() if cpus is None else cpus
     floor = max(1, int(1.5 * cpus))
     if n_rows_hint is None:
         return min(floor, 65_536)
@@ -60,8 +62,9 @@ def partition_map_groups(
     """Apply ``fn(pdf)`` once per hash partition of ``key_cols``; ``fn`` must
     itself group by ``key_cols`` (vectorized), tolerate an empty frame, and
     return a DataFrame. Runs on the task-based hash exchange
-    (stages/exchange) — no sort, one pass. ``num_partitions=None`` sizes the
-    width from the input's actual row count (block metadata — free), not
+    (stages/exchange) — no sort, one pass — over a Dataset or an
+    ``exchange.Blocks``, and returns the kind it was given.
+    ``num_partitions=None`` sizes the width from the input's row count, not
     just the CPU floor; pass an explicit count or a row-count-derived
     ``auto_partitions(n)`` to pin it. ``arrow_fns=True``: ``fn`` takes and
     returns ``pa.Table`` directly — use for partitions carrying list or

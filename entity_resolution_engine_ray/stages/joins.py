@@ -19,10 +19,9 @@ from __future__ import annotations
 
 
 def default_join_partitions() -> int:
-    import ray
+    from entity_resolution_engine_ray.stages.exchange import cluster_cpus
 
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(4, cpus)
+    return max(4, cluster_cpus())
 
 
 def safe_join(

@@ -88,12 +88,13 @@ _META_COLS = ["url", "warc_ts", "lang", "title_norm"]
 _LABELED_COLS = _META_COLS + ["cluster_label"]
 
 
-def label_features_broadcast(features_ds, label_map_ref):
+def label_features_broadcast(features, label_map_ref):
     """Fast path: attach cluster labels to every page with one plain task
-    per in-memory features block (``exchange.map_blocks``) against the
-    broadcast ``(nodes, roots)`` arrays of ``cluster_label_map``
-    (``ray.put`` once, read per task — never re-shipped per block).
-    Singletons label with their own url hash."""
+    per in-memory features block (``exchange.map_blocks``; ``Blocks`` or a
+    Dataset, returned in kind) against the broadcast ``(nodes, roots)``
+    arrays of ``cluster_label_map`` (``ray.put`` once, read per task —
+    never re-shipped per block). Singletons label with their own url
+    hash."""
     import ray
 
     from entity_resolution_engine_ray.stages.cluster import label_of
@@ -109,20 +110,20 @@ def label_features_broadcast(features_ds, label_map_ref):
             "cluster_label", pa.array(labels, type=pa.int64())
         )
 
-    return map_blocks(features_ds, add_label)
+    return map_blocks(features, add_label)
 
 
-def build_labeled(features_ds, labels_ds, num_partitions=None):
-    """Scale path: align page metadata with a labels *Dataset*
+def build_labeled(features, labels, num_partitions=None):
+    """Scale path: align page metadata with a labels table
     (``connected_components_labelprop_ids`` output: node:int64 =
     url_hash, cluster_label:int64) through ``cluster.attach_labels`` on the
     8-byte ``url_hash`` — one exchange, NO url strings on the join key, and
-    the metadata projection runs in its split tasks. Singletons (pages with
-    no approved edge) label with their own url_hash — the same label space
-    the broadcast path uses."""
+    the metadata projection runs in its split tasks. ``Blocks`` when both
+    inputs are. Singletons (pages with no approved edge) label with their
+    own url_hash — the same label space the broadcast path uses."""
     from entity_resolution_engine_ray.stages.cluster import attach_labels
 
-    return attach_labels(features_ds, "url_hash", labels_ds, num_partitions, columns=_META_COLS)
+    return attach_labels(features, "url_hash", labels, num_partitions, columns=_META_COLS)
 
 
 def _entity_schema(labeled: pa.Schema) -> pa.Schema:
@@ -161,11 +162,13 @@ def _typed_partition(fn, schema_of, cols: list[str]):
     return run
 
 
-def entities_from_labeled(labeled_ds, num_partitions: int | None = None):
+def entities_from_labeled(labeled, num_partitions: int | None = None):
+    """One survivorship row per cluster of ``labeled`` (``Blocks`` or a
+    Dataset, returned in kind)."""
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
     return partition_map_groups(
-        labeled_ds,
+        labeled,
         ["cluster_label"],
         _typed_partition(_survivor_partition, _entity_schema, _LABELED_COLS),
         num_partitions,
@@ -173,14 +176,16 @@ def entities_from_labeled(labeled_ds, num_partitions: int | None = None):
     )
 
 
-def lineage_from_labeled(labeled_ds, num_partitions: int | None = None):
+def lineage_from_labeled(labeled, num_partitions: int | None = None):
+    """One lineage row per page of ``labeled`` (``Blocks`` or a Dataset,
+    returned in kind)."""
     from entity_resolution_engine_ray.stages.exchange import project_block
     from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
     cols = ["url", "cluster_label"]
     # only url and label move through the exchange
     return partition_map_groups(
-        labeled_ds,
+        labeled,
         ["cluster_label"],
         _typed_partition(_lineage_partition, _lineage_schema, cols),
         num_partitions,

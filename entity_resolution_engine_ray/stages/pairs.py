@@ -101,9 +101,10 @@ def key_stats(
     exchange targets ~200k PRUNED rows per partition instead."""
     import ray
 
-    from entity_resolution_engine_ray.stages.exchange import _map_groups_refs
+    from entity_resolution_engine_ray.stages.exchange import as_blocks, hash_exchange_map_groups
 
-    n_rows = n_rows_hint if n_rows_hint is not None else block_rows_ds.count()
+    blocks = as_blocks(block_rows_ds)
+    n_rows = n_rows_hint if n_rows_hint is not None else blocks.count()
 
     def partial(t: pa.Table) -> pa.Table:
         return _key_counts(t if block_fn is None else block_fn(t))
@@ -111,14 +112,14 @@ def key_stats(
     # partial tables are ~n_distinct_keys rows; scale the summing exchange
     # with the input instead of paying 32 fixed tasks at 100k
     n_parts = int(min(32, max(4, n_rows // 500_000)))
-    reduced, _ = _map_groups_refs(
-        block_rows_ds, ["k"], _sum_multi, n_parts, arrow_fns=True, block_fn=partial
+    summed = hash_exchange_map_groups(
+        blocks, ["k"], _sum_multi, n_parts, arrow_fns=True, block_fn=partial
     )
     hot: dict[int, int] = {}
     key_chunks: list[np.ndarray] = []
     n_pairable = 0
     n_rows_multi = 0
-    for batch in ray.get(reduced):
+    for batch in ray.get(list(summed.refs)):
         if batch.num_rows == 0:
             continue
         ks = batch["k"].to_numpy()

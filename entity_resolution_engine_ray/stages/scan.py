@@ -204,7 +204,7 @@ def grouped_prefix_sum(
     in ``order_cols`` order (inclusive of the current row). ``order_cols``
     must be unique within a key for a deterministic result (window-SUM
     ROWS-frame semantics)."""
-    from entity_resolution_engine_ray.stages.exchange import _arrow_refs
+    from entity_resolution_engine_ray.stages.exchange import as_blocks
 
     sort_cols = key_cols + order_cols
     sorted_ds = (
@@ -212,7 +212,7 @@ def grouped_prefix_sum(
         .sort(_nullsort_keys(sort_cols))
         .materialize()
     )
-    refs = _arrow_refs(sorted_ds)
+    refs = as_blocks(sorted_ds).refs
     metas = ray.get(
         [_scan_block_meta.remote(key_cols, order_cols, value_col, r) for r in refs]
     )

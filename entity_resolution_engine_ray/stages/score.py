@@ -312,27 +312,34 @@ def _dedup_edges_partition(tbl: pa.Table) -> pa.Table:
 
 class DroppedPairs(int):
     """The pairs the sample cap dropped — an int, as every caller reads it —
-    with the pairs the SimHash prefilter dropped in ``prefiltered``."""
+    with the pairs the SimHash prefilter dropped in ``prefiltered``, and
+    ``prune_skipped``: the pairable key set went over its broadcast limit
+    (``pairs.key_stats``), so the singleton prune was skipped and every
+    band row was shipped."""
 
     prefiltered: int
+    prune_skipped: bool
 
-    def __new__(cls, dropped: int = 0, prefiltered: int = 0):
+    def __new__(cls, dropped: int = 0, prefiltered: int = 0, prune_skipped: bool = False):
         out = super().__new__(cls, dropped)
         out.prefiltered = int(prefiltered)
+        out.prune_skipped = bool(prune_skipped)
         return out
 
 
 def fused_edges_stage(
-    features_ds,
+    features,
     cfg: PagesERConfig | None = None,
     num_partitions: int | None = None,
     key_filter=None,
 ):
-    """features → scored+gated edge Dataset in two shuffles (fat-block
-    hash shuffle + slim edge dedup), replacing the pairgen + 2-join + score
-    chain. Returns ``(edges_ds, dropped)``: ``dropped`` is the cap's
+    """features → scored+gated edges in two shuffles (fat-block hash
+    shuffle + slim edge dedup), replacing the pairgen + 2-join + score
+    chain. Returns ``(edges, dropped)``: ``edges`` an ``exchange.Blocks``
+    (from features given as Blocks or a Dataset), ``dropped`` the cap's
     dropped-pair count as a ``DroppedPairs`` int, whose ``prefiltered``
-    holds the SimHash prefilter's count.
+    holds the SimHash prefilter's count and ``prune_skipped`` whether the
+    singleton prune was skipped.
 
     Both passes read the in-memory features blocks directly; the band
     explodes run as map-side functions inside the exchanges' split tasks
@@ -372,17 +379,20 @@ def fused_edges_stage(
     the 65,536 cap (~13G pruned rows ≈ 6×10⁸ pages) shard the corpus via
     the incremental ``key_filter`` path instead."""
     import ray
-    import ray.data as rd
 
-    from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained
+    from entity_resolution_engine_ray.stages.exchange import (
+        Blocks,
+        as_blocks,
+        hash_exchange_chained,
+    )
     from entity_resolution_engine_ray.stages.pairs import key_stats, pair_partitions
 
     cfg = cfg or PagesERConfig()
-    features_ds = features_ds.materialize()
-    n_band_rows = features_ds.count() * cfg.bands  # metadata-only count
+    features = as_blocks(features)
+    n_band_rows = features.count() * cfg.bands
     filter_ref = None if key_filter is None else ray.put(np.asarray(key_filter, dtype=np.int64))
     hot, pairable, n_pruned = key_stats(
-        features_ds,
+        features,
         cfg.max_block_size,
         n_rows_hint=n_band_rows,
         block_fn=functools.partial(_band_keys, allowed_ref=filter_ref),
@@ -395,10 +405,9 @@ def fused_edges_stage(
     keep_ref = filter_ref
     if pairable is not None:
         if len(pairable) == 0:
-            # no bucket has ≥2 members ⇒ no candidate pairs at all; return a
-            # TYPED empty edges Dataset (from_items([]) has no schema and
-            # breaks downstream decision filters)
-            return rd.from_arrow(_EDGE_SCHEMA.empty_table()), DroppedPairs()
+            # no bucket has ≥2 members ⇒ no candidate pairs at all: TYPED
+            # empty edges, so downstream decision filters see the schema
+            return Blocks.of(_EDGE_SCHEMA.empty_table()), DroppedPairs()
         # singleton-bucket prune: fat rows whose block key can never pair
         # (35% of band rows on the dense sf0.1 fixture, more on sparse
         # corpora) are dropped BEFORE the fat hash exchange — exactly
@@ -406,7 +415,7 @@ def fused_edges_stage(
         # the key_filter rows, so the pairable keys already lie inside it.
         keep_ref = ray.put(pairable)
     edges, counts = hash_exchange_chained(
-        features_ds,
+        features,
         ["block_key", "salt"],
         functools.partial(_pair_score_partition, cfg=cfg),
         num_partitions,
@@ -416,7 +425,9 @@ def fused_edges_stage(
         arrow_fns=True,
         block_fn=functools.partial(_fat_rows, keep_ref=keep_ref, hot=hot),
     )
-    return edges, DroppedPairs(counts.get("dropped", 0), counts.get("prefiltered", 0))
+    return edges, DroppedPairs(
+        counts.get("dropped", 0), counts.get("prefiltered", 0), prune_skipped=pairable is None
+    )
 
 
 def _decision_counts(t: pa.Table) -> pa.Table:
@@ -428,18 +439,19 @@ def _decision_counts(t: pa.Table) -> pa.Table:
     return pa.table({"decision": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
 
 
-def gate_metrics(edges_ds) -> dict:
+def gate_metrics(edges) -> dict:
     """Per-run routing metrics mirroring the reference's
     pipeline_run_metrics fields (validation/router.py:227-245).
 
     Decision counts come from one plain task per block of the edges
-    (``value_counts`` of the ``decision`` column) — the edges are already
-    in memory when the pipeline asks, so no Ray Data execution runs."""
+    (``Blocks`` or a Dataset; ``value_counts`` of the ``decision`` column)
+    — the edges are already in memory when the pipeline asks, so no Ray
+    Data execution runs."""
     import ray
 
     from entity_resolution_engine_ray.stages.exchange import _map_block_refs
 
-    tables = ray.get([t for t, _ in _map_block_refs(edges_ds, _decision_counts)])
+    tables = ray.get([t for t, _ in _map_block_refs(edges, _decision_counts)])
     counts: dict[str, int] = {}
     for t in tables:
         for d, n in zip(t["decision"].to_pylist(), t["n"].to_pylist()):

@@ -116,8 +116,14 @@ def validate_gray_zone(
 ):
     """Split edges by decision; validate the ``review`` slice in an actor
     pool; union the slices back (approved edge set may grow by
-    ``llm_approve``)."""
+    ``llm_approve``). The edges may be a Dataset or ``exchange.Blocks``;
+    the actor pool runs as a Ray Data execution, so Blocks are wrapped in a
+    Dataset here."""
     from entity_resolution_engine_ray.stages.block import default_pool_size
+    from entity_resolution_engine_ray.stages.exchange import Blocks
+
+    if isinstance(edges_ds, Blocks):
+        edges_ds = edges_ds.to_dataset()
 
     review = edges_ds.filter(expr="decision == 'review'")
     rest = edges_ds.filter(expr="decision != 'review'")

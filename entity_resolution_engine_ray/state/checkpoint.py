@@ -8,11 +8,12 @@ A killed job re-run skips every stage whose ``_DONE`` manifest matches and
 reads the checkpoint instead — the north rule's "resumes from the last
 completed stage".
 
-A write executes its stage once and hands the materialized blocks back to
-the caller, so a run reads Parquet only for the stages it resumes; the files
-are written from those same blocks, one small task per block, and a read
-is one ``pq.read_table`` task per part file — neither starts a Ray Data
-execution.
+Both sides deal in ``stages/exchange.Blocks``, the block list the pipeline
+stages hand each other. A write takes Blocks (or executes a Dataset once),
+writes each non-empty block with one small task and hands the same Blocks
+back, so a run reads Parquet only for the stages it resumes. A read is one
+``pq.read_table`` task per part file, with the row counts from the Parquet
+footers. Neither builds a Dataset or starts a Ray Data execution.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import uuid
 
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
-from entity_resolution_engine_ray.stages.exchange import _empty_block_like, _ensure_table
+from entity_resolution_engine_ray.stages.exchange import Blocks, _ensure_table, as_blocks
 
 DONE_FILE = "_DONE"
 
@@ -73,12 +73,15 @@ class CheckpointStore:
         d = self.stage_dir(stage)
         return [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
 
-    def read(self, stage: str) -> rd.Dataset:
-        """The stage checkpoint as a Dataset over in-memory blocks: one
-        ``pq.read_table`` task per part file, so its consumers hand the
-        block refs on without a Ray Data execution. A zero-row checkpoint
-        is its one typed zero-row file."""
-        return rd.from_arrow_refs([_read_part.remote(p) for p in self._part_files(stage)])
+    def read(self, stage: str) -> Blocks:
+        """The stage checkpoint as ``Blocks``: one ``pq.read_table`` task per
+        part file, in name order, each block's row count from its footer. A
+        zero-row checkpoint is its one typed zero-row file."""
+        parts = self._part_files(stage)
+        return Blocks(
+            tuple(_read_part.remote(p) for p in parts),
+            tuple(pq.read_metadata(p).num_rows for p in parts),
+        )
 
     def num_rows(self, stage: str) -> int:
         """The checkpoint's row count from its Parquet footers."""
@@ -88,33 +91,25 @@ class CheckpointStore:
         with open(self._manifest_path(stage)) as f:
             return json.load(f)
 
-    def write(self, ds: rd.Dataset, stage: str, params_hash: str, extra: dict | None = None) -> rd.Dataset:
-        """Execute ``ds`` once, store its blocks as the stage checkpoint and
-        return the materialized Dataset, so the next stage consumes the
-        in-memory blocks instead of reading the files back.
+    def write(self, data, stage: str, params_hash: str, extra: dict | None = None) -> Blocks:
+        """Store ``data`` (``Blocks``, or a Dataset, executed once) as the
+        stage checkpoint and return its Blocks, so the next stage consumes
+        the in-memory blocks instead of reading the files back.
 
         Each non-empty block becomes ``part-{i:05d}.parquet``; a zero-row
-        Dataset leaves one typed zero-row file, so a resumed run still sees
+        input leaves one typed zero-row file, so a resumed run still sees
         the schema. A failed write task raises before ``_DONE`` exists."""
-        ds = ds.materialize()
+        blocks = as_blocks(data)
         final = self.stage_dir(stage)
         tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
         os.makedirs(tmp)
-        refs = [
-            ref
-            for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks
-            if meta.num_rows != 0
-        ]
-        if refs:
-            ray.get(
-                [
-                    _write_block.remote(ref, os.path.join(tmp, f"part-{i:05d}.parquet"))
-                    for i, ref in enumerate(refs)
-                ]
-            )
-        else:
-            pq.write_table(_empty_block_like(ds), os.path.join(tmp, "part-00000.parquet"))
+        refs = [r for r, n in zip(blocks.refs, blocks.rows) if n] or blocks.refs[:1]
+        ray.get(
+            [
+                _write_block.remote(ref, os.path.join(tmp, f"part-{i:05d}.parquet"))
+                for i, ref in enumerate(refs)
+            ]
+        )
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
@@ -126,7 +121,7 @@ class CheckpointStore:
         }
         with open(self._manifest_path(stage), "w") as f:
             json.dump(manifest, f)
-        return ds
+        return blocks
 
     def write_table(self, table, stage: str, params_hash: str, extra: dict | None = None) -> None:
         """Small driver-side table checkpoint (metrics, gates)."""

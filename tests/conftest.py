@@ -44,3 +44,35 @@ def count_executions():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(StreamingExecutor, "execute", counting_execute)
         yield counter
+
+
+# the ray.data constructors that wrap blocks or files in a Dataset
+WRAPS = ("from_arrow_refs", "from_arrow")
+READS = ("read_parquet",)
+
+
+@contextmanager
+def count_datasets():
+    """Count the Datasets built inside the block through ``ray.data``'s
+    block wraps (``from_arrow_refs``, ``from_arrow``) and Parquet reads:
+    ``with count_datasets() as n: ...`` leaves ``n["wraps"]`` and
+    ``n["read_parquet"]``."""
+    import ray.data as rd
+
+    counter = {"wraps": 0, "read_parquet": 0}
+
+    def counting(name: str, key: str):
+        original = getattr(rd, name)
+
+        def wrapped(*args, **kwargs):
+            counter[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in WRAPS:
+            mp.setattr(rd, name, counting(name, "wraps"))
+        for name in READS:
+            mp.setattr(rd, name, counting(name, "read_parquet"))
+        yield counter

@@ -1,13 +1,15 @@
-"""Checkpoint hand-off: ``CheckpointStore.write`` executes a stage once and
-returns the materialized blocks, so a run reads Parquet only for the stages
-it resumes.
+"""Checkpoint hand-off: ``CheckpointStore.write`` takes a stage's in-memory
+blocks and returns them, so a run reads Parquet only for the stages it
+resumes.
 
-- the Dataset a write returns equals what ``store.read`` gets back from disk
-  (same schema, same rows), including a zero-row typed Dataset;
+- the ``Blocks`` a write returns equal what ``store.read`` gets back from
+  disk (same schema, same rows), including a zero-row typed input;
 - ``store.read`` (one ``pq.read_table`` task per part file) equals a plain
   ``pq.read_table`` of the stage directory;
 - a full run and an incremental fold each stay within a fixed number of
-  Ray Data executions, so a reintroduced read-back fails here;
+  Ray Data executions, so a reintroduced read-back fails here, and build no
+  Dataset but the input's ``read_parquet``: the stages hand each other
+  block lists, and the result's handles are built only when read;
 - a fold resumed on an ``out_dir`` whose ``features``/``edges`` are already
   complete writes the same ``labeled`` checkpoint as a fresh fold.
 """
@@ -29,7 +31,7 @@ from entity_resolution_engine_ray.pipelines.pages_er import (
 )
 from entity_resolution_engine_ray.sources.pages import write_pages_fixture
 from entity_resolution_engine_ray.state.checkpoint import DONE_FILE, CheckpointStore
-from tests.conftest import count_executions
+from tests.conftest import count_datasets, count_executions
 
 # Ray Data executions per call: 1 for a full run (read → extract →
 # featurize) and 1 for a labelprop fold (the new batch's featurize; the
@@ -37,6 +39,9 @@ from tests.conftest import count_executions
 # other step works on in-memory blocks with plain tasks or inside an exchange
 MAX_RUN_EXECUTIONS = 1
 MAX_FOLD_EXECUTIONS = 1
+# Datasets per call, either kind: no block list is wrapped in a Dataset,
+# and the one Parquet read is the input's
+DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 1}
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -48,8 +53,8 @@ SORT_KEYS = {
 }
 
 
-def _as_table(ds) -> pa.Table:
-    tbls = ray.get(ds.to_arrow_refs())
+def _as_table(blocks) -> pa.Table:
+    tbls = ray.get(list(blocks.refs))
     return pa.concat_tables(tbls) if tbls else pa.table({})
 
 
@@ -59,8 +64,9 @@ def _sorted(tbl: pa.Table, stage: str) -> pa.Table:
 
 @pytest.fixture(scope="module")
 def runs(ray_session, tmp_path_factory):
-    """One full run and one labelprop fold, recording every Dataset
-    ``CheckpointStore.write`` returns and the executions of each call."""
+    """One full run and one labelprop fold, recording the blocks every
+    ``CheckpointStore.write`` returns, and the executions and Datasets of
+    each call."""
     root = tmp_path_factory.mktemp("handoff")
     fix = write_pages_fixture(str(root / "fx"), 400, seed=9)
     tbl = pads.dataset(fix["pages"]).to_table()
@@ -79,25 +85,32 @@ def runs(ray_session, tmp_path_factory):
         written[current["call"]][stage] = out
         return out
 
-    counts = {}
+    counts, datasets = {}, {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CheckpointStore, "write", recording_write)
         current["call"] = "run"
-        with count_executions() as n:
+        with count_executions() as n, count_datasets() as d:
             run_pages_er(fix["pages"], str(root / "run"))
-        counts["run"] = n["n"]
+        counts["run"], datasets["run"] = n["n"], dict(d)
         current["call"] = "fold"
-        with count_executions() as n:
+        with count_executions() as n, count_datasets() as d:
             run_pages_er_incremental(
                 str(root / "corpus"), str(root / "new.parquet"), str(root / "fold"), cfg_lp
             )
-        counts["fold"] = n["n"]
-    return {"root": root, "written": written, "counts": counts, "cfg_lp": cfg_lp}
+        counts["fold"], datasets["fold"] = n["n"], dict(d)
+    return {
+        "root": root, "written": written, "counts": counts, "datasets": datasets, "cfg_lp": cfg_lp,
+    }
 
 
 def test_execution_count_per_call(runs):
     assert runs["counts"]["run"] <= MAX_RUN_EXECUTIONS, runs["counts"]
     assert runs["counts"]["fold"] <= MAX_FOLD_EXECUTIONS, runs["counts"]
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+def test_datasets_per_call(runs, call):
+    assert runs["datasets"][call] == DATASETS_PER_CALL, runs["datasets"]
 
 
 @pytest.mark.parametrize("call", ["run", "fold"])
@@ -130,12 +143,13 @@ def test_zero_row_checkpoint_keeps_its_schema(ray_session, tmp_path):
     store = CheckpointStore(str(tmp_path / "out"))
     out = store.write(rd.from_arrow(schema.empty_table()), "edges", "h")
     assert out.count() == 0
+    assert _as_table(out).schema.equals(schema, check_metadata=False)
     assert store.is_done("edges", "h")
     assert os.listdir(store.stage_dir("edges")) == sorted([DONE_FILE, "part-00000.parquet"])
     # resume and a plain pyarrow read both see the typed columns
     assert pq.read_table(store.stage_dir("edges")).schema.equals(schema, check_metadata=False)
     resumed = CheckpointStore(str(tmp_path / "out")).read("edges")
-    assert resumed.schema().base_schema.equals(schema, check_metadata=False)
+    assert resumed.schema().equals(schema, check_metadata=False)
     assert resumed.count() == 0
     assert _as_table(resumed).schema.equals(schema, check_metadata=False)
     assert store.num_rows("edges") == 0

@@ -1,9 +1,15 @@
 """erbench's tracer wraps engine functions by name (``getattr`` on their
 modules and on ``CheckpointStore``), so deleting or renaming a traced
 function would break ``erbench/run.py --trace 1`` without any other test
-noticing. Installing and uninstalling the hooks pins those names."""
+noticing. Installing and uninstalling the hooks pins those names, and a
+traced fold pins the reads ``layer_metrics`` makes of what they return."""
 
-from erbench.tracing import Tracer
+import os
+
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+
+from erbench.tracing import Tracer, layer_metrics
 
 # the engine functions whose spans the benchmark's per-layer metrics read
 TRACED = {
@@ -39,3 +45,39 @@ def test_tracer_install_wraps_and_uninstall_restores():
     assert tracer._saved == []
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_traced_labelprop_fold_reports_its_layers(ray_session, tmp_path):
+    """A traced labelprop fold: ``layer_metrics`` reads the edges
+    ``fused_edges_stage`` returns (their count and approved share), and
+    tracing changes no label."""
+    from entity_resolution_engine_ray.config import PagesERConfig
+    from entity_resolution_engine_ray.pipelines import pages_er
+    from entity_resolution_engine_ray.sources.pages import write_pages_fixture
+
+    fix = write_pages_fixture(str(tmp_path / "fx"), 400, seed=11)
+    tbl = pads.dataset(fix["pages"]).to_table()
+    new = str(tmp_path / "new.parquet")
+    pq.write_table(tbl.slice(0, 360), str(tmp_path / "old.parquet"))
+    pq.write_table(tbl.slice(360), new)
+    cfg = PagesERConfig(cluster_method="labelprop")
+    corpus = str(tmp_path / "corpus")
+    pages_er.run_pages_er(str(tmp_path / "old.parquet"), corpus, cfg)
+    pages_er.run_pages_er_incremental(corpus, new, str(tmp_path / "plain"), cfg)
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        pages_er.run_pages_er_incremental(corpus, new, str(tmp_path / "traced"), cfg)
+    finally:
+        tracer.uninstall()
+    metrics = layer_metrics(tracer, str(tmp_path / "traced"), os.path.getsize(new))
+    assert metrics["stages.score.candidate_pairs"] > 0
+    assert 0 < metrics["stages.score.approve_ratio"] <= 1
+    assert metrics["stages.cluster.labelprop_s"] > 0
+
+    def labels(run: str):
+        return pq.read_table(str(tmp_path / run / "labeled")).sort_by("url")
+
+    assert labels("traced").num_rows == 400
+    assert labels("traced").equals(labels("plain"))

@@ -101,3 +101,42 @@ def test_incremental_chain_two_batches(ray_session, tmp_path):
     li = CheckpointStore(str(tmp_path / "runC")).read("labeled").to_pandas()
     assert len(lf) == len(li) == 900
     assert _partitions(lf) == _partitions(li)
+
+
+def test_skipped_prune_is_recorded_and_keeps_the_edges(ray_session, tmp_path, monkeypatch):
+    """``pairs.key_stats`` gives up the pairable set past ``pairable_limit``,
+    and the pair exchange then ships every band row: the edges manifest says
+    so (``prune_skipped``), the edges stay those of a pruned run, and a fold
+    onto such a run reports the skip too."""
+    import functools
+
+    from entity_resolution_engine_ray.stages import pairs
+
+    fix = write_pages_fixture(str(tmp_path / "fx"), 300, seed=6)
+    tbl = pads.dataset(fix["pages"]).to_table()
+    pq.write_table(tbl.slice(0, 250), str(tmp_path / "old.parquet"))
+    pq.write_table(tbl.slice(250), str(tmp_path / "new.parquet"))
+
+    def edges_of(out_dir: str) -> pd.DataFrame:
+        got = pq.read_table(f"{out_dir}/edges").to_pandas()
+        return got.sort_values(["left_id", "right_id"]).reset_index(drop=True)
+
+    def skipped(out_dir: str) -> bool:
+        return CheckpointStore(out_dir).manifest("edges")["prune_skipped"]
+
+    pruned = str(tmp_path / "pruned")
+    run_pages_er(fix["pages"], pruned)
+    assert skipped(pruned) is False
+
+    unpruned, old = str(tmp_path / "unpruned"), str(tmp_path / "old")
+    with monkeypatch.context() as mp:
+        mp.setattr(pairs, "key_stats", functools.partial(pairs.key_stats, pairable_limit=0))
+        run_pages_er(fix["pages"], unpruned)
+        run_pages_er(str(tmp_path / "old.parquet"), old)
+    assert skipped(unpruned) is True
+    assert len(edges_of(pruned)) > 0
+    pd.testing.assert_frame_equal(edges_of(unpruned), edges_of(pruned))
+
+    fold = str(tmp_path / "fold")
+    run_pages_er_incremental(old, str(tmp_path / "new.parquet"), fold)
+    assert skipped(old) is True and skipped(fold) is True
