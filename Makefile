@@ -84,7 +84,8 @@ check-pairs:
 # the benchmark tracer's hooks on those functions — a fast gate for a
 # change to pipelines/pages_er, state/checkpoint or stages/cluster
 FOLD_TESTS := tests/test_incremental.py tests/test_checkpoint_handoff.py tests/test_kill_resume.py \
-	tests/test_empty_inputs.py tests/test_cluster_kernel.py tests/test_erbench_tracing.py
+	tests/test_empty_inputs.py tests/test_cluster_kernel.py tests/test_erbench_tracing.py \
+	tests/test_parquet_features.py
 
 check-fold:
 	$(PY) -m pytest $(FOLD_TESTS) -x -q

@@ -3,13 +3,14 @@ cluster → merge, each stage checkpointed to Parquet with a ``_DONE``
 manifest (resume from the last completed stage — north rule).
 
 Lifecycle mirror of SURVEY.md §3.4. The reference's single-process
-five-entity loop (cli/run_mapping.py:37-188) becomes one Ray Data execution
-(read → extract → featurize) followed by task-level exchanges; its
-driver-held dict "joins" become hash exchanges; its ``writer.reset()``
-full-restart becomes checkpoint resume. The stages hand each other
-``exchange.Blocks`` (block refs with their row counts), not Datasets: a
-Dataset is built only for the input read and for a result handle a caller
-reads.
+five-entity loop (cli/run_mapping.py:37-188) becomes plain read + extract +
+featurize tasks followed by task-level exchanges; its driver-held dict
+"joins" become hash exchanges; its ``writer.reset()`` full-restart becomes
+checkpoint resume. The stages hand each other ``exchange.Blocks`` (block
+refs with their row counts), not Datasets: a Parquet input is read inside
+the featurize tasks, so a call starts no Ray Data execution, and a Dataset
+is built only for an input of another format and for a result handle a
+caller reads.
 
 Usage::
 
@@ -19,18 +20,32 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from contextlib import contextmanager
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 
 from entity_resolution_engine_ray.config import PagesERConfig, config_hash
-from entity_resolution_engine_ray.sources.pages import PAGES_SCHEMA
-from entity_resolution_engine_ray.stages.block import feature_stage, featurize_batch
-from entity_resolution_engine_ray.stages.exchange import Blocks, as_blocks
-from entity_resolution_engine_ray.stages.extract import extract_batch, extract_stage
+from entity_resolution_engine_ray.sources.pages import (
+    FEATURE_INPUT_COLUMNS,
+    PAGES_SCHEMA,
+    parquet_parts,
+    parquet_read_units,
+    read_unit_slices,
+)
+from entity_resolution_engine_ray.stages.block import FEATURIZE_BATCH_ROWS, featurize_pages
+
+# The Ray Data form of the features step. No call here runs it; the names
+# stay on this module because erbench's tracer wraps them here.
+from entity_resolution_engine_ray.stages.block import feature_stage  # noqa: F401
+from entity_resolution_engine_ray.stages.extract import extract_stage  # noqa: F401
+
+from entity_resolution_engine_ray.stages.exchange import Blocks, as_blocks, map_blocks
 from entity_resolution_engine_ray.stages.score import (
     DroppedPairs,
     _dedup_edges_partition,
@@ -88,13 +103,7 @@ def run_pages_er(
         features = store.read("features")
     else:
         with timed("features"):
-            if isinstance(pages, str):
-                from entity_resolution_engine_ray.sources.pages import read_pages
-
-                ds = read_pages(pages, format=pages_format)
-            else:
-                ds = pages
-            features = store.write(_features_of(ds, cfg), "features", phash)
+            features = store.write(_features_of(pages, cfg, pages_format), "features", phash)
 
     # ---- stage 3+4: candidate pairs + score + gate, fused into one
     # fat-block shuffle (stages/score.fused_edges_stage). Edges match the
@@ -120,17 +129,52 @@ def run_pages_er(
     )
 
 
-def _features_of(pages_ds, cfg: PagesERConfig) -> Blocks:
-    """Extract + featurize, executed once — the call's one Ray Data
-    execution — as ``Blocks``. A 0-row input skips the lazy maps and
-    surfaces blocks without the features schema, so it becomes one typed
-    empty features block: the real extract and featurize kernels run over
-    an empty pages table of the input's schema."""
-    features = as_blocks(feature_stage(extract_stage(pages_ds), cfg))
-    if features.count():
-        return features
-    sch = getattr(pages_ds.schema(), "base_schema", None) or PAGES_SCHEMA
-    return Blocks.of(featurize_batch(extract_batch(sch.empty_table()), cfg))
+def _features_of(pages, cfg: PagesERConfig, pages_format: str) -> Blocks:
+    """Extract + featurize ``pages`` into ``Blocks`` with one kernel,
+    ``block.featurize_pages``, entered two ways:
+
+    - a Parquet path: the row groups of its part files are grouped into
+      read units of at least ``FEATURIZE_BATCH_ROWS`` rows, and one plain
+      task per unit reads and featurizes it (``_featurize_unit``), so
+      ``html`` never enters the object store and no Ray Data execution
+      starts. A zero-row input is one typed empty features block of its
+      first file's schema, which keeps the ``warc_ts`` unit;
+    - a Dataset, or a path of another format (read by
+      ``sources.pages.read_pages``): its blocks (one ``as_blocks``), each
+      featurized by one plain task."""
+    if isinstance(pages, str) and pages_format == "parquet":
+        fs, files = parquet_parts(pages)
+        units = parquet_read_units(fs, files, FEATURIZE_BATCH_ROWS)
+        if not units:
+            empty = pq.read_schema(files[0], filesystem=fs).empty_table()
+            return Blocks.of(featurize_pages(empty, cfg))
+        outs = [_featurize_unit.remote(fs, unit, cfg) for unit in units]
+        return Blocks(tuple(t for t, _ in outs), tuple(ray.get([n for _, n in outs])))
+    if isinstance(pages, str):
+        from entity_resolution_engine_ray.sources.pages import read_pages
+
+        pages = read_pages(pages, format=pages_format)
+    return map_blocks(as_blocks(pages), functools.partial(_featurize_block, cfg=cfg))
+
+
+@ray.remote(num_returns=2)
+def _featurize_unit(fs, unit, cfg: PagesERConfig):
+    """The features of one Parquet read unit and their row count: its
+    pages' ``FEATURE_INPUT_COLUMNS``, streamed in ``FEATURIZE_BATCH_ROWS``-row
+    slices."""
+    parts = [
+        featurize_pages(t, cfg)
+        for t in read_unit_slices(fs, unit, FEATURE_INPUT_COLUMNS, FEATURIZE_BATCH_ROWS)
+    ]
+    out = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+    return out, out.num_rows
+
+
+def _featurize_block(t: pa.Table, cfg: PagesERConfig) -> pa.Table:
+    """``featurize_pages`` of one in-memory pages block. A zero-column
+    block (a 0-row Dataset whose schema is unknown) featurizes as an empty
+    ``PAGES_SCHEMA`` table, so the result is still typed."""
+    return featurize_pages(t if t.num_columns else PAGES_SCHEMA.empty_table(), cfg)
 
 
 def _drop_counts(dropped) -> dict:
@@ -211,13 +255,12 @@ def _cluster_merge_metrics(
         n_entities = store.num_rows("entities")
     else:
         with timed("entities"):
-            from entity_resolution_engine_ray.stages.merge import (
-                entities_from_labeled,
-                lineage_from_labeled,
-            )
+            from entity_resolution_engine_ray.stages.merge import merge_labeled
 
-            n_entities = store.write(entities_from_labeled(labeled), "entities", phash).count()
-            store.write(lineage_from_labeled(labeled), "lineage", phash)
+            entities, lineage = merge_labeled(labeled)
+            n_entities = store.write(entities, "entities", phash).count()
+            store.write(lineage, "lineage", phash)
+            del entities, lineage
     del labeled
 
     # ---- run metrics + anomaly detection + quality gates (driver-side,
@@ -302,8 +345,6 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
 
     Every step reads the in-memory edge and features blocks with plain
     tasks or inside an exchange — no Ray Data execution."""
-    import ray
-
     from entity_resolution_engine_ray.stages import cluster
     from entity_resolution_engine_ray.stages.exchange import map_blocks
     from entity_resolution_engine_ray.stages.merge import (
@@ -371,11 +412,12 @@ def run_pages_er_incremental(
        in-memory ``Blocks`` straight to clustering/merge/metrics, the same
        code a full run ends with. The previous checkpoints are read with
        one task per part file and each union is the concatenation of both
-       sides' block lists, so the new batch's featurize is the fold's only
-       Ray Data execution and no Dataset is built after it. A fold re-run
-       on an ``out_dir`` whose ``features``/``edges`` are already ``_DONE``
-       reads them back and resumes from there, the contract the
-       kill/resume tests pin.
+       sides' block lists. With a Parquet batch the fold starts no Ray Data
+       execution and builds no Dataset (the batch is featurized inside
+       plain read tasks, as in a full run). A fold re-run on an
+       ``out_dir`` whose ``features``/``edges`` are already ``_DONE`` reads
+       them back and resumes from there, the contract the kill/resume
+       tests pin.
 
     Equality contract (pinned in tests/test_incremental.py): the result
     equals a full run over old ∪ new — same edges, same cluster partitions
@@ -407,18 +449,10 @@ def run_pages_er_incremental(
         dropped = _dropped_of(store.manifest("edges"))
     else:
         # ---- new-batch features + union checkpoint
-        if isinstance(new_pages, str):
-            from entity_resolution_engine_ray.sources.pages import read_pages
-
-            new_ds = read_pages(new_pages, format=pages_format)
-        else:
-            new_ds = new_pages
-        features_new = _features_of(new_ds, cfg)
+        features_new = _features_of(new_pages, cfg, pages_format)
 
         # ---- touched block keys (small side: |new| × bands int64 keys),
         # one task per in-memory features block
-        import ray
-
         from entity_resolution_engine_ray.stages.block import block_keys_stage
 
         key_blocks = ray.get(list(block_keys_stage(features_new).refs))

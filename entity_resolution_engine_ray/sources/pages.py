@@ -329,6 +329,85 @@ def read_pages(path: str, format: str = "parquet", columns: list[str] | None = N
     return ds
 
 
+# The page columns the features step reads: ``text`` is re-extracted from
+# ``html``, so it is never decoded.
+FEATURE_INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]
+
+
+def parquet_parts(path: str):
+    """``(filesystem, files)``: the Parquet part files of ``path``, in name
+    order — ``path`` itself when it is a file, else every ``.parquet`` file
+    under it whose path below ``path`` has no part starting with ``.`` or
+    ``_``, the files ``rd.read_parquet`` reads (side files such as
+    ``_SUCCESS`` or ``.part-0.parquet.crc`` are skipped)."""
+    import pyarrow.fs as pafs
+
+    if "://" in path:
+        fs, root = pafs.FileSystem.from_uri(path)
+    else:
+        fs, root = pafs.LocalFileSystem(), os.path.abspath(path)
+    info = fs.get_file_info(root)
+    if info.type == pafs.FileType.File:
+        return fs, [root]
+    if info.type != pafs.FileType.Directory:
+        raise FileNotFoundError(f"no such Parquet path: {path!r}")
+    files = []
+    for f in fs.get_file_info(pafs.FileSelector(root, recursive=True)):
+        rel = f.path[len(root) :].strip("/").split("/")
+        if f.type == pafs.FileType.File and f.path.endswith(".parquet") and not any(
+            part.startswith((".", "_")) for part in rel
+        ):
+            files.append(f.path)
+    if not files:
+        raise FileNotFoundError(f"no .parquet files under {path!r}")
+    return fs, sorted(files)
+
+
+def parquet_read_units(fs, files: list[str], min_rows: int) -> list[list[tuple[str, list[int]]]]:
+    """Group the row groups of ``files`` (from their footers), in order,
+    into read units of at least ``min_rows`` rows; only the last unit may
+    be smaller. A unit is a list of ``(file, row group indices)``. Row
+    groups without rows are left out, so a zero-row input has no unit."""
+    units: list[list[tuple[str, list[int]]]] = []
+    unit: list[tuple[str, list[int]]] = []
+    rows = 0
+    for path in files:
+        meta = pq.read_metadata(path, filesystem=fs)
+        for i in range(meta.num_row_groups):
+            n = meta.row_group(i).num_rows
+            if not n:
+                continue
+            if unit and unit[-1][0] == path:
+                unit[-1][1].append(i)
+            else:
+                unit.append((path, [i]))
+            rows += n
+            if rows >= min_rows:
+                units.append(unit)
+                unit, rows = [], 0
+    return units + [unit] if unit else units
+
+
+def read_unit_slices(fs, unit: list[tuple[str, list[int]]], columns: list[str], n: int):
+    """The rows of ``columns`` in a read unit, as tables of ``n`` rows in
+    order (the last may be shorter). ``ParquetFile.iter_batches`` streams
+    each file's row groups, so at most one slice of payload is decoded at a
+    time and the other columns are never read."""
+    pending: list[pa.RecordBatch] = []
+    rows = 0
+    for path, groups in unit:
+        pf = pq.ParquetFile(path, filesystem=fs)
+        for batch in pf.iter_batches(batch_size=n, row_groups=groups, columns=columns):
+            pending.append(batch.replace_schema_metadata(None))
+            rows += batch.num_rows
+            while rows >= n:
+                t = pa.Table.from_batches(pending)
+                yield t.slice(0, n)
+                pending, rows = t.slice(n).to_batches(), rows - n
+    if rows:
+        yield pa.Table.from_batches(pending)
+
+
 def write_pages_warc(pages: pa.Table, out_dir: str, shard_rows: int = 4096) -> str:
     """Write a PAGES_SCHEMA table as sharded WARC/1.0 gzip files — the
     Common-Crawl transport convention: every record is its OWN gzip member

@@ -1,13 +1,21 @@
 """Stage 2 — page features + MinHash-LSH blocking keys.
 
-``FeatureExtractor`` is a stateful actor-pool ``map_batches`` class: the
-MinHash coefficient tables and the token-hash cache are built once per actor
-in ``__init__`` (the reference's module-level config loads, e.g.
-matchers/teams_matcher.py:23-26, become actor state per SURVEY.md §7.2), then
-every batch is processed with shared state. All hashing is deterministic
-(multiply-shift with fixed seeds), so every actor computes identical keys.
+``FeatureExtractor`` turns a batch of extracted pages into features. One
+instance per config lives in each worker process (``featurize_batch``): the
+MinHash coefficient tables and the token-hash cache are built once there
+(the reference's module-level config loads, e.g.
+matchers/teams_matcher.py:23-26, become process state per SURVEY.md §7.2),
+then every batch is processed with shared state. All hashing is
+deterministic (multiply-shift with fixed seeds), so every process computes
+identical keys.
 
-Outputs one features Dataset (the ``features`` checkpoint schema):
+``featurize_pages`` is the one extract + featurize kernel over a pages
+table, run in ``FEATURIZE_BATCH_ROWS``-row slices. The pages pipeline runs
+it inside plain Parquet read tasks, or per in-memory block;
+``extract_stage`` → ``feature_stage`` is its Ray Data form, with the same
+batch size.
+
+Outputs one features table (the ``features`` checkpoint schema):
 
     url:string, url_hash:int64, warc_ts:timestamp, lang:string,
     title_norm:string, token_ids:list<int32> (sorted unique 32-bit token
@@ -38,6 +46,7 @@ from entity_resolution_engine_ray.functions.similarity import (
     stable_hash64,
 )
 from entity_resolution_engine_ray.oracle.serial import canonical_tokens
+from entity_resolution_engine_ray.stages.extract import extract_batch
 
 
 def _comb(col):
@@ -68,8 +77,8 @@ def _split_canonical_ascii(arr: pa.Array) -> tuple[pa.Array, np.ndarray]:
 
 
 class FeatureExtractor:
-    """Actor-pool batch transform: (url, warc_ts, lang, text, title) →
-    features. Token-hash cache amortizes hashing across batches."""
+    """Batch transform: (url, warc_ts, lang, text, title) → features.
+    Token-hash cache amortizes hashing across batches."""
 
     def __init__(self, cfg: PagesERConfig | None = None):
         self.cfg = cfg or PagesERConfig()
@@ -191,9 +200,14 @@ def default_pool_size() -> tuple[int, int]:
     return (1, max(2, cluster_cpus() - 2))
 
 
-# process-global featureizer cache: plain-function map_batches tasks are
-# elastically scheduled (no actor-pool ramp-up), while each worker process
-# still builds coefficient tables / token caches exactly once per config.
+# rows per extract + featurize batch, for every form of the step: the
+# Ray Data stages' ``batch_size`` and ``featurize_pages``' slice. html rows
+# can be wide (binary payload rule, SURVEY.md §7.4), so batches stay small.
+FEATURIZE_BATCH_ROWS = 1024
+
+# process-global featureizer cache: plain tasks are elastically scheduled
+# (no actor-pool ramp-up), while each worker process still builds
+# coefficient tables / token caches exactly once per config.
 _FEATURE_STATE: dict[tuple, FeatureExtractor] = {}
 
 
@@ -206,7 +220,24 @@ def featurize_batch(batch: pa.Table, cfg: PagesERConfig) -> pa.Table:
     return state(batch)
 
 
-def feature_stage(extracted_ds, cfg: PagesERConfig | None = None, concurrency=None, batch_size: int = 1024):
+def featurize_pages(pages: pa.Table, cfg: PagesERConfig) -> pa.Table:
+    """Extract + featurize a pages table (url, warc_ts, html, lang) in
+    ``FEATURIZE_BATCH_ROWS``-row slices. Every features row depends on its
+    page alone, so the slicing never changes a value. A zero-row table
+    gives the typed empty features table of its schema."""
+    n = FEATURIZE_BATCH_ROWS
+    parts = [
+        featurize_batch(extract_batch(pages.slice(i, n)), cfg)
+        for i in range(0, max(pages.num_rows, 1), n)
+    ]
+    return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+
+
+def feature_stage(
+    extracted_ds, cfg: PagesERConfig | None = None, batch_size: int = FEATURIZE_BATCH_ROWS
+):
+    """Dataset of extracted pages → Dataset of features (the Ray Data form
+    of ``featurize_pages``' featurize half)."""
     cfg = cfg or PagesERConfig()
     return extracted_ds.map_batches(
         featurize_batch,

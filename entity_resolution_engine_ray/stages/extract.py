@@ -103,12 +103,18 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def extract_stage(pages_ds, batch_size: int = 1024):
+def extract_stage(pages_ds, batch_size: int | None = None):
     """Dataset → Dataset of (url, warc_ts, lang, text, title).
 
-    Stateless zero-copy Arrow transform; small batch_size because html rows
-    can be wide (binary payload rule, SURVEY.md §7.4).
+    Stateless zero-copy Arrow transform in batches of
+    ``block.FEATURIZE_BATCH_ROWS`` rows unless ``batch_size`` is given
+    (binary payload rule, SURVEY.md §7.4).
     """
+    from entity_resolution_engine_ray.stages.block import FEATURIZE_BATCH_ROWS
+
     return pages_ds.map_batches(
-        extract_batch, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+        extract_batch,
+        batch_format="pyarrow",
+        batch_size=batch_size or FEATURIZE_BATCH_ROWS,
+        zero_copy_batch=True,
     )

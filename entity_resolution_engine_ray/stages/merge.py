@@ -1,7 +1,8 @@
 """Stage 6 — survivorship merge + lineage.
 
-``groupby(cluster_label).map_groups(survivorship)`` canonicalizes each entity
-cluster (the Ray generalization of the reference's per-entity mergers,
+One hash exchange of the labeled pages on ``cluster_label``
+(``merge_labeled``) canonicalizes each entity cluster (the Ray
+generalization of the reference's per-entity mergers,
 merger/players_merge.py:39-45 — deterministic field preference by source
 priority then record key):
 
@@ -13,75 +14,25 @@ priority then record key):
   recomputed here (edges live in their own checkpoint); instead n_members and
   the representative are recorded — confidence joins on demand.
 
-Singleton pages (no approved edge) become single-member entities via a left
-outer join of all pages against the edge-derived labels.
+Singleton pages (no approved edge) carry their own label from the labeling
+stage, so they become single-member entities.
 
-The flat lineage table (url → entity_id, the reference's ``source_lineage``
-explode, ues_writer/writer.py:56-67) is emitted by re-joining labels with the
-entity mapping — a Dataset, never a driver dict (SURVEY.md §2.5).
+The same reduce emits the flat lineage table (url → entity_id, the
+reference's ``source_lineage`` explode, ues_writer/writer.py:56-67) from the
+partition it already holds, with each cluster's entity id computed once for
+both tables — block lists in the object store, never a driver dict
+(SURVEY.md §2.5).
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from entity_resolution_engine_ray.functions.ids import cluster_entity_id
 from entity_resolution_engine_ray.oracle.serial import normalize_domain
-
-
-def _survivor_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-    """One hash partition of clusters → one canonical row per cluster.
-
-    Vectorized: one sort, pandas groupby aggregates; the only per-cluster
-    Python is the member-url content hash."""
-    pdf = pdf.sort_values(["cluster_label", "warc_ts", "url"], kind="mergesort")
-    g = pdf.groupby("cluster_label", sort=False)
-    rep = g.head(1).set_index("cluster_label")  # min (warc_ts, url) member
-    agg = g.agg(
-        n_members=("url", "size"),
-        first_seen=("warc_ts", "min"),
-        last_seen=("warc_ts", "max"),
-    )
-    # majority lang, ties lexicographic
-    lc = pdf.groupby(["cluster_label", "lang"], sort=False).size().reset_index(name="c")
-    lc = lc.sort_values(["cluster_label", "c", "lang"], ascending=[True, False, True], kind="mergesort")
-    lang_top = lc.drop_duplicates("cluster_label").set_index("cluster_label")["lang"]
-    ids = g["url"].agg(lambda u: cluster_entity_id("PAGE", list(u)))
-    out = pd.DataFrame(
-        {
-            "cluster_label": agg.index.to_numpy(dtype=np.int64),
-            "entity_id": ids.reindex(agg.index).to_numpy(),
-            "canonical_url": rep["url"].reindex(agg.index).to_numpy(),
-            "canonical_title": rep["title_norm"].reindex(agg.index).to_numpy(),
-            "domain": [normalize_domain(u) for u in rep["url"].reindex(agg.index)],
-            "lang": lang_top.reindex(agg.index).to_numpy(),
-            "n_members": agg["n_members"].to_numpy(dtype=np.int64),
-            "first_seen": agg["first_seen"].to_numpy(),
-            "last_seen": agg["last_seen"].to_numpy(),
-        }
-    )
-    return out.reset_index(drop=True)
-
-
-def _lineage_partition(pdf: pd.DataFrame) -> pd.DataFrame:
-    """One hash partition of clusters → one lineage row per member url
-    (the reference's ``source_lineage`` explode), entity ids recomputed from
-    cluster contents (pure function — no join needed)."""
-    pdf = pdf.sort_values(["cluster_label", "url"], kind="mergesort")
-    ids = pdf.groupby("cluster_label", sort=False)["url"].transform(
-        lambda u: cluster_entity_id("PAGE", list(u))
-    )
-    return pd.DataFrame(
-        {
-            "url": pdf["url"].to_numpy(),
-            "entity_id": ids.to_numpy(),
-            "source_domain": [normalize_domain(u) for u in pdf["url"]],
-        }
-    )
 
 
 _META_COLS = ["url", "warc_ts", "lang", "title_norm"]
@@ -95,8 +46,6 @@ def label_features_broadcast(features, label_map_ref):
     arrays of ``cluster_label_map`` (``ray.put`` once, read per task —
     never re-shipped per block). Singletons label with their own url
     hash."""
-    import ray
-
     from entity_resolution_engine_ray.stages.cluster import label_of
     from entity_resolution_engine_ray.stages.exchange import map_blocks, project_block
 
@@ -149,46 +98,105 @@ def _lineage_schema(labeled: pa.Schema) -> pa.Schema:
     )
 
 
-def _typed_partition(fn, schema_of, cols: list[str]):
-    """Arrow wrapper of a pandas partition function: a zero-row partition
-    returns its typed empty output (pandas would type its empty object
-    columns as null), any other the converted result of ``fn``."""
+def merge_partition(t: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """One hash partition of labeled pages → (one canonical row per
+    cluster, one lineage row per member url).
 
-    def run(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema_of(t.schema).empty_table() if set(cols) <= set(t.column_names) else t
-        return pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
+    Vectorized: one sort, pandas groupby aggregates; the only per-cluster
+    Python is the member-url content hash, computed once per cluster for
+    both tables, and the only per-url Python is the domain parse. A
+    zero-row partition returns both typed empty tables (pandas would type
+    their empty object columns as null); a zero-COLUMN one (a 0-row Dataset
+    input with no typed block) comes back as itself, twice."""
+    if t.num_rows == 0:
+        if not set(_LABELED_COLS) <= set(t.column_names):
+            return t, t
+        return _entity_schema(t.schema).empty_table(), _lineage_schema(t.schema).empty_table()
+    pdf = t.to_pandas()
+    pdf = pdf.assign(domain=[normalize_domain(u) for u in pdf["url"]])
+    pdf = pdf.sort_values(["cluster_label", "warc_ts", "url"], kind="mergesort")
+    g = pdf.groupby("cluster_label", sort=False)
+    rep = g.head(1).set_index("cluster_label")  # min (warc_ts, url) member
+    agg = g.agg(
+        n_members=("url", "size"),
+        first_seen=("warc_ts", "min"),
+        last_seen=("warc_ts", "max"),
+    )
+    # majority lang, ties lexicographic
+    lc = pdf.groupby(["cluster_label", "lang"], sort=False).size().reset_index(name="c")
+    lc = lc.sort_values(["cluster_label", "c", "lang"], ascending=[True, False, True], kind="mergesort")
+    lang_top = lc.drop_duplicates("cluster_label").set_index("cluster_label")["lang"]
+    ids = g["url"].agg(lambda u: cluster_entity_id("PAGE", list(u)))
+    entities = pd.DataFrame(
+        {
+            "cluster_label": agg.index.to_numpy(dtype=np.int64),
+            "entity_id": ids.reindex(agg.index).to_numpy(),
+            "canonical_url": rep["url"].reindex(agg.index).to_numpy(),
+            "canonical_title": rep["title_norm"].reindex(agg.index).to_numpy(),
+            "domain": rep["domain"].reindex(agg.index).to_numpy(),
+            "lang": lang_top.reindex(agg.index).to_numpy(),
+            "n_members": agg["n_members"].to_numpy(dtype=np.int64),
+            "first_seen": agg["first_seen"].to_numpy(),
+            "last_seen": agg["last_seen"].to_numpy(),
+        }
+    )
+    members = pdf.sort_values(["cluster_label", "url"], kind="mergesort")
+    lineage = pd.DataFrame(
+        {
+            "url": members["url"].to_numpy(),
+            "entity_id": members["cluster_label"].map(ids).to_numpy(),
+            "source_domain": members["domain"].to_numpy(),
+        }
+    )
+    return _arrow(entities), _arrow(lineage)
 
-    return run
+
+def _arrow(df: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+
+
+@ray.remote(num_returns=4)
+def _merge_reduce(*subtables: pa.Table):
+    from entity_resolution_engine_ray.stages.exchange import _merge_tables
+
+    entities, lineage = merge_partition(_merge_tables(subtables))
+    return entities, entities.num_rows, lineage, lineage.num_rows
+
+
+def merge_labeled(labeled, num_partitions: int | None = None):
+    """``(entities, lineage)`` of ``labeled`` (``Blocks`` or a Dataset, each
+    returned in kind): one survivorship row per cluster and one lineage row
+    per page, from ONE hash exchange on ``cluster_label`` whose reduce task
+    per partition emits both tables (``merge_partition``).
+    ``num_partitions=None`` → ``grouping.auto_partitions`` of the rows."""
+    from entity_resolution_engine_ray.stages.exchange import (
+        _as_given,
+        _kept,
+        _partition_subs,
+        _split_all,
+        _width,
+        as_blocks,
+        cluster_cpus,
+    )
+
+    blocks = as_blocks(labeled)
+    cpus = cluster_cpus()
+    p = _width(num_partitions, blocks.count(), cpus)
+    splits = _split_all(blocks.refs, ["cluster_label"], p, None, cpus)
+    outs = [_merge_reduce.remote(*_partition_subs(splits, i, p)) for i in range(p)]
+    rows = ray.get([o[1] for o in outs] + [o[3] for o in outs])
+    entities = _kept([o[0] for o in outs], rows[:p])
+    lineage = _kept([o[2] for o in outs], rows[p:])
+    return _as_given((labeled,), entities), _as_given((labeled,), lineage)
 
 
 def entities_from_labeled(labeled, num_partitions: int | None = None):
-    """One survivorship row per cluster of ``labeled`` (``Blocks`` or a
-    Dataset, returned in kind)."""
-    from entity_resolution_engine_ray.stages.grouping import partition_map_groups
-
-    return partition_map_groups(
-        labeled,
-        ["cluster_label"],
-        _typed_partition(_survivor_partition, _entity_schema, _LABELED_COLS),
-        num_partitions,
-        arrow_fns=True,
-    )
+    """One survivorship row per cluster of ``labeled``: the entities half of
+    ``merge_labeled``."""
+    return merge_labeled(labeled, num_partitions)[0]
 
 
 def lineage_from_labeled(labeled, num_partitions: int | None = None):
-    """One lineage row per page of ``labeled`` (``Blocks`` or a Dataset,
-    returned in kind)."""
-    from entity_resolution_engine_ray.stages.exchange import project_block
-    from entity_resolution_engine_ray.stages.grouping import partition_map_groups
-
-    cols = ["url", "cluster_label"]
-    # only url and label move through the exchange
-    return partition_map_groups(
-        labeled,
-        ["cluster_label"],
-        _typed_partition(_lineage_partition, _lineage_schema, cols),
-        num_partitions,
-        arrow_fns=True,
-        block_fn=functools.partial(project_block, cols=cols),
-    )
+    """One lineage row per page of ``labeled``: the lineage half of
+    ``merge_labeled``."""
+    return merge_labeled(labeled, num_partitions)[1]

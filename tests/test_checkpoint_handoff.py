@@ -6,10 +6,13 @@ resumes.
   disk (same schema, same rows), including a zero-row typed input;
 - ``store.read`` (one ``pq.read_table`` task per part file) equals a plain
   ``pq.read_table`` of the stage directory;
-- a full run and an incremental fold each stay within a fixed number of
-  Ray Data executions, so a reintroduced read-back fails here, and build no
-  Dataset but the input's ``read_parquet``: the stages hand each other
-  block lists, and the result's handles are built only when read;
+- a full run and an incremental fold of a Parquet path start no Ray Data
+  execution and build no Dataset: the input is read inside the featurize
+  tasks, the stages hand each other block lists, and the result's handles
+  are built only when read;
+- the one merge exchange writes the entities and lineage a plain
+  per-cluster reference computes from the ``labeled`` checkpoint, and a
+  zero-row partition gives both typed empty tables;
 - a fold resumed on an ``out_dir`` whose ``features``/``edges`` are already
   complete writes the same ``labeled`` checkpoint as a fresh fold.
 """
@@ -33,15 +36,16 @@ from entity_resolution_engine_ray.sources.pages import write_pages_fixture
 from entity_resolution_engine_ray.state.checkpoint import DONE_FILE, CheckpointStore
 from tests.conftest import count_datasets, count_executions
 
-# Ray Data executions per call: 1 for a full run (read → extract →
-# featurize) and 1 for a labelprop fold (the new batch's featurize; the
-# previous run's checkpoints are read with one task per part file); every
-# other step works on in-memory blocks with plain tasks or inside an exchange
-MAX_RUN_EXECUTIONS = 1
-MAX_FOLD_EXECUTIONS = 1
+# Ray Data executions per call on a Parquet path, for a full run and a
+# labelprop fold: the input is read and featurized by plain tasks, the
+# previous run's checkpoints are read with one task per part file, and
+# every other step works on in-memory blocks with plain tasks or inside an
+# exchange
+MAX_RUN_EXECUTIONS = 0
+MAX_FOLD_EXECUTIONS = 0
 # Datasets per call, either kind: no block list is wrapped in a Dataset,
-# and the one Parquet read is the input's
-DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 1}
+# and the input is not read through ``read_parquet``
+DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 0}
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -170,3 +174,68 @@ def test_resumed_fold_writes_the_fresh_fold_labels(runs):
     again = pq.read_table(str(resumed / "labeled"))
     assert fresh.num_rows == 400
     assert _sorted(fresh, "labeled").equals(_sorted(again, "labeled"))
+
+
+def _reference_merge(labeled: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """Entities and lineage of a labeled table, one cluster at a time in
+    plain Python: the survivorship rules of ``stages/merge``."""
+    from collections import Counter
+
+    from entity_resolution_engine_ray.functions.ids import cluster_entity_id
+    from entity_resolution_engine_ray.oracle.serial import normalize_domain
+
+    clusters: dict[int, list[dict]] = {}
+    for row in labeled.to_pylist():
+        clusters.setdefault(row["cluster_label"], []).append(row)
+    entities, lineage = [], []
+    for label, rows in clusters.items():
+        entity_id = cluster_entity_id("PAGE", [r["url"] for r in rows])
+        rep = min(rows, key=lambda r: (r["warc_ts"], r["url"]))
+        votes = Counter(r["lang"] for r in rows)
+        entities.append(
+            {
+                "cluster_label": label,
+                "entity_id": entity_id,
+                "canonical_url": rep["url"],
+                "canonical_title": rep["title_norm"],
+                "domain": normalize_domain(rep["url"]),
+                "lang": min(votes, key=lambda lang: (-votes[lang], lang)),
+                "n_members": len(rows),
+                "first_seen": min(r["warc_ts"] for r in rows),
+                "last_seen": max(r["warc_ts"] for r in rows),
+            }
+        )
+        lineage += [
+            {"url": r["url"], "entity_id": entity_id, "source_domain": normalize_domain(r["url"])}
+            for r in rows
+        ]
+    return pa.Table.from_pylist(entities), pa.Table.from_pylist(lineage)
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+def test_merge_matches_a_per_cluster_reference(runs, call):
+    store = CheckpointStore(str(runs["root"] / call))
+    entities, lineage = (pq.read_table(store.stage_dir(s)) for s in ("entities", "lineage"))
+    want_entities, want_lineage = _reference_merge(pq.read_table(store.stage_dir("labeled")))
+    for got, want, stage in ((entities, want_entities, "entities"), (lineage, want_lineage, "lineage")):
+        assert got.num_rows == want.num_rows > 0
+        assert _sorted(got, stage).equals(_sorted(want.cast(got.schema), stage)), stage
+    # every lineage entity is an entity whose n_members is its url count
+    n_urls = pa.TableGroupBy(lineage, "entity_id").aggregate([("url", "count")])
+    members = dict(zip(entities["entity_id"].to_pylist(), entities["n_members"].to_pylist()))
+    assert len(members) == entities.num_rows
+    assert {e: members.get(e) for e in n_urls["entity_id"].to_pylist()} == dict(
+        zip(n_urls["entity_id"].to_pylist(), n_urls["url_count"].to_pylist())
+    )
+
+
+def test_zero_row_merge_partition_gives_typed_tables(runs):
+    from entity_resolution_engine_ray.stages.merge import merge_partition
+
+    store = CheckpointStore(str(runs["root"] / "run"))
+    labeled = pq.read_table(store.stage_dir("labeled"))
+    entities, lineage = merge_partition(labeled.schema.empty_table())
+    for got, stage in ((entities, "entities"), (lineage, "lineage")):
+        assert got.num_rows == 0
+        want = pq.read_schema(os.path.join(store.stage_dir(stage), "part-00000.parquet"))
+        assert got.schema.equals(want, check_metadata=False), (stage, got.schema, want)
