@@ -432,30 +432,34 @@ def minhash_jaccard_estimate(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def hash_uniques(uniq, cache: dict[str, int]) -> np.ndarray:
+    """int64 stable hash of each token of ``uniq`` (a batch's UNIQUE
+    tokens), memoized across batches in ``cache``. The cache is cleared
+    once it passes 2M entries, so a long-lived worker stays bounded."""
+    if len(cache) > 2_000_000:
+        cache.clear()
+    uh = np.empty(len(uniq), dtype=np.int64)
+    for i, t in enumerate(uniq):
+        h = cache.get(t)
+        if h is None:
+            h = stable_hash64(t)
+            cache[t] = h
+        uh[i] = h
+    return uh
+
+
 def hash_tokens_flat(flat_tokens, cache: dict[str, int] | None = None) -> np.ndarray:
     """uint64 stable hash per token over a flat token sequence: factorize
-    (C hash table) → blake2b only on the UNIQUE tokens (cache-assisted) →
-    gather. Identical values to ``hash_tokens`` token-by-token."""
+    (C hash table) → blake2b only on the UNIQUE tokens (``hash_uniques``)
+    → gather. Identical values to ``hash_tokens`` token-by-token."""
     import pandas as pd
 
-    n = len(flat_tokens)
-    if n == 0:
+    if len(flat_tokens) == 0:
         return np.empty(0, dtype=np.uint64)
     codes, uniq = pd.factorize(
         flat_tokens if isinstance(flat_tokens, np.ndarray) else np.asarray(flat_tokens, dtype=object)
     )
-    uh = np.empty(len(uniq), dtype=np.int64)
-    if cache is None:
-        for i, t in enumerate(uniq):
-            uh[i] = stable_hash64(t)
-    else:
-        for i, t in enumerate(uniq):
-            h = cache.get(t)
-            if h is None:
-                h = stable_hash64(t)
-                cache[t] = h
-            uh[i] = h
-    return uh.astype(np.uint64)[codes]
+    return hash_uniques(uniq, {} if cache is None else cache).astype(np.uint64)[codes]
 
 
 def shingle_hashes_flat(

@@ -46,8 +46,8 @@ from entity_resolution_engine_ray.stages.block import feature_stage  # noqa: F40
 from entity_resolution_engine_ray.stages.extract import extract_stage  # noqa: F401
 
 from entity_resolution_engine_ray.stages.exchange import Blocks, as_blocks, map_blocks
+from entity_resolution_engine_ray.stages.pairs import DroppedPairs
 from entity_resolution_engine_ray.stages.score import (
-    DroppedPairs,
     _dedup_edges_partition,
     fused_edges_stage,
     gate_metrics,
@@ -84,16 +84,16 @@ def run_pages_er(
 ) -> dict:
     """Run the full pipeline.
 
-    ``pages``: a path/dir (``pages_format``: parquet|jsonl|csv|warc, normalized
-    to the input_hint schema by sources.pages.read_pages) or an existing
-    Dataset with that schema (url, warc_ts, html, text, lang).
+    ``pages``: a path/dir (``pages_format``: parquet|jsonl|csv|warc|orc,
+    normalized to the input_hint schema by sources.pages.read_pages) or an
+    existing Dataset with that schema (url, warc_ts, html, text, lang).
     """
     cfg = cfg or PagesERConfig()
     # the code version is part of the checkpoint identity: stage semantics /
     # schema changes must invalidate old checkpoints even when the config
     # dataclass is unchanged
     phash = f"{config_hash(cfg)}-v{PIPELINE_VERSION}"
-    store = CheckpointStore(out_dir, enabled=True)
+    store = CheckpointStore(out_dir)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
     timed = _timer(timings)
@@ -434,7 +434,7 @@ def run_pages_er_incremental(
 
     cfg = cfg or PagesERConfig()
     phash = f"{config_hash(cfg)}-v{PIPELINE_VERSION}"
-    prev = CheckpointStore(prev_out_dir, enabled=True)
+    prev = CheckpointStore(prev_out_dir)
     if not (prev.is_done("features", phash) and prev.is_done("edges", phash)):
         raise ValueError(
             "previous run is incomplete or was produced by a different "
@@ -442,7 +442,7 @@ def run_pages_er_incremental(
         )
 
     t_start = time.perf_counter()
-    store = CheckpointStore(out_dir, enabled=True)
+    store = CheckpointStore(out_dir)
     if store.is_done("features", phash) and store.is_done("edges", phash):
         features = store.read("features")
         edges = store.read("edges")

@@ -7,7 +7,9 @@ MinHash coefficient tables and the token-hash cache are built once there
 matchers/teams_matcher.py:23-26, become process state per SURVEY.md §7.2),
 then every batch is processed with shared state. All hashing is
 deterministic (multiply-shift with fixed seeds), so every process computes
-identical keys.
+identical keys. ``token_hashes`` is the one tokenizer front end (text
+array → flat token hashes + per-doc counts); the dedup operators'
+word-shingle featurizer and ``dedup.simhash_stage`` use it too.
 
 ``featurize_pages`` is the one extract + featurize kernel over a pages
 table, run in ``FEATURIZE_BATCH_ROWS``-row slices. The pages pipeline runs
@@ -22,11 +24,12 @@ Outputs one features table (the ``features`` checkpoint schema):
     ids — the scorer's Jaccard input), simhash:int64, band_keys:list<int64>
 
 Two vectorized per-block Arrow list-flattens derive the exchange rows from
-it: ``block_keys`` (block_key only, for the hot/pairable count pass) and
-``fat_block_rows`` (one ids-only feature row per band, for the fused
-pair+score exchange). Both run inside the split tasks of the exchange that
-consumes them (stages/exchange's map-side function), so the exploded rows
-are never materialized as a Dataset; ``block_keys_stage`` runs
+any table with a ``band_keys`` list column — the pages features or the
+dedup operators' features: ``block_keys`` (block_key only, for the
+hot/pairable count pass) and ``fat_block_rows`` (one row of the caller's
+payload columns per key, for the pair exchange). Both run inside the split
+tasks of the exchange that consumes them (stages/pairs.blocked_pair_edges),
+so the exploded rows are never materialized as a Dataset; ``block_keys_stage`` runs
 ``block_keys`` as one plain task per block where no exchange follows.
 """
 
@@ -38,6 +41,7 @@ import pyarrow as pa
 from entity_resolution_engine_ray.config import PagesERConfig
 from entity_resolution_engine_ray.functions.similarity import (
     hash_tokens_flat,
+    hash_uniques,
     lsh_band_keys_matrix,
     minhash_coefficients,
     minhash_signatures_flat,
@@ -76,6 +80,69 @@ def _split_canonical_ascii(arr: pa.Array) -> tuple[pa.Array, np.ndarray]:
     return flat.filter(nonempty), counts
 
 
+def _ascii_filled(texts) -> tuple[pa.Array, bool]:
+    """``texts`` as one array with nulls as "", and whether it is all ASCII
+    (the Arrow tokenizer fast path's precondition)."""
+    import pyarrow.compute as pc
+
+    arr = pc.fill_null(_comb(texts), "")
+    return arr, bool(len(arr) and pc.all(pc.string_is_ascii(arr)).as_py())
+
+
+def token_hashes(texts, cache: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The one tokenizer front end: a text array → (flat uint64 token
+    hashes of every doc's ``canonical_tokens``, per-doc token counts).
+
+    An all-ASCII array takes the Arrow fast path: the flat token stream
+    never materializes as Python objects, only the batch's UNIQUE tokens do
+    (for the cached blake2b hash). Any other array falls back to
+    ``canonical_tokens`` per doc. Both hash the uniques through
+    ``similarity.hash_uniques`` and give byte-identical hashes (pinned by
+    tests/test_block_features.py)."""
+    arr, ascii_ok = _ascii_filled(texts)
+    if not ascii_ok:
+        toks = [canonical_tokens(t) for t in arr.to_pylist()]
+        counts = np.fromiter(map(len, toks), dtype=np.int64, count=len(toks))
+        flat = np.array([t for doc in toks for t in doc], dtype=object)
+        return hash_tokens_flat(flat, cache), counts
+    flat_vals, counts = _split_canonical_ascii(arr)
+    denc = _comb(flat_vals).dictionary_encode()
+    codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    uh = hash_uniques(denc.dictionary.to_pylist(), cache)
+    return uh.astype(np.uint64)[codes], counts
+
+
+def canonical_text(texts) -> pa.Array:
+    """A text array → each doc's ``canonical_tokens`` joined by one space
+    (the pages' ``title_norm``), on the same per-array ASCII fast path as
+    ``token_hashes``."""
+    import pyarrow.compute as pc
+
+    arr, ascii_ok = _ascii_filled(texts)
+    if not ascii_ok:
+        return pa.array([" ".join(canonical_tokens(t)) for t in arr.to_pylist()], type=pa.string())
+    flat, counts = _split_canonical_ascii(arr)
+    offsets = pa.array(np.r_[0, counts.cumsum()].astype(np.int32))
+    return pc.binary_join(pa.ListArray.from_arrays(offsets, flat), " ")
+
+
+def sorted_unique_lists(
+    values: np.ndarray, counts: np.ndarray, value_type: pa.DataType
+) -> pa.ListArray:
+    """Each doc's sorted unique ``values`` as a list array of
+    ``value_type``; doc i's values are the next ``counts[i]`` of the flat
+    array."""
+    n = len(counts)
+    docs = np.repeat(np.arange(n, dtype=np.int64), counts)
+    perm = np.lexsort((values, docs))
+    ds_, vs = docs[perm], values[perm]
+    keep = np.r_[True, (ds_[1:] != ds_[:-1]) | (vs[1:] != vs[:-1])][: len(perm)]
+    ucounts = np.bincount(ds_[keep], minlength=n)
+    return pa.ListArray.from_arrays(
+        pa.array(np.r_[0, ucounts.cumsum()].astype(np.int32)), pa.array(vs[keep], type=value_type)
+    )
+
+
 class FeatureExtractor:
     """Batch transform: (url, warc_ts, lang, text, title) → features.
     Token-hash cache amortizes hashing across batches."""
@@ -85,88 +152,30 @@ class FeatureExtractor:
         self.coeffs = minhash_coefficients(self.cfg.num_perm)
         self.cache: dict[str, int] = {}
 
-    def _hash_uniques(self, uniq: list[str]) -> np.ndarray:
-        uh = np.empty(len(uniq), dtype=np.int64)
-        cache = self.cache
-        for i, t in enumerate(uniq):
-            h = cache.get(t)
-            if h is None:
-                h = stable_hash64(t)
-                cache[t] = h
-            uh[i] = h
-        return uh
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        """Flat whole-batch form: tokenize per doc (C regex), then ONE
-        factorize-hash over the concatenated token stream and segment-
-        reduced MinHash/SimHash/band-key kernels (similarity.*_flat) —
-        per-DOC values identical to the scalar kernels (pinned by
+        """Flat whole-batch form: tokenize and hash the batch's token stream
+        once (``token_hashes``), then segment-reduced MinHash/SimHash/
+        band-key kernels (similarity.*_flat) — per-DOC values identical to
+        the scalar kernels (pinned by
         tests/test_block_features.py::test_flat_kernels_match_scalar), with
         no per-doc numpy call overhead. Measured 1.9× over the per-doc loop
         at 4096-doc batches."""
-        import pyarrow.compute as pc
-
         cfg = self.cfg
         n = batch.num_rows
         urls_py = batch["url"].to_pylist()
         url_hashes = np.fromiter(
             (stable_hash64(u) for u in urls_py), dtype=np.int64, count=n
         )
-        texts_arr = pc.fill_null(_comb(batch["text"]), "")
-        titles_arr = pc.fill_null(_comb(batch["title"]), "")
-        ascii_ok = bool(
-            n
-            and pc.all(pc.string_is_ascii(texts_arr)).as_py()
-            and pc.all(pc.string_is_ascii(titles_arr)).as_py()
-        )
-        if ascii_ok:
-            # Arrow fast path: the flat token stream never materializes as
-            # Python objects; only the batch's UNIQUE tokens do (for the
-            # cached blake2b hash) — byte-identical to the fallback below
-            flat_vals, counts = _split_canonical_ascii(texts_arr)
-            offsets = np.r_[0, counts.cumsum()]
-            denc = _comb(flat_vals).dictionary_encode()
-            codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            uniq = denc.dictionary.to_pylist()
-            uh = self._hash_uniques(uniq)
-            flat_h = uh.astype(np.uint64)[codes] if len(codes) else np.empty(0, dtype=np.uint64)
-            tflat, tcounts = _split_canonical_ascii(titles_arr)
-            title_arr = pc.binary_join(
-                pa.ListArray.from_arrays(
-                    pa.array(np.r_[0, tcounts.cumsum()].astype(np.int32)), tflat
-                ),
-                " ",
-            )
-        else:
-            texts = texts_arr.to_pylist()
-            titles = titles_arr.to_pylist()
-            toks_per_doc = [canonical_tokens(t) for t in texts]
-            counts = np.fromiter((len(t) for t in toks_per_doc), dtype=np.int64, count=n)
-            offsets = np.r_[0, counts.cumsum()]
-            flat_tokens = np.empty(int(offsets[-1]), dtype=object)
-            pos = 0
-            for toks in toks_per_doc:
-                flat_tokens[pos : pos + len(toks)] = toks
-                pos += len(toks)
-            flat_h = hash_tokens_flat(flat_tokens, self.cache)
-            title_arr = pa.array(
-                [" ".join(canonical_tokens(t)) for t in titles], type=pa.string()
-            )
+        flat_h, counts = token_hashes(batch["text"], self.cache)
+        offsets = np.r_[0, counts.cumsum()]
+        title_arr = canonical_text(batch["title"])
         # sorted unique 32-bit token ids per doc (low half of the 64-bit
         # token hash) — the scorer's Jaccard operates on these. Int arrays
         # stay zero-copy Arrow through the shuffle, and 32-bit ids halve
         # the fat exchange's dominant payload (see jaccard_ids);
         # MinHash/SimHash keep the full 64-bit hashes.
         ids32 = (flat_h & np.uint64(0xFFFFFFFF)).astype(np.uint32).view(np.int32)
-        doc_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-        perm = np.lexsort((ids32, doc_ids))
-        ds_, is_ = doc_ids[perm], ids32[perm]
-        keep = np.r_[True, (ds_[1:] != ds_[:-1]) | (is_[1:] != is_[:-1])] if len(ds_) else np.zeros(0, dtype=bool)
-        uniq_counts = np.bincount(ds_[keep], minlength=n) if len(ds_) else np.zeros(n, dtype=np.int64)
-        token_ids_arr = pa.ListArray.from_arrays(
-            pa.array(np.r_[0, uniq_counts.cumsum()].astype(np.int32)),
-            pa.array(is_[keep] if len(ds_) else np.zeros(0, dtype=np.int32), type=pa.int32()),
-        )
+        token_ids_arr = sorted_unique_lists(ids32, counts, pa.int32())
         flat_sh, sh_counts = shingle_hashes_flat(flat_h, offsets, k=cfg.shingle_k)
         sigs = minhash_signatures_flat(flat_sh, sh_counts, *self.coeffs)
         band_mat = lsh_band_keys_matrix(sigs, cfg.bands)
@@ -175,9 +184,6 @@ class FeatureExtractor:
             pa.array(band_mat.reshape(-1), type=pa.int64()),
         )
         simhashes = simhash64_flat(flat_h, offsets)
-        # cache growth guard for long-lived actors
-        if len(self.cache) > 2_000_000:
-            self.cache.clear()
         return pa.table(
             {
                 "url": batch["url"],
@@ -248,16 +254,6 @@ def feature_stage(
 
 
 _BLOCK_KEYS = pa.schema([("block_key", pa.int64())])
-_FAT_ROWS = pa.schema(
-    [
-        ("block_key", pa.int64()),
-        ("url_hash", pa.int64()),
-        ("token_ids", pa.list_(pa.int32())),
-        ("simhash", pa.int64()),
-        ("title_norm", pa.string()),
-    ]
-)
-
 
 def block_keys(batch: pa.Table) -> pa.Table:
     """Key-only band explode: one ``block_key`` row per band — nothing but
@@ -267,22 +263,22 @@ def block_keys(batch: pa.Table) -> pa.Table:
     return pa.table({"block_key": _comb(batch["band_keys"]).flatten()})
 
 
-def fat_block_rows(batch: pa.Table, allowed: np.ndarray | None = None) -> pa.Table:
-    """Fat explode: one (block_key, url_hash, token_ids, simhash,
-    title_norm) row per band. Ships each page's features ``bands`` times
-    through ONE hash exchange — cheaper in total than joining features onto
-    the pair list twice (the join path moves the payload once per PAIR
-    side, and pairs outnumber pages ~30:1 on web near-dup workloads).
-    IDS ONLY on the hot path: token payload is the int32 id list and the
-    page identity is the 64-bit url hash — url STRINGS never enter the pair
-    shuffle or the edge output; they rejoin from the features side table
-    after clustering (stages/merge).
+def fat_block_rows(
+    batch: pa.Table, payload: tuple[str, ...], allowed: np.ndarray | None = None
+) -> pa.Table:
+    """Fat explode: one (block_key, *payload) row per ``band_keys`` entry.
+    Ships each row's payload once per key through ONE hash exchange —
+    cheaper in total than joining it onto the pair list twice (the join
+    path moves the payload once per PAIR side, and pairs outnumber pages
+    ~30:1 on web near-dup workloads). The pages scorer's payload
+    (``score.PAGE_PAYLOAD``) is IDS ONLY: the int32 token id list and the
+    64-bit url hash as page identity — url STRINGS never enter the pair shuffle or
+    the edge output; they rejoin from the features side table after
+    clustering (stages/merge).
 
     ``allowed``: optional sorted int64 key array; rows with any other key
-    are dropped before the payload columns are gathered. Typed empty for a
-    zero-row block."""
-    if batch.num_rows == 0:
-        return _FAT_ROWS.empty_table()
+    are dropped before the payload columns are gathered. A zero-row block
+    gives a zero-row table of the same columns."""
     keys = _comb(batch["band_keys"])
     flat = keys.flatten()
     counts = np.diff(keys.offsets.to_numpy(zero_copy_only=False))
@@ -292,7 +288,7 @@ def fat_block_rows(batch: pa.Table, allowed: np.ndarray | None = None) -> pa.Tab
         flat, idx = flat.filter(pa.array(keep)), idx[keep]
     idx = pa.array(idx, type=pa.int64())
     cols = {"block_key": flat}
-    for name in ("url_hash", "token_ids", "simhash", "title_norm"):
+    for name in payload:
         cols[name] = _comb(batch[name]).take(idx)
     return pa.table(cols)
 

@@ -94,7 +94,7 @@ def _candidate_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
     (deduped (src_id, dst_id) candidates, {"dropped": n}). The count is
     kept out of band of the rows, so a partition whose only candidates
     were capped away still reports its loss."""
-    from entity_resolution_engine_ray.stages.dedup import _distinct, _int64
+    from entity_resolution_engine_ray.stages.pairs import _distinct, _int64
 
     if tbl.num_rows == 0:
         return _CANDS.empty_table(), {"dropped": 0}

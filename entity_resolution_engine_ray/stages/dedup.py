@@ -3,15 +3,18 @@ driver brief): exact, MinHash-LSH, SimHash, n-gram Jaccard — each expressed
 Ray-Data-first over an id+text Dataset of any size.
 
 Shared shape with the flagship ER pipeline (stages/block, stages/pairs,
-stages/score.fused_edges_stage): featurize once, then ONE candidate →
-verify → dedup tail (``_edges_from_feats``) on a chained hash exchange
-(stages/exchange.hash_exchange_chained). The band explode, singleton prune
-and hot-key salt run in its split tasks; stage 1 forms each bucket's pairs
-(skew-capped), verifies them exactly and returns the cap's dropped count
-out of band of the rows; stage 2 dedups the pairs. No marker row, no
-driver-side pass over the candidates. Connected components follow for the
-clustering operators. Ids here are int64 (doc ids), so clustering uses
-numeric union semantics directly.
+stages/score.fused_edges_stage): featurize once (the word-shingle mode
+through the pages' tokenizer front end, block.token_hashes), then the one
+blocked-pair driver, ``pairs.blocked_pair_edges``. Each operator plugs in
+its fat-row payload (``id``, ``token_ids``, and ``side`` for the
+cross-corpus screen), the doc id as the salt's mixing hash, and its pair
+function: ``_pair_verify_partition`` (every pair of a bucket) or
+``_cross_verify_partition`` (new x old only), each verifying exact Jaccard
+and returning the cap's dropped count out of band of the rows; stage 2
+dedups the pairs (``_dedup_pairs``). No marker row, no driver-side pass
+over the candidates. Connected components follow for the clustering
+operators. Ids here are int64 (doc ids), so clustering uses numeric union
+semantics directly.
 """
 
 from __future__ import annotations
@@ -24,15 +27,19 @@ import pyarrow as pa
 
 from entity_resolution_engine_ray.functions.similarity import (
     char_ngram_hashes,
-    hash_tokens,
     lsh_band_keys,
     minhash_coefficients,
     minhash_signature,
-    simhash64,
     stable_hash64,
 )
-from entity_resolution_engine_ray.oracle.serial import canonical_tokens
 from entity_resolution_engine_ray.stages.grouping import partition_map_groups
+from entity_resolution_engine_ray.stages.pairs import (
+    _distinct,
+    _int64,
+    blocked_pair_edges,
+    bucket_layout,
+)
+from entity_resolution_engine_ray.stages.score import _grouped_jaccard_flat, _popcount64, triu_pairs
 
 
 class _DedupFeatures:
@@ -79,71 +86,30 @@ class _DedupFeatures:
         )
 
     def _call_token_shingle(self, batch: pa.Table) -> pa.Table:
-        """Flat whole-batch word-shingle featurization (same kernels as the
-        pages FeatureExtractor — similarity.*_flat; per-doc values pinned
-        identical to the scalar path by tests/test_dedup_flat_parity)."""
-        import pyarrow.compute as pc
-
-        from entity_resolution_engine_ray.stages.block import (
-            _comb,
-            _split_canonical_ascii,
-        )
+        """Flat whole-batch word-shingle featurization (the pages
+        FeatureExtractor's tokenizer front end, block.token_hashes, and the
+        same similarity.*_flat kernels; per-doc values pinned identical to
+        the scalar path by
+        tests/test_block_features.py::test_dedup_flat_parity)."""
         from entity_resolution_engine_ray.functions.similarity import (
-            hash_tokens_flat,
             lsh_band_keys_matrix,
             minhash_signatures_flat,
             shingle_hashes_flat,
         )
+        from entity_resolution_engine_ray.stages.block import sorted_unique_lists, token_hashes
 
         n = batch.num_rows
-        arr = pc.fill_null(_comb(batch[self.text_col]), "")
-        if n and pc.all(pc.string_is_ascii(arr)).as_py():
-            flat_vals, counts = _split_canonical_ascii(arr)
-            denc = _comb(flat_vals).dictionary_encode()
-            codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            uniq_toks = denc.dictionary.to_pylist()
-            uh = np.empty(len(uniq_toks), dtype=np.int64)
-            cache = self.cache
-            for i, t in enumerate(uniq_toks):
-                h = cache.get(t)
-                if h is None:
-                    h = stable_hash64(t)
-                    cache[t] = h
-                uh[i] = h
-            flat_h = (
-                uh.astype(np.uint64)[codes] if len(codes) else np.empty(0, dtype=np.uint64)
-            )
-        else:
-            texts = arr.to_pylist()
-            toks_per_doc = [canonical_tokens(t) for t in texts]
-            counts = np.fromiter((len(t) for t in toks_per_doc), dtype=np.int64, count=n)
-            flat_tokens = np.array(
-                [t for toks in toks_per_doc for t in toks], dtype=object
-            )
-            flat_h = hash_tokens_flat(flat_tokens, self.cache)
+        flat_h, counts = token_hashes(batch[self.text_col], self.cache)
         offsets = np.r_[0, counts.cumsum()]
         flat_sh, sh_counts = shingle_hashes_flat(flat_h, offsets, k=self.k)
         # per-doc sorted unique int64 SHINGLE ids (sort AFTER the int64
         # reinterpret — same order as np.sort(np.unique(sh).view(int64)))
-        sv = flat_sh.view(np.int64)
-        sh_doc = np.repeat(np.arange(n, dtype=np.int64), sh_counts)
-        perm = np.lexsort((sv, sh_doc))
-        dsr, vsr = sh_doc[perm], sv[perm]
-        keep = (
-            np.r_[True, (dsr[1:] != dsr[:-1]) | (vsr[1:] != vsr[:-1])]
-            if len(dsr)
-            else np.zeros(0, dtype=bool)
-        )
-        ucounts = np.bincount(dsr[keep], minlength=n) if len(dsr) else np.zeros(n, np.int64)
-        token_ids_arr = pa.ListArray.from_arrays(
-            pa.array(np.r_[0, ucounts.cumsum()].astype(np.int32)),
-            pa.array(vsr[keep] if len(dsr) else np.zeros(0, np.int64), type=pa.int64()),
-        )
+        token_ids_arr = sorted_unique_lists(flat_sh.view(np.int64), sh_counts, pa.int64())
         # MinHash over the per-doc UNIQUE shingles (duplicate-invariant —
         # identical signatures, smaller permute temp)
         sigs = minhash_signatures_flat(
-            vsr[keep].view(np.uint64) if len(dsr) else np.empty(0, np.uint64),
-            ucounts,
+            token_ids_arr.values.to_numpy().view(np.uint64),
+            np.diff(token_ids_arr.offsets.to_numpy()).astype(np.int64),
             *self.coeffs,
         )
         band_mat = lsh_band_keys_matrix(sigs, self.bands)
@@ -151,8 +117,6 @@ class _DedupFeatures:
             pa.array(np.arange(0, (n + 1) * self.bands, self.bands, dtype=np.int32)),
             pa.array(band_mat.reshape(-1), type=pa.int64()),
         )
-        if len(self.cache) > 2_000_000:
-            self.cache.clear()
         return pa.table(
             {
                 "id": batch[self.id_col],
@@ -169,18 +133,6 @@ _VERIFY_SCHEMA = _PAIRS_SCHEMA.append(pa.field("jaccard", pa.float64()))
 _HAMMING_SCHEMA = _PAIRS_SCHEMA.append(pa.field("hamming", pa.int64()))
 
 
-def _int64(col) -> np.ndarray:
-    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-
-
-def _distinct(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Row indices of the first occurrence of each distinct (left, right)
-    pair, in pair order."""
-    perm = np.lexsort((right, left))
-    ls, rs = left[perm], right[perm]
-    return perm[np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])][: len(perm)]]
-
-
 def _dedup_pairs(tbl: pa.Table, left: str = "left_id", right: str = "right_id") -> pa.Table:
     """Pair-dedup stage of every blocked-pair operator: one row per
     (``left``, ``right``) pair. Duplicate rows of a pair come from several
@@ -195,8 +147,6 @@ def _pairs_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
     {"dropped": n}). Buckets over ``cap`` members are deterministically
     truncated (sorted by id) and the pairs lost are counted out of band of
     the rows — never silent (same contract as the pages pairgen)."""
-    from entity_resolution_engine_ray.stages.score import triu_pairs
-
     if tbl.num_rows == 0:
         return _PAIRS_SCHEMA.empty_table(), {"dropped": 0}
     keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
@@ -222,71 +172,11 @@ def _pairs_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
     return pa.table([left[sel], right[sel]], schema=_PAIRS_SCHEMA), {"dropped": dropped}
 
 
-def _explode_fat(batch: pa.Table) -> pa.Table:
-    """(id, token_ids, band_keys) → one (id, token_ids, block_key) row per
-    band — ships the int64 token-id payload through ONE hash exchange
-    instead of two join barriers (the pages pipeline's fat-block pattern,
-    stages/block.py). Int lists stay zero-copy Arrow through the shuffle."""
-    keys = batch["band_keys"]
-    if isinstance(keys, pa.ChunkedArray):
-        keys = keys.combine_chunks()
-    flat = keys.flatten()
-    counts = np.diff(keys.offsets.to_numpy(zero_copy_only=False))
-    idx = pa.array(np.repeat(np.arange(len(keys)), counts), type=pa.int64())
-    cols = {"block_key": flat}
-    payload = ["id", "token_ids"] + (["side"] if "side" in batch.column_names else [])
-    for name in payload:
-        col = batch[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        cols[name] = col.take(idx)
-    return pa.table(cols)
-
-
-def _salted_fat_rows(batch: pa.Table, keep_ref, hot: dict[int, int]) -> pa.Table:
-    """Split function of the verify exchange: the fat explode, the
-    singleton-bucket prune (``keep_ref``: broadcast pairable keys, when
-    known) and the hot-key salt with the doc id as the mixing hash. A
-    zero-row block routes nothing; the exchange keeps a typed block for an
-    empty partition when any block has one."""
-    from entity_resolution_engine_ray.stages.pairs import _salt_batch
-    from entity_resolution_engine_ray.stages.score import _keep_block_keys
-
-    if batch.num_rows == 0:
-        return pa.table({})
-    fat = _explode_fat(batch)
-    if keep_ref is not None:
-        fat = _keep_block_keys(fat, keep_ref)
-    return _salt_batch(fat, hot, hash_col="id")
-
-
-def _bucket_layout(tbl: pa.Table, *minor: np.ndarray) -> tuple:
-    """Shared layout of the verify partitions over fat (id, token_ids,
-    block_key[, salt]) rows: rows sorted by (block_key, salt, *minor, id)
-    → (order, sorted ids, the flat token layout (values, starts, lengths)
-    in sorted row order, bucket starts, bucket ends). A bucket is one
-    (block_key, salt); hot buckets arrive pre-split by salt (Arrow-native,
-    the layout of the pages scorer, stages/score._pair_score_partition)."""
-    from entity_resolution_engine_ray.stages.score import _combined
-
-    keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
-    salts = _int64(tbl["salt"]) if "salt" in tbl.column_names else np.zeros(len(keys), np.int64)
-    order = np.lexsort((ids, *minor, salts, keys))
-    keys, salts = keys[order], salts[order]
-    tok = _combined(tbl["token_ids"])
-    toffs = _int64(tok.offsets)
-    flat = (_int64(tok.values), toffs[:-1][order], (toffs[1:] - toffs[:-1])[order])
-    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
-    return order, ids[order], flat, np.r_[0, change], np.r_[change, tbl.num_rows]
-
-
 def _verified(ids: np.ndarray, flat: tuple, lefts: list, rights: list, threshold: float) -> pa.Table:
     """Shared tail of the verify partitions: candidate row-index pairs into
     the sorted layout → partition-local pair dedup, exact Jaccard over the
     flat token layout, threshold. Empty-set semantics: both docs empty →
     1.0 inside the kernel; empty vs non-empty → 0.0."""
-    from entity_resolution_engine_ray.stages.score import _grouped_jaccard_flat
-
     if not lefts:
         return _VERIFY_SCHEMA.empty_table()
     lidx, ridx = np.concatenate(lefts), np.concatenate(rights)
@@ -303,11 +193,9 @@ def _pair_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[p
     form within each bucket; the cap remains as the backstop for salt hash
     variance, and the pairs it loses are counted out of band of the rows,
     so a partition whose every pair is capped away still reports them."""
-    from entity_resolution_engine_ray.stages.score import triu_pairs
-
     if tbl.num_rows == 0:
         return _VERIFY_SCHEMA.empty_table(), {"dropped": 0}
-    _, ids, flat, starts, ends = _bucket_layout(tbl)
+    _, ids, flat, starts, ends, _ = bucket_layout(tbl, "id")
     lefts, rights = [], []
     dropped = 0
     for s, e in zip(starts, ends):
@@ -333,7 +221,7 @@ def _cross_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[
         return _VERIFY_SCHEMA.empty_table(), {"dropped": 0}
     sides = _int64(tbl["side"])
     # side DESC inside each bucket: new (1) rows first, then old (0)
-    order, ids, flat, starts, ends = _bucket_layout(tbl, -sides)
+    order, ids, flat, starts, ends, _ = bucket_layout(tbl, "id", -sides)
     sides = sides[order]
     lefts, rights = [], []
     dropped = 0
@@ -380,10 +268,11 @@ def near_dup_edges(
 ):
     """(id, text) → (verified edge Dataset (left_id, right_id, jaccard),
     dropped_pair_count). Fully distributed: one featurize pass, then the
-    shared candidate → verify → dedup tail (``_edges_from_feats``): the fat
-    band explode runs in the split tasks of one chained exchange whose
-    first stage pairs and verifies each bucket and whose second dedups the
-    pairs; the cap's dropped count comes back out of band of the rows."""
+    blocked-pair driver (``pairs.blocked_pair_edges``): the fat band
+    explode, singleton prune and hot-key salt run in the split tasks of one
+    chained exchange whose first stage pairs and verifies each bucket and
+    whose second dedups the pairs; the cap's dropped count comes back out
+    of band of the rows."""
     import ray.data as rd
 
     if bands > num_perm or num_perm % bands != 0:
@@ -419,64 +308,17 @@ def near_dup_edges(
         batch_size=featurize_batch_size,
     ).materialize()
 
-    return _edges_from_feats(
+    edges, dropped = blocked_pair_edges(
         feats,
-        _pair_verify_partition,
-        threshold=threshold,
-        max_block_size=max_block_size,
-        num_partitions=num_partitions,
-        n_fat=feats.count() * bands,
-    )
-
-
-def _edges_from_feats(feats, verify, *, threshold, max_block_size, num_partitions, n_fat):
-    """Shared candidate → verify → dedup tail over a materialized
-    (id, token_ids, band_keys[, side]) feature Dataset. Candidate semantics
-    are whatever produced ``band_keys`` — LSH bands (near_dup_edges,
-    cross_corpus_near_dup_pairs) or the lossless PPJoin prefix
-    (prefix_jaccard_self_join) — and ``verify`` forms the pairs of one
-    partition: ``_pair_verify_partition`` (all pairs of a bucket) or
-    ``_cross_verify_partition`` (new x old only).
-
-    1. ``pairs.key_stats`` with the key-only explode as its split function
-       → the hot keys and the pairable keys;
-    2. one chained exchange (exchange.hash_exchange_chained): its split
-       tasks run the fat explode, the singleton prune and the hot-key salt
-       (``_salted_fat_rows``: buckets over the cap split into deterministic
-       id-hash sub-buckets instead of being truncated), stage 1 runs
-       ``verify`` per (block_key, salt) and returns its dropped count out
-       of band, stage 2 dedups the (left_id, right_id) pairs.
-
-    ``n_fat`` is the exploded (id, key) row count; the exchange is sized by
-    ``pairs.pair_partitions`` over the rows that enter it."""
-    import ray
-    import ray.data as rd
-
-    from entity_resolution_engine_ray.stages.block import block_keys
-    from entity_resolution_engine_ray.stages.exchange import hash_exchange_chained
-    from entity_resolution_engine_ray.stages.pairs import key_stats, pair_partitions
-
-    hot, pairable, n_pruned = key_stats(feats, max_block_size, n_rows_hint=n_fat, block_fn=block_keys)
-    if pairable is not None and len(pairable) == 0:
-        # no bucket has ≥ 2 members: no candidate pair, nothing dropped
-        return rd.from_arrow(_VERIFY_SCHEMA.empty_table()), 0
-    # singleton-bucket prune: keys with one member can never pair — their
-    # fat rows are dropped in the split tasks (output-preserving, see
-    # pairs.key_stats); when the prune is skipped every fat row ships
-    keep_ref = None if pairable is None else ray.put(pairable)
-    parts = pair_partitions(n_fat if pairable is None else n_pruned, num_partitions)
-    edges, counts = hash_exchange_chained(
-        feats,
-        ["block_key", "salt"],
-        functools.partial(verify, cap=max_block_size, threshold=threshold),
-        parts,
-        ["left_id", "right_id"],
+        functools.partial(_pair_verify_partition, cap=max_block_size, threshold=threshold),
         _dedup_pairs,
-        parts,
-        arrow_fns=True,
-        block_fn=functools.partial(_salted_fat_rows, keep_ref=keep_ref, hot=hot),
+        payload=("id", "token_ids"),
+        hash_col="id",
+        cap=max_block_size,
+        n_key_rows=feats.count() * bands,
+        num_partitions=num_partitions,
     )
-    return edges, counts.get("dropped", 0)
+    return edges, int(dropped)
 
 
 def _prefix_keys_batch(batch: pa.Table, threshold: float) -> pa.Table:
@@ -554,11 +396,11 @@ def prefix_jaccard_self_join(
     and complete (prefix-filtering principle), so the result equals the
     exhaustive O(n²) answer by construction, not by a calibrated-recall
     argument. Shares near_dup_edges' entire exchange/verify/dedup tail
-    (_edges_from_feats); only the band_keys column differs. Cost profile:
-    ~(1-t)*|set| prefix keys per doc (vs a constant ``bands`` for LSH), so
-    prefix keys ship MORE fat rows at low thresholds — the operator is the
-    right tool for high thresholds / exactness contracts, LSH for recall-
-    tolerant bulk dedup.
+    (``pairs.blocked_pair_edges``); only the band_keys column differs.
+    Cost profile: ~(1-t)*|set| prefix keys per doc (vs a constant
+    ``bands`` for LSH), so prefix keys ship MORE fat rows at low thresholds
+    — the operator is the right tool for high thresholds / exactness
+    contracts, LSH for recall-tolerant bulk dedup.
 
     Returns (edges Dataset (left_id, right_id, jaccard), dropped). dropped
     counts pairs lost to the skew cap; exactness holds iff dropped == 0 —
@@ -593,16 +435,19 @@ def prefix_jaccard_self_join(
         )
         .materialize()
     )
-    # exact exploded key count (prefix lengths vary per doc, unlike LSH's
-    # constant bands-per-doc)
-    return _edges_from_feats(
+    edges, dropped = blocked_pair_edges(
         feats,
-        _pair_verify_partition,
-        threshold=threshold,
-        max_block_size=max_block_size,
+        functools.partial(_pair_verify_partition, cap=max_block_size, threshold=threshold),
+        _dedup_pairs,
+        payload=("id", "token_ids"),
+        hash_col="id",
+        cap=max_block_size,
+        # exact exploded key count (prefix lengths vary per doc, unlike
+        # LSH's constant bands-per-doc)
+        n_key_rows=max(n_list_values(feats, "band_keys"), 1),
         num_partitions=num_partitions,
-        n_fat=max(n_list_values(feats, "band_keys"), 1),
     )
+    return edges, int(dropped)
 
 
 def near_dup_clusters(
@@ -718,15 +563,20 @@ def ngram_near_dup_clusters(ds, id_col="doc_id", text_col="text", n: int = 3, **
     return near_dup_clusters(ds, id_col=id_col, text_col=text_col, mode="char_ngram", k=n, **kw)
 
 
+# process-global token-hash cache of ``simhash_stage`` (one per worker
+# process, bounded by similarity.hash_uniques)
+_SIMHASH_TOKEN_CACHE: dict[str, int] = {}
+
+
 def simhash_stage(ds, id_col="doc_id", text_col="text"):
-    """(id, text) → (id, simhash:int64) — stateless vectorized fingerprints."""
+    """(id, text) → (id, simhash:int64) — vectorized fingerprints: the
+    tokenizer front end (block.token_hashes) + similarity.simhash64_flat."""
+    from entity_resolution_engine_ray.functions.similarity import simhash64_flat
+    from entity_resolution_engine_ray.stages.block import token_hashes
 
     def fp(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        out = np.empty(len(texts), dtype=np.int64)
-        cache: dict[str, int] = {}
-        for i, t in enumerate(texts):
-            out[i] = simhash64(hash_tokens(canonical_tokens(t or ""), cache))
+        flat_h, counts = token_hashes(batch[text_col], _SIMHASH_TOKEN_CACHE)
+        out = simhash64_flat(flat_h, np.r_[0, counts.cumsum()])
         return pa.table({id_col: batch[id_col], "simhash": pa.array(out, type=pa.int64())})
 
     return ds.map_batches(fp, batch_format="pyarrow")
@@ -831,10 +681,9 @@ def simhash_near_dup_pairs(
             truncated += (e - s) - m
             if m < 2:
                 continue
-            ii, jj = np.triu_indices(m, k=1)
+            ii, jj = triu_pairs(m)
             sub_ids = ids[s : s + m]
-            x = np.bitwise_xor(sh[s : s + m][ii], sh[s : s + m][jj])
-            h = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
+            h = _popcount64(np.bitwise_xor(sh[s : s + m][ii], sh[s : s + m][jj]))
             keep = h <= max_hamming
             lefts.append(sub_ids[ii[keep]])
             rights.append(sub_ids[jj[keep]])
@@ -930,11 +779,14 @@ def cross_corpus_near_dup_pairs(
         .materialize()
     )
 
-    return _edges_from_feats(
+    edges, dropped = blocked_pair_edges(
         feats,
-        _cross_verify_partition,
-        threshold=threshold,
-        max_block_size=max_block_size,
+        functools.partial(_cross_verify_partition, cap=max_block_size, threshold=threshold),
+        _dedup_pairs,
+        payload=("id", "token_ids", "side"),
+        hash_col="id",
+        cap=max_block_size,
+        n_key_rows=feats.count() * bands,
         num_partitions=num_partitions,
-        n_fat=feats.count() * bands,
     )
+    return edges, int(dropped)

@@ -13,9 +13,10 @@ hash-partition-without-sort; see the builder brief's escape hatch):
                                         block → apply the user's vectorized
                                         per-partition function
 
-Results are identical to ``grouping.partition_map_groups`` for any
-per-group-pure function (same partitioner hash). Deterministic: partition
-assignment depends only on key values.
+``grouping.partition_map_groups`` is a thin wrapper over
+``hash_exchange_map_groups``, so the two agree by construction. A
+per-group-pure function gives the same result at any partition count.
+Deterministic: partition assignment depends only on key values.
 
 Stages hand each other ``Blocks``: block refs with the row counts that the
 tasks making them report. Every entry point takes ``Blocks`` or a Dataset
@@ -447,8 +448,8 @@ def hash_exchange_chained(
 
     Callers — every blocked-pair operator, each as block_fn = its explode,
     stage 1 = pair generation + verify with its dropped count, stage 2 =
-    pair dedup: ``score.fused_edges_stage`` (the pages pipeline),
-    ``dedup._edges_from_feats`` (``near_dup_edges``,
+    pair dedup: ``pairs.blocked_pair_edges`` (``score.fused_edges_stage``
+    for the pages pipeline, and ``near_dup_edges``,
     ``prefix_jaccard_self_join``, ``cross_corpus_near_dup_pairs``),
     ``dedup.simhash_near_dup_pairs``, ``containment.containment_self_join``
     and ``knn.cosine_near_dup_pairs``.

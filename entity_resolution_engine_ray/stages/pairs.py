@@ -1,24 +1,41 @@
-"""Stage 3 — block-key statistics and hot-key salting for pair generation.
+"""Stage 3 — the one blocked-pair driver: block-key statistics, hot-key
+salting, and the candidate → verify → dedup exchange.
 
-The pair exchange itself lives in ``stages/score.fused_edges_stage`` (and
-``stages/dedup._edges_from_feats`` for the dedup operators); this module
-supplies the pieces they run first:
+``blocked_pair_edges`` is the filter → verify dataflow of every
+``band_keys``-blocked pair operator: the pages scorer
+(``score.fused_edges_stage``) and the dedup operators (``near_dup_edges``,
+``prefix_jaccard_self_join``, ``cross_corpus_near_dup_pairs``). Callers
+plug in data, never a mode: the fat-row payload columns, the salt's
+mixing-hash column, the per-partition pair function (candidate rule +
+verify + score) and the pair-dedup function. It runs:
 
-1. ``key_stats`` — one counting pass over the exploded ``block_key`` rows:
-   per-block ``value_counts`` partials inside the split tasks of one
-   summing hash exchange → only keys with ≥ 2 members reach the driver.
-   It yields the hot set (buckets over ``max_block_size``, with their
-   split counts) and the pairable set used to prune singleton buckets
-   before the fat exchange.
-2. ``_salt_batch`` — vectorized salting of hot keys:
-   ``salt = (mix64(url_hash ^ block_key) & INT63) % n_splits`` (0 for cold
-   keys), the same deterministic assignment as the serial oracle's
-   ``split_block``, so pair semantics are identical and a hot bucket is
-   never materialized in one task.
-3. ``pair_partitions`` — the one width rule of every blocked-pair exchange.
+1. ``key_stats`` — one counting pass over the key-only band explode
+   (restricted to ``key_filter`` when given): per-block ``value_counts``
+   partials inside the split tasks of one summing hash exchange → only
+   keys with ≥ 2 members reach the driver. It yields the hot set (buckets
+   over the cap, with their split counts) and the pairable set used to
+   prune singleton buckets before the fat exchange.
+2. a typed empty result when no key can pair;
+3. the pairable-key broadcast and the width rule ``pair_partitions``;
+4. one ``exchange.hash_exchange_chained``: its split tasks run the fat
+   explode, the singleton prune and ``_salt_batch``; stage 1 runs the
+   pair function per (block_key, salt) bucket and returns its drop counts
+   out of band of the rows; stage 2 dedups the (left_id, right_id) pairs.
+
+``_salt_batch`` — vectorized salting of hot keys:
+``salt = (mix64(row_hash ^ block_key) & INT63) % n_splits`` (0 for cold
+keys), the same deterministic assignment as the serial oracle's
+``split_block``, so pair semantics are identical and a hot bucket is never
+materialized in one task.
+
+The pair functions share two kernels from here: ``bucket_layout`` (rows
+sorted into (block_key, salt) buckets with a flat token layout) and
+``_distinct`` (the first row of each distinct (left, right) pair).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -26,6 +43,7 @@ import pyarrow.compute as pc
 
 from entity_resolution_engine_ray.functions.similarity import mix64
 from entity_resolution_engine_ray.oracle.serial import n_splits_for
+from entity_resolution_engine_ray.stages.block import _comb, block_keys, fat_block_rows, in_sorted
 
 
 _KEY_COUNTS = pa.schema([("k", pa.int64()), ("n", pa.int64())])
@@ -50,13 +68,15 @@ def _sum_multi(t: pa.Table) -> pa.Table:
 
 
 def key_stats(
-    block_rows_ds,
+    blocks,
     cap: int,
-    n_rows_hint: int | None = None,
+    *,
+    n_rows_hint: int,
+    block_fn,
     pairable_limit: int = 200_000_000,
-    block_fn=None,
 ) -> tuple[dict[int, int], np.ndarray | None, int]:
-    """One counting pass over (block_key) rows → (hot dict, pairable keys).
+    """One counting pass over the (block_key) rows ``block_fn`` makes of
+    each of ``blocks`` (``exchange.Blocks``) → (hot dict, pairable keys).
 
     ``hot``: block_key → n_splits for buckets over the cap (driver-side
     small dict).
@@ -83,14 +103,12 @@ def key_stats(
     is the pair-producing minority, the hot (> cap) set a few thousand).
     The driver reads the exchange's output tables with ``ray.get``.
 
-    ``block_fn``: optional per-block function that turns each input block
-    into (block_key) rows first — e.g. the band explode over features — so
-    the exploded rows exist only inside the split tasks.
+    ``block_fn``: the per-block function that turns each input block into
+    (block_key) rows — the band explode over features — so the exploded
+    rows exist only inside the split tasks.
 
     ``n_rows_hint`` (e.g. pages × bands, known upstream) sizes the summing
-    exchange without a separate counting pass over the exploded rows;
-    without it the input rows are counted, which undercounts the rows a
-    ``block_fn`` explode produces.
+    exchange without a separate counting pass over the exploded rows.
 
     Returns ``(hot, pairable, n_pairable_rows)`` — the third element is the
     TOTAL row count across multi-member keys, i.e. the number of fat rows
@@ -101,17 +119,14 @@ def key_stats(
     exchange targets ~200k PRUNED rows per partition instead."""
     import ray
 
-    from entity_resolution_engine_ray.stages.exchange import as_blocks, hash_exchange_map_groups
-
-    blocks = as_blocks(block_rows_ds)
-    n_rows = n_rows_hint if n_rows_hint is not None else blocks.count()
+    from entity_resolution_engine_ray.stages.exchange import hash_exchange_map_groups
 
     def partial(t: pa.Table) -> pa.Table:
-        return _key_counts(t if block_fn is None else block_fn(t))
+        return _key_counts(block_fn(t))
 
     # partial tables are ~n_distinct_keys rows; scale the summing exchange
     # with the input instead of paying 32 fixed tasks at 100k
-    n_parts = int(min(32, max(4, n_rows // 500_000)))
+    n_parts = int(min(32, max(4, n_rows_hint // 500_000)))
     summed = hash_exchange_map_groups(
         blocks, ["k"], _sum_multi, n_parts, arrow_fns=True, block_fn=partial
     )
@@ -173,3 +188,163 @@ def _salt_batch(batch: pa.Table, hot: dict[int, int], hash_col: str = "url_hash"
             )
             salts[idx] = (mixed % ns).astype(np.int32)
     return batch.append_column("salt", pa.array(salts, type=pa.int32()))
+
+
+def _int64(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+
+
+def _distinct(left: np.ndarray, right: np.ndarray, *minor: np.ndarray) -> np.ndarray:
+    """Row indices of the first occurrence of each distinct (left, right)
+    pair, in pair order. ``minor`` keys (most significant first) order the
+    rows of one pair, so the surviving row is the one with the smallest
+    minor keys."""
+    perm = np.lexsort((*reversed(minor), right, left))
+    ls, rs = left[perm], right[perm]
+    return perm[np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])][: len(perm)]]
+
+
+def bucket_layout(tbl: pa.Table, id_col: str, *minor: np.ndarray) -> tuple:
+    """Shared layout of the pair partitions over fat (block_key, id_col,
+    token_ids[, salt], ...) rows: rows sorted by (block_key, salt, *minor,
+    id) → (order, sorted ids, the flat token layout (values, starts,
+    lengths) in sorted row order, bucket starts, bucket ends, bucket
+    block_keys). A bucket is one (block_key, salt); hot buckets arrive
+    pre-split by salt.
+
+    Arrow-native: token ids are read from the ListArray's flat (values,
+    offsets) buffers, with the values kept in their native dtype (the
+    pages' int32 Jaccard ids — an int64 cast would copy the fattest
+    buffer)."""
+    keys, ids = _int64(tbl["block_key"]), _int64(tbl[id_col])
+    salts = _int64(tbl["salt"]) if "salt" in tbl.column_names else np.zeros(len(keys), np.int64)
+    order = np.lexsort((ids, *minor, salts, keys))
+    keys, salts = keys[order], salts[order]
+    tok = _comb(tbl["token_ids"])
+    toffs = _int64(tok.offsets)
+    flat = (
+        tok.values.to_numpy(zero_copy_only=False),
+        toffs[:-1][order],
+        (toffs[1:] - toffs[:-1])[order],
+    )
+    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
+    starts = np.r_[0, change]
+    return order, ids[order], flat, starts, np.r_[change, tbl.num_rows], keys[starts]
+
+
+class DroppedPairs(int):
+    """The pairs the sample cap dropped — an int, as every caller reads it —
+    with the pairs the SimHash prefilter dropped in ``prefiltered``, and
+    ``prune_skipped``: the pairable key set went over its broadcast limit
+    (``key_stats``), so the singleton prune was skipped and every band row
+    was shipped."""
+
+    prefiltered: int
+    prune_skipped: bool
+
+    def __new__(cls, dropped: int = 0, prefiltered: int = 0, prune_skipped: bool = False):
+        out = super().__new__(cls, dropped)
+        out.prefiltered = int(prefiltered)
+        out.prune_skipped = bool(prune_skipped)
+        return out
+
+
+def _key_rows(t: pa.Table, filter_ref) -> pa.Table:
+    """Split function of the ``key_stats`` pass: the key-only band explode,
+    restricted to the broadcast ``key_filter`` keys when there are any."""
+    import ray
+
+    keys = block_keys(t)
+    if filter_ref is None:
+        return keys
+    return keys.filter(pa.array(in_sorted(_int64(keys["block_key"]), ray.get(filter_ref))))
+
+
+def _fat_split(t: pa.Table, payload: tuple, hash_col: str, hot: dict[int, int], keep_ref) -> pa.Table:
+    """Split function of the pair exchange: the fat explode of ``payload``,
+    restricted to the broadcast keys that can pair (``keep_ref``, when
+    known) before the payload is gathered, then the hot-key salt with
+    ``hash_col`` as the mixing hash."""
+    import ray
+
+    allowed = None if keep_ref is None else ray.get(keep_ref)
+    return _salt_batch(fat_block_rows(t, payload, allowed), hot, hash_col=hash_col)
+
+
+def blocked_pair_edges(
+    data,
+    pair_fn,
+    dedup_fn,
+    *,
+    payload: tuple,
+    hash_col: str,
+    cap: int,
+    n_key_rows: int,
+    num_partitions: int | None = None,
+    key_filter=None,
+):
+    """(data with a ``band_keys`` list column) → ``(edges, DroppedPairs)``.
+
+    ``pair_fn(fat partition) -> (edges, counts)`` forms and verifies the
+    pairs of each (block_key, salt) bucket of one hash partition and
+    returns a typed empty table for a zero-row one; ``counts`` may hold
+    ``dropped`` and ``prefiltered``. ``dedup_fn`` keeps one row per
+    (left_id, right_id) pair. ``payload`` names the columns the fat rows
+    carry, ``hash_col`` the int64 column that salts hot keys, ``cap`` the
+    bucket size over which a key is hot, ``n_key_rows`` the exploded key
+    row count (sizes ``key_stats`` and, when the prune is skipped, the
+    pair exchange).
+
+    ``key_filter``: optional sorted int64 array of block keys — only blocks
+    with those keys are paired (the incremental-resolution path). Broadcast
+    once via ``ray.put`` and applied in the split tasks, so other blocks
+    never enter the shuffle at all.
+
+    ``edges`` is of the kind given (``exchange.Blocks`` or a Dataset)."""
+    import ray
+
+    from entity_resolution_engine_ray.stages.exchange import (
+        Blocks,
+        _as_given,
+        as_blocks,
+        hash_exchange_chained,
+    )
+
+    blocks = as_blocks(data)
+    filter_ref = None if key_filter is None else ray.put(np.asarray(key_filter, dtype=np.int64))
+    hot, pairable, n_pruned = key_stats(
+        blocks,
+        cap,
+        n_rows_hint=n_key_rows,
+        block_fn=functools.partial(_key_rows, filter_ref=filter_ref),
+    )
+    split = functools.partial(_fat_split, payload=payload, hash_col=hash_col, hot=hot)
+    if pairable is not None and len(pairable) == 0:
+        # no bucket has ≥ 2 members ⇒ no candidate pair, nothing dropped:
+        # the pair function's own typed empty, so downstream filters see
+        # the schema
+        empty, _ = pair_fn(split(blocks.schema().empty_table(), keep_ref=None))
+        return _as_given((data,), Blocks.of(empty)), DroppedPairs()
+    # singleton-bucket prune: fat rows whose key can never pair (35% of
+    # band rows on the dense sf0.1 fixture, more on sparse corpora) are
+    # dropped in the split tasks — exactly output-preserving, see
+    # key_stats, which counted only the key_filter rows, so the pairable
+    # keys already lie inside it. When the pairable set went over its
+    # broadcast limit the prune is skipped and the exchange carries every
+    # key row — size for it.
+    keep_ref = filter_ref if pairable is None else ray.put(pairable)
+    parts = pair_partitions(n_key_rows if pairable is None else n_pruned, num_partitions)
+    edges, counts = hash_exchange_chained(
+        blocks,
+        ["block_key", "salt"],
+        pair_fn,
+        parts,
+        ["left_id", "right_id"],
+        dedup_fn,
+        parts,
+        arrow_fns=True,
+        block_fn=functools.partial(split, keep_ref=keep_ref),
+    )
+    return _as_given((data,), edges), DroppedPairs(
+        counts.get("dropped", 0), counts.get("prefiltered", 0), prune_skipped=pairable is None
+    )

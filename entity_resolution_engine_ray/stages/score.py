@@ -2,13 +2,16 @@
 
     score = w_j * token_jaccard  +  w_s * simhash_similarity  +  w_t * jaro_winkler(title)
 
-``fused_edges_stage`` runs ONE fat-block hash exchange carrying
-(url_hash, token_ids, simhash, title_norm) per band row (IDS ONLY: url
-strings never enter the pair shuffle, the scored output, or the edge-dedup
-exchange — they rejoin from the features side table after clustering);
-each partition generates pairs (salted, capped, drop-counted), pre-dedups,
+``fused_edges_stage`` is a thin caller of the one blocked-pair driver
+(``pairs.blocked_pair_edges``, shared with the dedup operators): it plugs
+in the pages' fat-row payload (url_hash, token_ids, simhash, title_norm —
+IDS ONLY: url strings never enter the pair shuffle, the scored output, or
+the edge-dedup exchange; they rejoin from the features side table after
+clustering), ``url_hash`` as the salt's mixing hash, the pair function
+``_pair_score_partition`` and the edge dedup ``_dedup_edges_partition``.
+Each partition generates pairs (salted, capped, drop-counted), pre-dedups,
 and scores fully vectorized: SimHash via uint64 XOR + popcount, Jaccard
-via the grouped int64 ``searchsorted`` kernel (``_grouped_jaccard_flat``),
+via the grouped ``searchsorted`` kernel (``_grouped_jaccard_flat``),
 Jaro-Winkler via the length-bucketed batch kernel over unique title pairs.
 It is the only pair-scoring path: candidate pairs are generated from the
 block keys inside the exchange, never joined in from a url-keyed pair list.
@@ -17,8 +20,9 @@ The gate reproduces the reference router's three-way semantics
 (validation/router.py:165-170): ``score < low → reject``;
 ``score >= high → auto_approve``; gray zone resolves via the configured
 fallback (``auto_approve`` default / ``review``) exactly like the reference's
-LLM-disabled path (router.py:81-94). An optional LLM validator would slot in
-as a second actor-pool stage over ``decision == "review"`` rows only.
+LLM-disabled path (router.py:81-94). With ``enable_llm_validation`` on,
+the pages pipeline's stage 4b (``stages/validate.validate_gray_zone``)
+then validates the ``review`` rows.
 """
 
 from __future__ import annotations
@@ -30,6 +34,16 @@ import pyarrow as pa
 
 from entity_resolution_engine_ray.config import PagesERConfig
 from entity_resolution_engine_ray.functions.similarity import jaro_winkler_batch
+from entity_resolution_engine_ray.stages.block import _comb
+from entity_resolution_engine_ray.stages.pairs import (
+    _distinct,
+    _int64,
+    blocked_pair_edges,
+    bucket_layout,
+)
+
+# the fat rows' payload: ids only (see block.fat_block_rows)
+PAGE_PAYLOAD = ("url_hash", "token_ids", "simhash", "title_norm")
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -130,47 +144,6 @@ def _grouped_jaccard_flat(
     return jac
 
 
-def _combined(col) -> pa.Array:
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-def _keep_block_keys(t: pa.Table, allowed_ref) -> pa.Table:
-    """Keep rows whose block_key is in the broadcast sorted int64 array
-    (``ray.put`` once, zero-copy plasma read per task, vectorized
-    searchsorted per batch). Used by the dedup operators' singleton-bucket
-    prune."""
-    import ray
-
-    from entity_resolution_engine_ray.stages.block import in_sorted
-
-    if t.num_rows == 0:
-        return t
-    k = t["block_key"].to_numpy(zero_copy_only=False)
-    return t.filter(pa.array(in_sorted(k, ray.get(allowed_ref))))
-
-
-def _band_keys(t: pa.Table, allowed_ref) -> pa.Table:
-    """Split function of the ``key_stats`` pass: the key-only band explode,
-    restricted to the broadcast ``key_filter`` keys when there are any."""
-    from entity_resolution_engine_ray.stages.block import block_keys
-
-    keys = block_keys(t)
-    return keys if allowed_ref is None else _keep_block_keys(keys, allowed_ref)
-
-
-def _fat_rows(t: pa.Table, keep_ref, hot: dict[int, int]) -> pa.Table:
-    """Split function of the pair exchange: the fat band explode, restricted
-    to the broadcast keys that can pair (``keep_ref``, when known), then the
-    hot-key salt."""
-    import ray
-
-    from entity_resolution_engine_ray.stages.block import fat_block_rows
-    from entity_resolution_engine_ray.stages.pairs import _salt_batch
-
-    allowed = None if keep_ref is None else ray.get(keep_ref)
-    return _salt_batch(fat_block_rows(t, allowed), hot)
-
-
 def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, dict]:
     """One hash partition of fat (block_key, salt) sub-blocks → (scored,
     gated edges, counts): ``counts`` holds the pairs the cap dropped
@@ -183,9 +156,10 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
     truncation and left/right orientation stay in exact parity.
 
     Arrow-native: the partition table is consumed column-by-column
-    (``np.lexsort`` over int64 keys, token ids via the ListArray's flat
-    (values, offsets) buffers, titles dictionary-encoded in C++ so only
-    UNIQUE title strings ever materialize as Python objects). The previous
+    (``pairs.bucket_layout``: one ``np.lexsort`` over int64 keys, token ids
+    via the ListArray's flat (values, offsets) buffers; titles
+    dictionary-encoded in C++ so only UNIQUE title strings ever
+    materialize as Python objects). The previous
     pandas form paid one numpy-object allocation per row for the token
     list column plus a full-frame mergesort that copied every list —
     conversion cost rivaled kernel cost on the hottest stage."""
@@ -193,32 +167,16 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
 
     if tbl.num_rows == 0:
         return _EDGE_SCHEMA.empty_table(), {}
-    keys = tbl["block_key"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    salts = tbl["salt"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    url_hashes = tbl["url_hash"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    order = np.lexsort((url_hashes, salts, keys))  # primary key: block_key
-    keys, salts, url_hashes = keys[order], salts[order], url_hashes[order]
-
-    tok = _combined(tbl["token_ids"])
-    toffs = tok.offsets.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-    # keep the values buffer in its native dtype (int32 since the 32-bit
-    # Jaccard ids — an astype(int64) here would copy the fattest buffer)
-    tvals = tok.values.to_numpy(zero_copy_only=False)
-    tstarts = toffs[:-1][order]
-    tlens = (toffs[1:] - toffs[:-1])[order]
-
-    sims = tbl["simhash"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)[order]
-    tenc = pc.dictionary_encode(_combined(tbl["title_norm"]))
-    tcodes = tenc.indices.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)[order]
+    order, url_hashes, flat, starts, ends, bucket_keys = bucket_layout(tbl, "url_hash")
+    sims = _int64(tbl["simhash"])[order]
+    tenc = pc.dictionary_encode(_comb(tbl["title_norm"]))
+    tcodes = _int64(tenc.indices)[order]
     tdict = np.asarray(tenc.dictionary.to_pylist(), dtype=object)
 
-    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
-    starts = np.r_[0, change]
-    ends = np.r_[change, tbl.num_rows]
     li, ri, okeys = [], [], []
     dropped = 0
     cap = cfg.pair_sample_cap
-    for s, e in zip(starts, ends):
+    for s, e, key in zip(starts, ends, bucket_keys):
         m = e - s
         if m < 2:
             continue
@@ -228,7 +186,7 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
             ii, jj = ii[:cap], jj[:cap]
         li.append(ii + s)
         ri.append(jj + s)
-        okeys.append(np.full(len(ii), keys[s], dtype=np.int64))
+        okeys.append(np.full(len(ii), key, dtype=np.int64))
     counts = {"dropped": dropped, "prefiltered": 0}
     if not li:
         return _EDGE_SCHEMA.empty_table(), counts
@@ -240,11 +198,7 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
     # partition-local pre-dedup (same pair emitted by several bands that
     # hashed into this partition): keep min block_key, skip re-scoring.
     # The global cross-partition dedup still runs downstream.
-    pl, pr = url_hashes[lidx], url_hashes[ridx]
-    perm = np.lexsort((okey, pr, pl))
-    pls, prs = pl[perm], pr[perm]
-    first = np.r_[True, (pls[1:] != pls[:-1]) | (prs[1:] != prs[:-1])]
-    sel = perm[first]
+    sel = _distinct(url_hashes[lidx], url_hashes[ridx], okey)
     lidx, ridx, okey = lidx[sel], ridx[sel], okey[sel]
     n = len(lidx)
     sim_sim = 1.0 - _popcount64(
@@ -266,7 +220,7 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
             n = len(lidx)
             if n == 0:
                 return _EDGE_SCHEMA.empty_table(), counts
-    jac = _grouped_jaccard_flat(tvals, tstarts, tlens, lidx, ridx)
+    jac = _grouped_jaccard_flat(*flat, lidx, ridx)
     jw = _jw_from_codes(tcodes[lidx], tcodes[ridx], tdict, tdict)
 
     score = cfg.weight_jaccard * jac + cfg.weight_simhash * sim_sim + cfg.weight_title * jw
@@ -297,34 +251,12 @@ def _dedup_edges_partition(tbl: pa.Table) -> pa.Table:
     duplicate instances are identical by construction). Keyed on the int64
     url-hash ids — 16-byte keys hash/sort far cheaper than url strings at
     web scale (pair sets reach ~80 rows/page on dense fixtures). Arrow
-    take keyed by a numpy lexsort — the string decision column never
+    take keyed by ``pairs._distinct`` — the string decision column never
     converts to Python objects."""
     if tbl.num_rows == 0:
         return tbl
-    l = tbl["left_id"].to_numpy(zero_copy_only=False)
-    r = tbl["right_id"].to_numpy(zero_copy_only=False)
-    k = tbl["block_key"].to_numpy(zero_copy_only=False)
-    perm = np.lexsort((k, r, l))
-    ls, rs = l[perm], r[perm]
-    first = np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])]
-    return tbl.take(pa.array(perm[first]))
-
-
-class DroppedPairs(int):
-    """The pairs the sample cap dropped — an int, as every caller reads it —
-    with the pairs the SimHash prefilter dropped in ``prefiltered``, and
-    ``prune_skipped``: the pairable key set went over its broadcast limit
-    (``pairs.key_stats``), so the singleton prune was skipped and every
-    band row was shipped."""
-
-    prefiltered: int
-    prune_skipped: bool
-
-    def __new__(cls, dropped: int = 0, prefiltered: int = 0, prune_skipped: bool = False):
-        out = super().__new__(cls, dropped)
-        out.prefiltered = int(prefiltered)
-        out.prune_skipped = bool(prune_skipped)
-        return out
+    cols = [_int64(tbl[c]) for c in ("left_id", "right_id", "block_key")]
+    return tbl.take(pa.array(_distinct(*cols)))
 
 
 def fused_edges_stage(
@@ -333,36 +265,28 @@ def fused_edges_stage(
     num_partitions: int | None = None,
     key_filter=None,
 ):
-    """features → scored+gated edges in two shuffles (fat-block hash
-    shuffle + slim edge dedup), replacing the pairgen + 2-join + score
-    chain. Returns ``(edges, dropped)``: ``edges`` an ``exchange.Blocks``
-    (from features given as Blocks or a Dataset), ``dropped`` the cap's
-    dropped-pair count as a ``DroppedPairs`` int, whose ``prefiltered``
-    holds the SimHash prefilter's count and ``prune_skipped`` whether the
-    singleton prune was skipped.
+    """features → scored+gated edges through the one blocked-pair driver
+    (``pairs.blocked_pair_edges``): ``PAGE_PAYLOAD`` fat rows salted by
+    ``url_hash``, ``_pair_score_partition`` as the pair function and
+    ``_dedup_edges_partition`` as the edge dedup. Returns ``(edges,
+    dropped)``: ``edges`` an ``exchange.Blocks`` (from features given as
+    Blocks or a Dataset), ``dropped`` the cap's dropped-pair count as a
+    ``pairs.DroppedPairs`` int, whose ``prefiltered`` holds the SimHash
+    prefilter's count and ``prune_skipped`` whether the singleton prune was
+    skipped.
 
-    Both passes read the in-memory features blocks directly; the band
-    explodes run as map-side functions inside the exchanges' split tasks
-    (stages/exchange), so neither the key rows nor the fat rows (features ×
-    bands, each carrying its token list) are ever materialized whole:
-
-    1. ``pairs.key_stats`` with the key-only explode (``_band_keys``) as
-       its split function → the hot keys and the pairable keys;
-    2. the pair exchange with the fat explode, the singleton prune and the
-       hot-key salt (``_fat_rows``) as its split function.
-
-    The two shuffles of step 2 are CHAINED (exchange.hash_exchange_chained):
-    the edge dedup split for partition p is scheduled directly on the score
-    reduce ref for p, so dedup starts the moment each score partition
-    finishes — no driver barrier between the waves, and the per-partition
-    counts come back beside the reduce outputs instead of through a
-    driver-side column scan.
+    Both passes of the driver read the in-memory features blocks directly;
+    the band explodes run as map-side functions inside the exchanges'
+    split tasks (stages/exchange), so neither the key rows nor the fat rows
+    (features × bands, each carrying its token list) are ever materialized
+    whole. The score and edge-dedup shuffles are CHAINED
+    (exchange.hash_exchange_chained): the edge dedup split for partition p
+    is scheduled directly on the score reduce ref for p, so dedup starts
+    the moment each score partition finishes.
 
     ``key_filter``: optional sorted int64 array of block keys — only blocks
     with those keys are paired/scored (the incremental-resolution path:
     blocks untouched by a new batch keep their previously-scored edges).
-    Broadcast once via ``ray.put`` and applied by a vectorized searchsorted
-    in the split tasks, so untouched blocks never enter the shuffle at all.
 
     ``num_partitions=None`` scales with BOTH the cluster and the data
     (``pairs.pair_partitions``, the width rule of every blocked-pair
@@ -373,60 +297,26 @@ def fused_edges_stage(
     target replaces the old 50k-unpruned target after a 1M-page sweep
     (BASELINE r5): each partition costs ~0.1 s of fixed task/ref overhead
     in the chained exchange, so P=421 ran the stage in 107 s where P=96
-    ran it in 50 s with identical edges; at sf0.1 the formula still lands on the 1.5×CPU floor (48,
-    the measured best there). Partition payload at the target is ~60 MB
-    of fat rows + in-flight pair arrays — well inside a worker heap; at
-    the 65,536 cap (~13G pruned rows ≈ 6×10⁸ pages) shard the corpus via
-    the incremental ``key_filter`` path instead."""
-    import ray
-
-    from entity_resolution_engine_ray.stages.exchange import (
-        Blocks,
-        as_blocks,
-        hash_exchange_chained,
-    )
-    from entity_resolution_engine_ray.stages.pairs import key_stats, pair_partitions
+    ran it in 50 s with identical edges; at sf0.1 the formula still lands
+    on the 1.5×CPU floor (48, the measured best there). Partition payload
+    at the target is ~60 MB of fat rows + in-flight pair arrays — well
+    inside a worker heap; at the 65,536 cap (~13G pruned rows ≈ 6×10⁸
+    pages) shard the corpus via the incremental ``key_filter`` path
+    instead."""
+    from entity_resolution_engine_ray.stages.exchange import as_blocks
 
     cfg = cfg or PagesERConfig()
     features = as_blocks(features)
-    n_band_rows = features.count() * cfg.bands
-    filter_ref = None if key_filter is None else ray.put(np.asarray(key_filter, dtype=np.int64))
-    hot, pairable, n_pruned = key_stats(
+    return blocked_pair_edges(
         features,
-        cfg.max_block_size,
-        n_rows_hint=n_band_rows,
-        block_fn=functools.partial(_band_keys, allowed_ref=filter_ref),
-    )
-    # when the pairable set exceeded its broadcast limit the prune is
-    # skipped, so the exchange really carries every band row — size for it
-    num_partitions = pair_partitions(
-        n_band_rows if pairable is None else n_pruned, num_partitions
-    )
-    keep_ref = filter_ref
-    if pairable is not None:
-        if len(pairable) == 0:
-            # no bucket has ≥2 members ⇒ no candidate pairs at all: TYPED
-            # empty edges, so downstream decision filters see the schema
-            return Blocks.of(_EDGE_SCHEMA.empty_table()), DroppedPairs()
-        # singleton-bucket prune: fat rows whose block key can never pair
-        # (35% of band rows on the dense sf0.1 fixture, more on sparse
-        # corpora) are dropped BEFORE the fat hash exchange — exactly
-        # output-preserving, see pairs.key_stats. key_stats counted only
-        # the key_filter rows, so the pairable keys already lie inside it.
-        keep_ref = ray.put(pairable)
-    edges, counts = hash_exchange_chained(
-        features,
-        ["block_key", "salt"],
         functools.partial(_pair_score_partition, cfg=cfg),
-        num_partitions,
-        ["left_id", "right_id"],
         _dedup_edges_partition,
-        num_partitions,
-        arrow_fns=True,
-        block_fn=functools.partial(_fat_rows, keep_ref=keep_ref, hot=hot),
-    )
-    return edges, DroppedPairs(
-        counts.get("dropped", 0), counts.get("prefiltered", 0), prune_skipped=pairable is None
+        payload=PAGE_PAYLOAD,
+        hash_col="url_hash",
+        cap=cfg.max_block_size,
+        n_key_rows=features.count() * cfg.bands,
+        num_partitions=num_partitions,
+        key_filter=key_filter,
     )
 
 

@@ -23,6 +23,7 @@ import os
 import shutil
 import time
 import uuid
+from contextlib import contextmanager
 
 import pyarrow.parquet as pq
 import ray
@@ -43,11 +44,9 @@ def _read_part(path: str):
 
 
 class CheckpointStore:
-    def __init__(self, out_dir: str, enabled: bool = True):
+    def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.enabled = enabled
-        if enabled:
-            os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
 
     def stage_dir(self, stage: str) -> str:
         return os.path.join(self.out_dir, stage)
@@ -56,8 +55,6 @@ class CheckpointStore:
         return os.path.join(self.stage_dir(stage), DONE_FILE)
 
     def is_done(self, stage: str, params_hash: str) -> bool:
-        if not self.enabled:
-            return False
         path = self._manifest_path(stage)
         if not os.path.exists(path):
             return False
@@ -100,16 +97,31 @@ class CheckpointStore:
         input leaves one typed zero-row file, so a resumed run still sees
         the schema. A failed write task raises before ``_DONE`` exists."""
         blocks = as_blocks(data)
+        refs = [r for r, n in zip(blocks.refs, blocks.rows) if n] or blocks.refs[:1]
+        with self._commit(stage, params_hash, extra) as tmp:
+            ray.get(
+                [
+                    _write_block.remote(ref, os.path.join(tmp, f"part-{i:05d}.parquet"))
+                    for i, ref in enumerate(refs)
+                ]
+            )
+        return blocks
+
+    def write_table(self, table, stage: str, params_hash: str, extra: dict | None = None) -> None:
+        """Small driver-side table checkpoint (metrics, gates)."""
+        with self._commit(stage, params_hash, extra) as tmp:
+            pq.write_table(table, os.path.join(tmp, "part-00000.parquet"))
+
+    @contextmanager
+    def _commit(self, stage: str, params_hash: str, extra: dict | None):
+        """Atomic stage commit: the body writes the part files into the
+        yielded fresh temp sibling dir, which then replaces the stage dir;
+        the ``_DONE`` manifest is written last, so a body that raises
+        leaves none."""
         final = self.stage_dir(stage)
         tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
         os.makedirs(tmp)
-        refs = [r for r, n in zip(blocks.refs, blocks.rows) if n] or blocks.refs[:1]
-        ray.get(
-            [
-                _write_block.remote(ref, os.path.join(tmp, f"part-{i:05d}.parquet"))
-                for i, ref in enumerate(refs)
-            ]
-        )
+        yield tmp
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(tmp, final)
@@ -121,16 +133,3 @@ class CheckpointStore:
         }
         with open(self._manifest_path(stage), "w") as f:
             json.dump(manifest, f)
-        return blocks
-
-    def write_table(self, table, stage: str, params_hash: str, extra: dict | None = None) -> None:
-        """Small driver-side table checkpoint (metrics, gates)."""
-        final = self.stage_dir(stage)
-        tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(table, os.path.join(tmp, "part-00000.parquet"))
-        if os.path.exists(final):
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        with open(self._manifest_path(stage), "w") as f:
-            json.dump({"stage": stage, "params_hash": params_hash, "completed_at": time.time(), **(extra or {})}, f)

@@ -127,7 +127,8 @@ def test_hot_key_cluster_not_fragmented_by_salting(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from entity_resolution_engine_ray.stages.dedup import minhash_near_dup_clusters
+    from entity_resolution_engine_ray.functions.similarity import shingle_hashes
+    from entity_resolution_engine_ray.stages.dedup import minhash_near_dup_clusters, near_dup_edges
 
     texts = ["identical hot document body with enough tokens to shingle properly"] * 400
     texts += [f"unique filler doc {i} distinct words {i * 7} {i * 13} isolated" for i in range(50)]
@@ -138,6 +139,31 @@ def test_hot_key_cluster_not_fragmented_by_salting(ray_session):
     sizes = out.groupby("cluster_id").size().sort_values(ascending=False)
     assert sizes.iloc[0] == 400  # the hot set is one component
     assert len(out) == 450
+
+    # the same salted path at the edge level: the blocked-pair driver's
+    # edges and dropped count do not depend on the exchange width, and
+    # every edge carries the exact Jaccard of the scalar shingle-id path
+    threshold = 0.7
+    runs = []
+    for parts in (1, 7):
+        edges, dropped = near_dup_edges(
+            rd.from_arrow(tbl), threshold=threshold, max_block_size=64, num_partitions=parts
+        )
+        pdf = edges.to_pandas().sort_values(["left_id", "right_id"]).reset_index(drop=True)
+        runs.append((pdf, dropped))
+    (a, da), (b, db) = runs
+    pd.testing.assert_frame_equal(a, b)
+    assert da == db
+    assert len(a) > 0 and (a["jaccard"] >= threshold).all()
+
+    def shingle_ids(text: str) -> frozenset:
+        sh = shingle_hashes(hash_tokens(canonical_tokens(text), None), k=3)
+        return frozenset(np.sort(np.unique(sh).view(np.int64)).tolist())
+
+    sets = [shingle_ids(t) for t in texts]
+    for left, right, jac in zip(a["left_id"], a["right_id"], a["jaccard"]):
+        x, y = sets[left], sets[right]
+        assert jac == len(x & y) / len(x | y), (left, right)
 
 
 def test_cross_corpus_near_dup_partition_invariant(ray_session):

@@ -24,6 +24,7 @@ TRACED = {
     ("pages_er", "feature_stage"),
     ("pages_er", "fused_edges_stage"),
     ("pages_er", "gate_metrics"),
+    ("pairs", "key_stats"),
 }
 
 
@@ -49,8 +50,11 @@ def test_tracer_install_wraps_and_uninstall_restores():
 
 def test_traced_labelprop_fold_reports_its_layers(ray_session, tmp_path):
     """A traced labelprop fold: ``layer_metrics`` reads the edges
-    ``fused_edges_stage`` returns (their count and approved share), and
-    tracing changes no label."""
+    ``fused_edges_stage`` returns (their count and approved share) and the
+    figures of the ``key_stats`` call the blocked-pair driver makes through
+    the ``pairs`` module's global name (a driver holding ``key_stats`` from
+    before ``Tracer.install()`` would zero them), and tracing changes no
+    label."""
     from entity_resolution_engine_ray.config import PagesERConfig
     from entity_resolution_engine_ray.pipelines import pages_er
     from entity_resolution_engine_ray.sources.pages import write_pages_fixture
@@ -74,6 +78,8 @@ def test_traced_labelprop_fold_reports_its_layers(ray_session, tmp_path):
     metrics = layer_metrics(tracer, str(tmp_path / "traced"), os.path.getsize(new))
     assert metrics["stages.score.candidate_pairs"] > 0
     assert 0 < metrics["stages.score.approve_ratio"] <= 1
+    assert metrics["stages.pairs.band_rows"] > 0
+    assert 0 < metrics["stages.pairs.prune_keep_ratio"] <= 1
     assert metrics["stages.cluster.labelprop_s"] > 0
 
     def labels(run: str):
