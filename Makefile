@@ -7,7 +7,7 @@
 PY ?= python
 MYPY := $(shell command -v mypy 2>/dev/null)
 
-.PHONY: ci lint typecheck compile test test-coverage coverage security check check-sf0.1 check-pairs check-fold bench
+.PHONY: ci lint typecheck compile test test-coverage coverage security check check-sf0.1 check-pairs check-fold bench bench-kernels
 
 # make stops at the first failing gate, so reaching the summary means every
 # gate that ran passed; a gate whose tool is missing says so instead
@@ -92,3 +92,9 @@ check-fold:
 
 bench:
 	$(PY) bench.py
+
+# per-kernel microbenchmarks (no Ray session, ~15 s): featurize ms per
+# 1,024-doc batch (ASCII and mixed) and the pair-score ms on the 2,000-page
+# dense seed-7 partition, as one JSON line
+bench-kernels:
+	$(PY) scripts/bench_kernels.py

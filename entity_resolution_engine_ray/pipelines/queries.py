@@ -2826,7 +2826,7 @@ def q_supplier_triangles(sf_dir: str, _broadcast_limit_nodes: int = 20_000_000):
     4. count: wedge ∩ edge via one (v,w)-keyed hash cogroup — a wedge
        closed by an existing edge is a triangle, counted exactly once."""
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
-    from entity_resolution_engine_ray.stages.score import triu_pairs
+    from entity_resolution_engine_ray.stages.pairs import bucket_pairs
 
     li = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_suppkey"])
 
@@ -2838,23 +2838,9 @@ def q_supplier_triangles(sf_dir: str, _broadcast_limit_nodes: int = 20_000_000):
         pdf = pdf.drop_duplicates().sort_values(["l_orderkey", "l_suppkey"])
         ok = pdf["l_orderkey"].to_numpy()
         sk = pdf["l_suppkey"].to_numpy().astype(np.int64)
-        change = np.flatnonzero(ok[1:] != ok[:-1]) + 1
-        starts = np.r_[0, change]
-        ends = np.r_[change, len(ok)]
-        l, r = [], []
-        for s, e in zip(starts, ends):
-            m = e - s
-            if m < 2:
-                continue
-            ii, jj = triu_pairs(m)
-            l.append(sk[s + ii])
-            r.append(sk[s + jj])
-        if not l:
-            return pd.DataFrame(
-                {"s1": pd.Series([], dtype=np.int64), "s2": pd.Series([], dtype=np.int64)}
-            )
-        s1 = np.concatenate(l)
-        s2 = np.concatenate(r)
+        starts = np.r_[0, np.flatnonzero(ok[1:] != ok[:-1]) + 1]
+        ii, jj, _, _ = bucket_pairs(starts, np.diff(np.r_[starts, len(ok)]))
+        s1, s2 = sk[ii], sk[jj]
         lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
         # per-order distinct pairs (the triu over deduped rows guarantees
         # it) — cross-order multiplicity is the co-occurrence count and is
@@ -2962,23 +2948,9 @@ def q_supplier_triangles(sf_dir: str, _broadcast_limit_nodes: int = 20_000_000):
         pdf = pdf.sort_values(["src", "dst"])
         src = pdf["src"].to_numpy()
         dst = pdf["dst"].to_numpy().astype(np.int64)
-        change = np.flatnonzero(src[1:] != src[:-1]) + 1
-        starts = np.r_[0, change]
-        ends = np.r_[change, len(src)]
-        l, r = [], []
-        for s, e in zip(starts, ends):
-            m = e - s
-            if m < 2:
-                continue
-            ii, jj = triu_pairs(m)
-            l.append(dst[s + ii])
-            r.append(dst[s + jj])
-        if not l:
-            return pd.DataFrame(
-                {"v": pd.Series([], dtype=np.int64), "w": pd.Series([], dtype=np.int64)}
-            )
-        a = np.concatenate(l)
-        b = np.concatenate(r)
+        starts = np.r_[0, np.flatnonzero(src[1:] != src[:-1]) + 1]
+        ii, jj, _, _ = bucket_pairs(starts, np.diff(np.r_[starts, len(src)]))
+        a, b = dst[ii], dst[jj]
         return pd.DataFrame({"v": np.minimum(a, b), "w": np.maximum(a, b)})
 
     wedge_ds = partition_map_groups(oriented, ["src"], wedges)

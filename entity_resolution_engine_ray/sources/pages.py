@@ -12,7 +12,10 @@ drop/swap, case/punctuation noise, boilerplate prefix/suffix, url variants).
 Mutation identity is a pure function of (seed, doc_id, variant_idx).
 
 One hot document ("boilerplate cluster") owns ``hot_frac`` of all pages to
-exercise skew splitting of hot LSH buckets.
+exercise skew splitting of hot LSH buckets. ``nonascii_frac`` of the
+documents carry non-ASCII words (accented Latin, other alphabets, CJK) in
+the title and the first paragraph of every variant, to exercise the
+tokenizer's non-ASCII path.
 
 The ``text`` column is filled by running the engine's canonical extractor
 over the generated html — the byte-identical contract column.
@@ -48,6 +51,9 @@ _BOILERPLATES = [
     "related articles you may also like recommended for you more from this author",
     "share this story on social media follow us for realtime alerts and updates",
 ]
+
+_NONASCII_WORDS = ["café", "naïve", "zürich", "señor", "façade", "résumé", "łódź", "straße",
+                   "東京", "数据", "実体", "网页", "한국어", "привет", "ελληνικά", "עברית"]
 
 _BASE_TS = int(datetime(2025, 1, 1, tzinfo=timezone.utc).timestamp() * 1_000_000)
 
@@ -118,7 +124,7 @@ def _render_html(title: str, body_tokens: list[str], domain: str) -> bytes:
 
 
 def generate_pages(
-    n_pages: int, seed: int = 42, hot_frac: float = 0.05
+    n_pages: int, seed: int = 42, hot_frac: float = 0.05, nonascii_frac: float = 0.0
 ) -> tuple[pa.Table, pa.Table]:
     """Build (pages_table, truth_table) deterministically in memory."""
     rng = np.random.default_rng(seed)
@@ -158,6 +164,12 @@ def generate_pages(
     doc_ids: list[int] = []
     variants: list[int] = []
 
+    na_rng = np.random.default_rng([seed, 78])  # own stream: frac 0 changes no page
+    nonascii_words = {
+        int(d): na_rng.choice(_NONASCII_WORDS, 8).tolist()
+        for d in np.flatnonzero(na_rng.random(n_docs + 1) < nonascii_frac)
+    }
+
     def emit(doc_id: int, variant: int, tokens: list[str]) -> None:
         v_rng = np.random.default_rng([seed, doc_id, variant, 7])
         toks = tokens if variant == 0 else _mutate(tokens, v_rng)
@@ -165,6 +177,10 @@ def generate_pages(
         domain = home if v_rng.random() < 0.6 else domains[int(v_rng.integers(0, n_domains))]
         url = f"https://{domain}/w{doc_id}/v{variant}"
         title = " ".join(tokens[:6]).title()
+        words = nonascii_words.get(doc_id)
+        if words:
+            title = " ".join(words[:2]) + " " + title
+            toks = words[2:] + toks
         urls.append(url)
         htmls.append(_render_html(title, toks, domain))
         langs.append(str(doc_langs[doc_id]))

@@ -126,20 +126,43 @@ def canonical_text(texts) -> pa.Array:
     return pc.binary_join(pa.ListArray.from_arrays(offsets, flat), " ")
 
 
+def low32_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Order-preserving int64 codes below 2^32 of integer ``values`` →
+    (codes, distinct): the offset from the dtype's minimum for values of at
+    most 32 bits (``distinct`` None), else the rank among the sorted
+    ``distinct`` values (the dedup operators' int64 shingle ids)."""
+    import pandas as pd
+
+    values = np.asarray(values)
+    if values.dtype.itemsize <= 4:
+        return values.astype(np.int64) - np.iinfo(values.dtype).min, None
+    codes, distinct = pd.factorize(values, sort=True)
+    return codes.astype(np.int64, copy=False), distinct
+
+
 def sorted_unique_lists(
     values: np.ndarray, counts: np.ndarray, value_type: pa.DataType
 ) -> pa.ListArray:
     """Each doc's sorted unique ``values`` as a list array of
     ``value_type``; doc i's values are the next ``counts[i]`` of the flat
-    array."""
+    array. One sort of int64 keys, the doc in the high 32 bits and the
+    value's order-preserving ``low32_codes`` code in the low 32; adjacent
+    equal keys are the duplicates. Per 1,024-doc batch, against the
+    ``np.lexsort`` it replaces (shared 4-vCPU Xeon host): int32 16–17 →
+    3.5 ms, int64 26–28 → 11–12 ms."""
     n = len(counts)
-    docs = np.repeat(np.arange(n, dtype=np.int64), counts)
-    perm = np.lexsort((values, docs))
-    ds_, vs = docs[perm], values[perm]
-    keep = np.r_[True, (ds_[1:] != ds_[:-1]) | (vs[1:] != vs[:-1])][: len(perm)]
-    ucounts = np.bincount(ds_[keep], minlength=n)
+    codes, distinct = low32_codes(values)
+    keys = np.repeat(np.arange(n, dtype=np.int64) << 32, counts) | codes
+    keys.sort()
+    ukeys = keys[np.r_[True, keys[1:] != keys[:-1]][: len(keys)]]
+    low = ukeys & 0xFFFFFFFF
+    if distinct is None:
+        uvals = (low + np.iinfo(values.dtype).min).astype(values.dtype)
+    else:
+        uvals = distinct[low]
+    ucounts = np.bincount(ukeys >> 32, minlength=n)
     return pa.ListArray.from_arrays(
-        pa.array(np.r_[0, ucounts.cumsum()].astype(np.int32)), pa.array(vs[keep], type=value_type)
+        pa.array(np.r_[0, ucounts.cumsum()].astype(np.int32)), pa.array(uvals, type=value_type)
     )
 
 

@@ -94,21 +94,18 @@ def _candidate_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
     (deduped (src_id, dst_id) candidates, {"dropped": n}). The count is
     kept out of band of the rows, so a partition whose only candidates
     were capped away still reports its loss."""
-    from entity_resolution_engine_ray.stages.pairs import _distinct, _int64
+    from entity_resolution_engine_ray.stages.pairs import _distinct, key_buckets
 
     if tbl.num_rows == 0:
         return _CANDS.empty_table(), {"dropped": 0}
-    keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
-    order = np.lexsort((ids, keys))
-    keys, ids = keys[order], ids[order]
+    order, ids, starts, sizes, _ = key_buckets(tbl, "block_key", "id")
     pref = tbl["is_prefix"].to_numpy(zero_copy_only=False)[order]
-    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     srcs, dsts = [], []
     dropped = 0
-    for s, e in zip(np.r_[0, change], np.r_[change, len(ids)]):
-        m = e - s
+    for s, m in zip(starts, sizes):
         if m < 2:
             continue
+        e = s + m
         g_ids = ids[s:e]
         g_pref = pref[s:e]
         n_pref = int(g_pref.sum())

@@ -38,8 +38,10 @@ from entity_resolution_engine_ray.stages.pairs import (
     _int64,
     blocked_pair_edges,
     bucket_layout,
+    bucket_pairs,
+    key_buckets,
 )
-from entity_resolution_engine_ray.stages.score import _grouped_jaccard_flat, _popcount64, triu_pairs
+from entity_resolution_engine_ray.stages.score import _grouped_jaccard_flat, _popcount64
 
 
 class _DedupFeatures:
@@ -149,37 +151,25 @@ def _pairs_partition(tbl: pa.Table, cap: int) -> tuple[pa.Table, dict]:
     the rows — never silent (same contract as the pages pairgen)."""
     if tbl.num_rows == 0:
         return _PAIRS_SCHEMA.empty_table(), {"dropped": 0}
-    keys, ids = _int64(tbl["block_key"]), _int64(tbl["id"])
-    order = np.lexsort((ids, keys))
-    keys, ids = keys[order], ids[order]
-    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    lefts, rights = [], []
-    dropped = 0
-    for s, e in zip(np.r_[0, change], np.r_[change, len(ids)]):
-        m = e - s
-        if m > cap:  # skew cap: deterministic truncation of the sorted bucket
-            dropped += (m * (m - 1) - cap * (cap - 1)) // 2
-            e, m = s + cap, cap
-        if m < 2:
-            continue
-        ii, jj = triu_pairs(m)
-        lefts.append(ids[s:e][ii])
-        rights.append(ids[s:e][jj])
-    if not lefts:
+    _, ids, starts, sizes, _ = key_buckets(tbl, "block_key", "id")
+    # skew cap: deterministic truncation of the sorted bucket
+    capped = np.minimum(sizes, cap)
+    dropped = int((sizes * (sizes - 1) - capped * (capped - 1)).sum()) // 2
+    lidx, ridx, _, _ = bucket_pairs(starts, capped)
+    if lidx.size == 0:
         return _PAIRS_SCHEMA.empty_table(), {"dropped": dropped}
-    left, right = np.concatenate(lefts), np.concatenate(rights)
+    left, right = ids[lidx], ids[ridx]
     sel = _distinct(left, right)
     return pa.table([left[sel], right[sel]], schema=_PAIRS_SCHEMA), {"dropped": dropped}
 
 
-def _verified(ids: np.ndarray, flat: tuple, lefts: list, rights: list, threshold: float) -> pa.Table:
+def _verified(ids: np.ndarray, flat: tuple, lidx: np.ndarray, ridx: np.ndarray, threshold: float) -> pa.Table:
     """Shared tail of the verify partitions: candidate row-index pairs into
     the sorted layout → partition-local pair dedup, exact Jaccard over the
     flat token layout, threshold. Empty-set semantics: both docs empty →
     1.0 inside the kernel; empty vs non-empty → 0.0."""
-    if not lefts:
+    if lidx.size == 0:
         return _VERIFY_SCHEMA.empty_table()
-    lidx, ridx = np.concatenate(lefts), np.concatenate(rights)
     sel = _distinct(ids[lidx], ids[ridx])
     lidx, ridx = lidx[sel], ridx[sel]
     jac = _grouped_jaccard_flat(*flat, lidx, ridx)
@@ -195,20 +185,11 @@ def _pair_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[p
     so a partition whose every pair is capped away still reports them."""
     if tbl.num_rows == 0:
         return _VERIFY_SCHEMA.empty_table(), {"dropped": 0}
-    _, ids, flat, starts, ends, _ = bucket_layout(tbl, "id")
-    lefts, rights = [], []
-    dropped = 0
-    for s, e in zip(starts, ends):
-        m = e - s
-        if m > cap:
-            dropped += (m * (m - 1) - cap * (cap - 1)) // 2
-            m = cap
-        if m < 2:
-            continue
-        ii, jj = triu_pairs(m)
-        lefts.append(ii + s)
-        rights.append(jj + s)
-    return _verified(ids, flat, lefts, rights, threshold), {"dropped": dropped}
+    _, ids, flat, starts, sizes, _ = bucket_layout(tbl, "id")
+    capped = np.minimum(sizes, cap)
+    dropped = int((sizes * (sizes - 1) - capped * (capped - 1)).sum()) // 2
+    lidx, ridx, _, _ = bucket_pairs(starts, capped)
+    return _verified(ids, flat, lidx, ridx, threshold), {"dropped": dropped}
 
 
 def _cross_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[pa.Table, dict]:
@@ -221,20 +202,24 @@ def _cross_verify_partition(tbl: pa.Table, cap: int, threshold: float) -> tuple[
         return _VERIFY_SCHEMA.empty_table(), {"dropped": 0}
     sides = _int64(tbl["side"])
     # side DESC inside each bucket: new (1) rows first, then old (0)
-    order, ids, flat, starts, ends, _ = bucket_layout(tbl, "id", -sides)
+    order, ids, flat, starts, sizes, _ = bucket_layout(tbl, "id", -sides)
     sides = sides[order]
     lefts, rights = [], []
     dropped = 0
-    for s, e in zip(starts, ends):
-        n_new = int(sides[s:e].sum())
-        n_old = (e - s) - n_new
+    for s, m in zip(starts, sizes):
+        n_new = int(sides[s : s + m].sum())
+        n_old = m - n_new
         use_new, use_old = min(n_new, cap), min(n_old, cap)
         dropped += n_new * n_old - use_new * use_old
         if use_new == 0 or use_old == 0:
             continue
         lefts.append(np.repeat(np.arange(use_new, dtype=np.int64), use_old) + s)
         rights.append(np.tile(np.arange(use_old, dtype=np.int64), use_new) + s + n_new)
-    return _verified(ids, flat, lefts, rights, threshold), {"dropped": dropped}
+    if not lefts:
+        return _VERIFY_SCHEMA.empty_table(), {"dropped": dropped}
+    return _verified(ids, flat, np.concatenate(lefts), np.concatenate(rights), threshold), {
+        "dropped": dropped
+    }
 
 
 # process-global featureizer cache (the stages/block.featurize_batch
@@ -666,38 +651,23 @@ def simhash_near_dup_pairs(
             }
         )
 
-    def bucket_pairs(t: pa.Table) -> tuple[pa.Table, dict]:
+    def hamming_pairs(t: pa.Table) -> tuple[pa.Table, dict]:
         if t.num_rows == 0:
             return _HAMMING_SCHEMA.empty_table(), {"truncated": 0}
-        keys, ids = _int64(t["band_key"]), _int64(t[id_col])
-        order = np.lexsort((ids, keys))
-        keys, ids = keys[order], ids[order]
+        order, ids, starts, sizes, _ = key_buckets(t, "band_key", id_col)
         sh = _int64(t["simhash"])[order].view(np.uint64)
-        change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        lefts, rights, hams = [], [], []
-        truncated = 0
-        for s, e in zip(np.r_[0, change], np.r_[change, len(ids)]):
-            m = min(e - s, bucket_cap)
-            truncated += (e - s) - m
-            if m < 2:
-                continue
-            ii, jj = triu_pairs(m)
-            sub_ids = ids[s : s + m]
-            h = _popcount64(np.bitwise_xor(sh[s : s + m][ii], sh[s : s + m][jj]))
-            keep = h <= max_hamming
-            lefts.append(sub_ids[ii[keep]])
-            rights.append(sub_ids[jj[keep]])
-            hams.append(h[keep].astype(np.int64))
-        if not lefts:
-            return _HAMMING_SCHEMA.empty_table(), {"truncated": truncated}
-        cols = [np.concatenate(lefts), np.concatenate(rights), np.concatenate(hams)]
-        return pa.table(cols, schema=_HAMMING_SCHEMA), {"truncated": truncated}
+        capped = np.minimum(sizes, bucket_cap)
+        lidx, ridx, _, _ = bucket_pairs(starts, capped)
+        h = _popcount64(np.bitwise_xor(sh[lidx], sh[ridx]))
+        keep = h <= max_hamming
+        cols = [ids[lidx[keep]], ids[ridx[keep]], h[keep].astype(np.int64)]
+        return pa.table(cols, schema=_HAMMING_SCHEMA), {"truncated": int((sizes - capped).sum())}
 
     parts = pair_partitions(fp.count() * n_bands, num_partitions)
     pairs, counts = hash_exchange_chained(
         fp,
         ["band_key"],
-        bucket_pairs,
+        hamming_pairs,
         parts,
         ["left_id", "right_id"],
         _dedup_pairs,

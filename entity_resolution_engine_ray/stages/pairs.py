@@ -28,9 +28,11 @@ keys), the same deterministic assignment as the serial oracle's
 ``split_block``, so pair semantics are identical and a hot bucket is never
 materialized in one task.
 
-The pair functions share two kernels from here: ``bucket_layout`` (rows
-sorted into (block_key, salt) buckets with a flat token layout) and
-``_distinct`` (the first row of each distinct (left, right) pair).
+The pair functions share three kernels from here: ``key_buckets`` (rows
+sorted into (key, salt) buckets; ``bucket_layout`` adds the flat token
+layout), ``bucket_pairs`` (every within-bucket pair, in bucket order, with
+the cap's drop count) and ``_distinct`` (the first row of each distinct
+(left, right) pair).
 """
 
 from __future__ import annotations
@@ -204,22 +206,29 @@ def _distinct(left: np.ndarray, right: np.ndarray, *minor: np.ndarray) -> np.nda
     return perm[np.r_[True, (ls[1:] != ls[:-1]) | (rs[1:] != rs[:-1])][: len(perm)]]
 
 
-def bucket_layout(tbl: pa.Table, id_col: str, *minor: np.ndarray) -> tuple:
-    """Shared layout of the pair partitions over fat (block_key, id_col,
-    token_ids[, salt], ...) rows: rows sorted by (block_key, salt, *minor,
-    id) → (order, sorted ids, the flat token layout (values, starts,
-    lengths) in sorted row order, bucket starts, bucket ends, bucket
-    block_keys). A bucket is one (block_key, salt); hot buckets arrive
-    pre-split by salt.
-
-    Arrow-native: token ids are read from the ListArray's flat (values,
-    offsets) buffers, with the values kept in their native dtype (the
-    pages' int32 Jaccard ids — an int64 cast would copy the fattest
-    buffer)."""
-    keys, ids = _int64(tbl["block_key"]), _int64(tbl[id_col])
+def key_buckets(tbl: pa.Table, key_col: str, id_col: str, *minor: np.ndarray) -> tuple:
+    """Key-only bucket split of one pair partition: rows sorted by
+    (``key_col``, salt, *minor, ``id_col``) → (order, sorted ids, bucket
+    starts, bucket sizes, bucket keys). A bucket is one (key, salt), or one
+    key in a table without a ``salt`` column."""
+    keys, ids = _int64(tbl[key_col]), _int64(tbl[id_col])
     salts = _int64(tbl["salt"]) if "salt" in tbl.column_names else np.zeros(len(keys), np.int64)
     order = np.lexsort((ids, *minor, salts, keys))
     keys, salts = keys[order], salts[order]
+    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
+    starts = np.r_[0, change]
+    sizes = np.diff(np.r_[starts, tbl.num_rows])
+    return order, ids[order], starts, sizes, keys[starts]
+
+
+def bucket_layout(tbl: pa.Table, id_col: str, *minor: np.ndarray) -> tuple:
+    """``key_buckets`` of fat (block_key, id_col, token_ids[, salt], ...)
+    rows plus their flat token layout (values, starts, lengths) in sorted
+    row order: (order, sorted ids, flat, bucket starts, bucket sizes,
+    bucket block_keys). The values are the ListArray's own buffer in its
+    native dtype (an int64 cast of the pages' int32 ids would copy the
+    fattest buffer)."""
+    order, ids, starts, sizes, bucket_keys = key_buckets(tbl, "block_key", id_col, *minor)
     tok = _comb(tbl["token_ids"])
     toffs = _int64(tok.offsets)
     flat = (
@@ -227,9 +236,39 @@ def bucket_layout(tbl: pa.Table, id_col: str, *minor: np.ndarray) -> tuple:
         toffs[:-1][order],
         (toffs[1:] - toffs[:-1])[order],
     )
-    change = np.flatnonzero((keys[1:] != keys[:-1]) | (salts[1:] != salts[:-1])) + 1
-    starts = np.r_[0, change]
-    return order, ids[order], flat, starts, np.r_[change, tbl.num_rows], keys[starts]
+    return order, ids, flat, starts, sizes, bucket_keys
+
+
+def bucket_pairs(
+    starts: np.ndarray, sizes: np.ndarray, pair_cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every pair of rows within each bucket (rows ``starts[b]`` ..
+    ``starts[b] + sizes[b] - 1``) → (left rows, right rows, bucket of each
+    pair, dropped), bucket by bucket and row-major upper-triangle within
+    one. ``pair_cap`` keeps each bucket's first ``pair_cap`` pairs and
+    ``dropped`` counts the rest; callers that cap members pass truncated
+    ``sizes`` and count their own loss. One ``np.triu_indices`` per
+    DISTINCT size, written into every bucket of that size's output slots:
+    50–75 → 2–3.5 ms against a per-bucket loop on a 26,084-row pages
+    partition (shared 4-vCPU Xeon host)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    full = sizes * (sizes - 1) // 2
+    n_pairs = full if pair_cap is None else np.minimum(full, pair_cap)
+    dropped = int((full - n_pairs).sum())
+    total = int(n_pairs.sum())
+    left = np.empty(total, dtype=np.int64)
+    right = np.empty(total, dtype=np.int64)
+    bucket = np.repeat(np.arange(len(sizes), dtype=np.int64), n_pairs)
+    out_at = n_pairs.cumsum() - n_pairs
+    for m in np.unique(sizes[n_pairs > 0]):
+        b = np.flatnonzero(sizes == m)
+        ii, jj = np.triu_indices(int(m), k=1)
+        k = int(n_pairs[b[0]])
+        slots = (out_at[b][:, None] + np.arange(k)).ravel()
+        left[slots] = (starts[b][:, None] + ii[:k]).ravel()
+        right[slots] = (starts[b][:, None] + jj[:k]).ravel()
+    return left, right, bucket, dropped
 
 
 class DroppedPairs(int):

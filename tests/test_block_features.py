@@ -14,6 +14,7 @@ import pyarrow as pa
 import pytest
 
 from entity_resolution_engine_ray.config import PagesERConfig
+from entity_resolution_engine_ray.functions import similarity
 from entity_resolution_engine_ray.functions.similarity import (
     hash_tokens,
     hash_tokens_flat,
@@ -37,15 +38,29 @@ def _random_docs(seed: int, n_docs: int) -> list[list[str]]:
     for _ in range(n_docs):
         ln = int(rng.integers(0, 30))
         docs.append([vocab[int(i)] for i in rng.integers(0, len(vocab), ln)])
-    # force the edge shapes: empty doc, 1-token, 2-token (below shingle k=3)
+    # force the edge shapes: zero-token docs (first, a run of two, last)
+    # and docs below shingle k=3 (1 and 2 tokens, one of them last but one)
     docs[0] = []
     docs[1] = ["solo"]
     docs[2] = ["two", "tokens"]
+    docs[3] = docs[4] = []
+    docs[-2] = ["penultimate"]
+    docs[-1] = []
     return docs
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_flat_kernels_match_scalar(seed):
+    _check_flat_kernels(seed)
+
+
+def test_flat_kernels_match_scalar_many_simhash_chunks(monkeypatch):
+    monkeypatch.setattr(similarity, "_SIMHASH_DOC_CHUNK", 5)
+    _check_flat_kernels(3)
+
+
+def _check_flat_kernels(seed: int) -> None:
+    """Every flat kernel == its scalar twin, doc by doc."""
     docs = _random_docs(seed, 64)
     counts = np.array([len(d) for d in docs], dtype=np.int64)
     offsets = np.r_[0, counts.cumsum()]
@@ -59,7 +74,7 @@ def test_flat_kernels_match_scalar(seed):
     flat_sh, sh_counts = shingle_hashes_flat(flat_h, offsets, k=k)
     sh_off = np.r_[0, sh_counts.cumsum()]
     a, b = minhash_coefficients(63)
-    sigs = minhash_signatures_flat(flat_sh, sh_counts, a, b, chunk_rows=7)
+    sigs = minhash_signatures_flat(flat_sh, sh_counts, a, b)
     bands = lsh_band_keys_matrix(sigs, 21)
     sims = simhash64_flat(flat_h, offsets)
 
@@ -70,6 +85,44 @@ def test_flat_kernels_match_scalar(seed):
         assert np.array_equal(sigs[i], sig), f"doc {i} minhash"
         assert list(bands[i]) == lsh_band_keys(sig, 21), f"doc {i} bands"
         assert sims[i] == simhash64(th), f"doc {i} simhash"
+
+
+def test_flat_kernels_zero_row_batch():
+    """A zero-row batch gives zero-row outputs of the usual shapes."""
+    empty = np.empty(0, dtype=np.uint64)
+    offsets = np.zeros(1, dtype=np.int64)
+    flat_sh, sh_counts = shingle_hashes_flat(empty, offsets, k=3)
+    assert len(flat_sh) == 0 and len(sh_counts) == 0
+    a, b = minhash_coefficients(63)
+    sigs = minhash_signatures_flat(flat_sh, sh_counts, a, b)
+    assert sigs.shape == (0, 63) and sigs.dtype == np.uint64
+    assert lsh_band_keys_matrix(sigs, 21).shape == (0, 21)
+    sims = simhash64_flat(empty, offsets)
+    assert sims.shape == (0,) and sims.dtype == np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_sorted_unique_lists_match_np_unique(dtype):
+    """``sorted_unique_lists`` == ``np.unique`` per doc, over the dtype's
+    extremes, negatives, duplicates and zero-value docs."""
+    from entity_resolution_engine_ray.stages.block import sorted_unique_lists
+
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 40, 200)
+    counts[[0, 1, 77, -1]] = 0
+    pool = np.r_[
+        rng.integers(info.min, info.max, 300, dtype=dtype, endpoint=True), info.min, info.max, -1, 0, 1
+    ]
+    values = rng.choice(pool.astype(dtype), int(counts.sum()))
+    out = sorted_unique_lists(values, counts, pa.from_numpy_dtype(dtype))
+    assert out.type == pa.list_(pa.from_numpy_dtype(dtype))
+    starts = np.r_[0, counts.cumsum()]
+    assert len(out) == len(counts)
+    for i in range(len(counts)):
+        want = np.unique(values[starts[i] : starts[i + 1]]).tolist()
+        assert out[i].values.to_pylist() == want, f"doc {i}"
+    assert len(sorted_unique_lists(values[:0], counts[:0], pa.from_numpy_dtype(dtype))) == 0
 
 
 def test_feature_extractor_matches_scalar_reference(ray_session):

@@ -6,7 +6,9 @@ featurizes a Dataset's blocks with one plain task each. Both must equal
 ``feature_stage(extract_stage(rd.read_parquet(path)))`` row for row
 (sorted by url) with an equal schema, on several files, on row groups
 that split into several units, on a directory holding side files, on a
-zero-row file and on non-ASCII pages (the fallback tokenizer).
+zero-row file and on non-ASCII pages (the fallback tokenizer); on a
+``generate_pages(nonascii_frac=...)`` fixture ``featurize_pages`` also equals
+the scalar per-doc kernels.
 """
 
 import os
@@ -133,3 +135,45 @@ def test_non_ascii_pages_take_the_fallback(ray_session, tmp_path):
     titles = got.sort_by("url")["title_norm"].to_pylist()
     assert any("café" in t for t in titles) and any("café" not in t for t in titles)
     _check_both_ways(path)
+
+
+def test_mixed_fixture_matches_stages_and_scalar_reference(ray_session, tmp_path):
+    """``featurize_pages`` on a ``generate_pages(nonascii_frac=0.5)``
+    fixture (two batches, each mixing ASCII and non-ASCII pages) equals
+    the Ray Data stages over the same file and, page by page, the scalar
+    per-doc kernels."""
+    from entity_resolution_engine_ray.functions.similarity import (
+        hash_tokens,
+        jaccard_ids,
+        lsh_band_keys,
+        minhash_coefficients,
+        minhash_signature,
+        shingle_hashes,
+        simhash64,
+        stable_hash64,
+    )
+    from entity_resolution_engine_ray.oracle.serial import canonical_tokens
+    from entity_resolution_engine_ray.stages.block import featurize_pages
+
+    pages, _ = generate_pages(FEATURIZE_BATCH_ROWS + 200, seed=9, nonascii_frac=0.5)
+    path = str(tmp_path / "mixed_frac.parquet")
+    pq.write_table(pages, path)
+    got = featurize_pages(pages, CFG)
+    _assert_same(got, _ray_data_features(path))
+    _check_both_ways(path)
+
+    extracted = extract_batch(pages)
+    nonascii = [not (t.isascii() and ti.isascii()) for t, ti in zip(
+        extracted["text"].to_pylist(), extracted["title"].to_pylist())]
+    assert 0.2 < sum(nonascii) / len(nonascii) < 0.8
+    coeffs = minhash_coefficients(CFG.num_perm)
+    for i, (url, text, title) in enumerate(zip(
+        extracted["url"].to_pylist(), extracted["text"].to_pylist(), extracted["title"].to_pylist()
+    )):
+        th = hash_tokens(canonical_tokens(text), None)
+        sig = minhash_signature(shingle_hashes(th, k=CFG.shingle_k), *coeffs)
+        assert got["url_hash"][i].as_py() == stable_hash64(url)
+        assert got["token_ids"][i].as_py() == list(jaccard_ids(th))
+        assert got["simhash"][i].as_py() == simhash64(th)
+        assert got["band_keys"][i].as_py() == lsh_band_keys(sig, CFG.bands)
+        assert got["title_norm"][i].as_py() == " ".join(canonical_tokens(title))

@@ -100,13 +100,20 @@ def test_canonical_tokens_stable(s):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_grouped_jaccard_flat_matches_set_oracle(seed):
-    """The flagship's hot Jaccard kernel (flat ListArray layout, per-left
-    grouped searchsorted) == per-pair python-set Jaccard, including empty
-    token sets, negative int64 token ids and repeated pairs."""
-    from entity_resolution_engine_ray.stages.score import _grouped_jaccard_flat
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([np.int64, np.int32]),
+    st.sampled_from([None, 1, 7]),
+)
+def test_grouped_jaccard_flat_matches_set_oracle(seed, dtype, chunk_tokens):
+    """The flagship's hot Jaccard kernel (flat ListArray layout, chunked
+    packed-key searchsorted) == per-pair python-set Jaccard, including
+    empty token sets, negative int64 and int32 token ids (the dtypes'
+    extremes among them) and repeated pairs. ``chunk_tokens`` shrinks the
+    kernel's chunk so one call runs many chunks."""
+    from entity_resolution_engine_ray.stages import score
 
+    info = np.iinfo(dtype)
     rng = np.random.default_rng(seed)
     nd = int(rng.integers(1, 60))
     lens = rng.integers(0, 12, nd)
@@ -114,22 +121,63 @@ def test_grouped_jaccard_flat_matches_set_oracle(seed):
     starts = np.zeros(nd, dtype=np.int64)
     flat, pos = [], 0
     for i in range(nd):
-        a = np.unique(rng.integers(-(2**62), 2**62, lens[i]))
+        a = rng.integers(info.min, info.max, lens[i], dtype=dtype, endpoint=True)
+        if lens[i] > 2:
+            a[:2] = info.min, info.max
+        a = np.unique(a)
         lens[i], starts[i] = len(a), pos
         pos += len(a)
         flat.append(a)
-    tvals = np.concatenate(flat) if pos else np.empty(0, dtype=np.int64)
+    tvals = np.concatenate(flat)
     tlens = lens.astype(np.int64)
     npairs = int(rng.integers(1, 300))
     lidx = rng.integers(0, nd, npairs)
     ridx = rng.integers(0, nd, npairs)
-    got = _grouped_jaccard_flat(tvals, starts, tlens, lidx, ridx)
+    saved = score._JACCARD_CHUNK_TOKENS
+    try:
+        if chunk_tokens is not None:
+            score._JACCARD_CHUNK_TOKENS = chunk_tokens
+        got = score._grouped_jaccard_flat(tvals, starts, tlens, lidx, ridx)
+    finally:
+        score._JACCARD_CHUNK_TOKENS = saved
     for p in range(npairs):
         A = set(tvals[starts[lidx[p]] : starts[lidx[p]] + tlens[lidx[p]]])
         B = set(tvals[starts[ridx[p]] : starts[ridx[p]] + tlens[ridx[p]]])
         u = len(A | B)
         exp = len(A & B) / u if u else 1.0
         assert abs(got[p] - exp) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), max_size=30),
+    st.one_of(st.none(), st.integers(0, 300)),
+)
+def test_bucket_pairs_matches_per_bucket_loop(sizes, pair_cap):
+    """``pairs.bucket_pairs`` == the per-bucket ``np.triu_indices`` loop
+    it replaced: the same pairs in the same order (bucket by bucket,
+    row-major within one), the bucket of each pair, and the pairs a
+    binding ``pair_cap`` drops."""
+    from entity_resolution_engine_ray.stages.pairs import bucket_pairs
+
+    sizes = np.array(sizes, dtype=np.int64)
+    gaps = np.arange(len(sizes)) % 3  # rows between buckets need not be contiguous
+    starts = np.cumsum(np.r_[0, sizes[:-1] + gaps[:-1]]).astype(np.int64)
+    left, right, bucket, dropped = bucket_pairs(starts, sizes, pair_cap)
+    want_l, want_r, want_b, want_dropped = [], [], [], 0
+    for b, (s, m) in enumerate(zip(starts, sizes)):
+        ii, jj = np.triu_indices(int(m), k=1)
+        if pair_cap is not None and len(ii) > pair_cap:
+            want_dropped += len(ii) - pair_cap
+            ii, jj = ii[:pair_cap], jj[:pair_cap]
+        want_l += (ii + s).tolist()
+        want_r += (jj + s).tolist()
+        want_b += [b] * len(ii)
+    assert left.tolist() == want_l
+    assert right.tolist() == want_r
+    assert bucket.tolist() == want_b
+    assert dropped == want_dropped
+    assert left.dtype == right.dtype == bucket.dtype == np.int64
 
 
 @given(
