@@ -93,8 +93,9 @@ check-fold:
 bench:
 	$(PY) bench.py
 
-# per-kernel microbenchmarks (no Ray session, ~15 s): featurize ms per
-# 1,024-doc batch (ASCII and mixed) and the pair-score ms on the 2,000-page
-# dense seed-7 partition, as one JSON line
+# per-kernel microbenchmarks (no Ray session, ~15 s): extract and
+# featurize ms per 1,024-doc batch, the pair-score ms on the 2,000-page
+# dense seed-7 partition and the merge ms on its labeled table, as one
+# JSON line
 bench-kernels:
 	$(PY) scripts/bench_kernels.py

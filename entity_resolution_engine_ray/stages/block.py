@@ -59,9 +59,11 @@ def _comb(col):
 
 def _split_canonical_ascii(arr: pa.Array) -> tuple[pa.Array, np.ndarray]:
     """Vectorized ``canonical_tokens`` for an all-ASCII string array:
-    ascii_lower → RE2 ``[^\\w\\s]``→space → split_whitespace → drop empty
-    tokens. On ASCII input RE2's ``\\w``/``\\s`` and Arrow's whitespace
-    split agree byte-for-byte with Python's ``re``/``str.split`` (pinned by
+    ascii_lower → RE2 ``[^\\w\\s]``→space → ascii_split_whitespace → drop
+    empty tokens. On ASCII input RE2's ``\\w``/``\\s`` and Arrow's
+    whitespace split agree byte-for-byte with Python's ``re``/``str.split``
+    (the replace leaves only RE2's ``\\s`` = ``[\\t\\n\\f\\r ]``, on which
+    the ASCII and UTF-8 splits agree; pinned by
     test_feature_extractor_matches_scalar_reference and the ascii-parity
     case in test_block_features). Returns (flat non-empty token values,
     per-doc token counts)."""
@@ -70,7 +72,7 @@ def _split_canonical_ascii(arr: pa.Array) -> tuple[pa.Array, np.ndarray]:
     rep = pc.replace_substring_regex(
         pc.ascii_lower(arr), pattern=r"[^\w\s]", replacement=" "
     )
-    sp = _comb(pc.utf8_split_whitespace(rep))
+    sp = _comb(pc.ascii_split_whitespace(rep))
     lengths = pc.list_value_length(sp).to_numpy(zero_copy_only=False).astype(np.int64)
     flat = sp.flatten()
     nonempty = pc.not_equal(flat, "")

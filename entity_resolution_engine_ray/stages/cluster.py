@@ -26,8 +26,11 @@ edges, the schema every edge producer emits:
   Its per-partition tasks hold node-sorted labels and use ``label_of`` plus
   a numpy min-by-key. Labels start from each partition's local components
   (``connected_roots`` over the partition's own edges), so the rounds only
-  merge components that cross partitions. ``attach_labels`` joins its
-  output back to rows.
+  merge components that cross partitions. One partition holds the whole
+  graph, so its local roots are final: ``_lp_partitions`` picks one
+  partition up to 2M directed edge rows, and then one task runs the
+  kernel over every edge block with no exchange and no round.
+  ``attach_labels`` joins its output back to rows.
 
 ``DRIVER_EDGE_LIMIT`` is the one gate between them: the pages pipeline
 (``cluster_method="auto"``) and ``dedup.near_dup_clusters`` both read it at
@@ -140,14 +143,36 @@ def _lp_init_from_edges(edges_part: pa.Table):
     2024): the minimum id of its component within this partition, an id in
     its global component and no larger than itself, so the fixpoint is
     still the component minimum and the rounds only merge what crosses
-    partitions — with one partition the first round already changes
-    nothing."""
+    partitions."""
     src, dst = _np_col(edges_part, "src"), _np_col(edges_part, "dst")
     nodes, pos = np.unique(src, return_inverse=True)
     start = label_of(*connected_roots(src, dst), nodes)
     order = np.argsort(dst, kind="stable")
     edges = pa.table({"pos": pos[order].astype(np.int64), "dst": dst[order]})
     return edges, pa.table({"node": pa.array(nodes, pa.int64()), "label": pa.array(start, pa.int64())})
+
+
+def _roots_of(tables) -> tuple[np.ndarray, np.ndarray]:
+    """``connected_roots`` over the (left_id, right_id) edges of every
+    table in ``tables``."""
+    from entity_resolution_engine_ray.stages.exchange import _ensure_table
+
+    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for b in map(_ensure_table, tables):
+        if b.num_rows:
+            src.append(_np_col(b, "left_id"))
+            dst.append(_np_col(b, "right_id"))
+    return connected_roots(np.concatenate(src), np.concatenate(dst))
+
+
+@ray.remote(num_returns=2)
+def _lp_one_partition(*blocks: pa.Table):
+    """Every edge block → (node, cluster_label) labels in one task: with one
+    partition the graph is whole, so its local roots are the component
+    minima, the fixpoint the rounds would reach."""
+    nodes, roots = _roots_of(blocks)
+    out = pa.table({"node": pa.array(nodes, pa.int64()), "cluster_label": pa.array(roots, pa.int64())})
+    return out, out.num_rows
 
 
 @ray.remote
@@ -209,24 +234,38 @@ def _lp_refine(labels_part: pa.Table, *cand_subparts: pa.Table):
     return out, int(ch.sum()), _cand_table(old[hook], new[hook])
 
 
+# directed (src, dst) rows one labelprop partition is sized for (~32 MB of
+# int64 pairs; per-round tasks stay 1–3 s of vectorized work)
+_LP_PARTITION_ROWS = 2_000_000
+
+
 def _lp_partitions(n_directed_rows: int, cpus: int) -> int:
-    """Labelprop width. NOT ``auto_partitions(n_rows)`` with the generic
+    """Labelprop width: 1 while the directed edge rows fit one partition's
+    ``_LP_PARTITION_ROWS`` target, whatever the CPU count. One partition
+    holds the whole graph, so its local roots are the component minima
+    and ``_lp_one_partition`` returns them with no round (measured on a
+    2,000-page fold's 7,950 approved edges at 4 CPUs: P=4 took 7 refine
+    waves and 0.57–0.61 s, P=1 with its rounds 0.10–0.15 s; hashing by
+    src scatters each component's edges, so more partitions only add
+    rounds).
+
+    Above the target, NOT ``auto_partitions(n_rows)`` with the generic
     50k-row target: a labelprop ROUND has driver-side cost O(P × split
     groups) object refs and ~3P tasks, paid EVERY round — sizing P like a
     one-shot row shuffle melted the scheduler at 1M pages (measured
     2026-08-19: P≈3200 from the 50k-row formula pushed the labels stage
     73 s → 749 s at ~10 % CPU; the fixed width 64 at the same 160M
-    directed edges ran it in 73 s). Target ~2M directed edge rows (~32 MB
-    of int64 pairs) per partition — per-round tasks stay 1–3 s of
-    vectorized work — with the 1.5×CPU floor so small graphs still fill
-    the cluster. The cap of 1,024 bounds the round exchange's O(split
-    tasks × P) driver-held refs; it binds only past ~2G directed edge rows
-    (≈1B approved edges, ≥16 GB of int64 pairs). Past that, shard the
-    corpus (incremental key_filter path) rather than widening one
-    labelprop."""
+    directed edges ran it in 73 s). ``auto_partitions`` with the 2M-row
+    target and its 1.5×CPU floor, capped at 1,024: the cap bounds the
+    round exchange's O(split tasks × P) driver-held refs and binds only
+    past ~2G directed edge rows (≈1B approved edges, ≥16 GB of int64
+    pairs). Past that, shard the corpus (incremental key_filter path)
+    rather than widening one labelprop."""
     from entity_resolution_engine_ray.stages.grouping import auto_partitions
 
-    return min(auto_partitions(n_directed_rows, rows_per_partition=2_000_000, cpus=cpus), 1024)
+    if n_directed_rows <= _LP_PARTITION_ROWS:
+        return 1
+    return min(auto_partitions(n_directed_rows, rows_per_partition=_LP_PARTITION_ROWS, cpus=cpus), 1024)
 
 
 @ray.remote
@@ -344,7 +383,9 @@ def connected_components_labelprop_ids(
     by dst. Each round also pointer-jumps so long chains collapse in far
     fewer than diameter rounds (measured: 19 rounds on a 2M-edge / 95k-node
     web fixture with deep chain components). Safe when the connected-node
-    set exceeds driver memory."""
+    set exceeds driver memory. With one partition (``_lp_partitions``: up
+    to 2M directed edge rows) one task runs ``connected_roots`` over every
+    edge block instead — no exchange and no round."""
     from entity_resolution_engine_ray.stages.exchange import (
         Blocks,
         _as_given,
@@ -362,6 +403,9 @@ def connected_components_labelprop_ids(
     P = num_partitions or _lp_partitions(2 * n_edges, cpus)
     if n_edges == 0:
         return _as_given((edges,), Blocks.of(_LABELS.empty_table()))
+    if P == 1:
+        out, n = _lp_one_partition.remote(*blocks.refs)
+        return _as_given((edges,), Blocks((out,), (ray.get(n),)))
     edge_parts = exchange_partition_refs(blocks, ["src"], P, block_fn=_both_orientations)
     inits = [_lp_init_from_edges.remote(e) for e in edge_parts]
     edge_parts, labels_parts = [e for e, _ in inits], [l for _, l in inits]
@@ -380,14 +424,9 @@ def cluster_label_map(edges) -> tuple[np.ndarray, np.ndarray]:
     (the fully-distributed path) instead. The blocks (``exchange.Blocks``
     or a Dataset's) are fetched with ``ray.get``, so in-memory edges cost
     no Ray Data execution."""
-    from entity_resolution_engine_ray.stages.exchange import _ensure_table, as_blocks
+    from entity_resolution_engine_ray.stages.exchange import as_blocks
 
-    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for b in map(_ensure_table, ray.get(list(as_blocks(edges).refs))):
-        if b.num_rows:
-            src.append(_np_col(b, "left_id"))
-            dst.append(_np_col(b, "right_id"))
-    return connected_roots(np.concatenate(src), np.concatenate(dst))
+    return _roots_of(ray.get(list(as_blocks(edges).refs)))
 
 
 def attach_labels(

@@ -57,6 +57,15 @@ Scale notes (both matter at 100 TB and were measured locally):
   O(split_tasks × P), not O(input_blocks × P) — checkpoint re-reads and
   fine-grained upstream stages would otherwise explode the object count
   (measured 3× wall-time at 172 input blocks vs 86 on identical data).
+- An input with fewer rows than that many groups of ``SPLIT_GROUP_ROWS``
+  (10k) gets one group per 10k rows instead, cut by rows, so a 2,000-page
+  call runs one split task per exchange. Measured on a 2,000-page fold
+  at 1 Ray CPU: ``max(8, cpus)`` groups made 22 of its 57 tasks split
+  tasks over a block or two each, which cost more to schedule than to
+  run (192 ms of task bodies in a 422 ms call). 100k rows keep the
+  ``max(8, cpus)`` groups up to 10 CPUs.
+- With one stage-2 partition, ``hash_exchange_chained`` hands each stage-1
+  reduce's table straight to the stage-2 reduce, with no split task.
 """
 
 from __future__ import annotations
@@ -196,12 +205,32 @@ def _as_given(inputs: tuple, out: Blocks):
     return out if all(isinstance(d, Blocks) for d in inputs) else out.to_dataset()
 
 
-def _coalesce_refs(refs, max_groups: int) -> list[list]:
-    """Contiguous grouping of block refs into ≤ max_groups split tasks."""
+# input rows one split task is sized for: a split task costs a few ms of
+# scheduling and a round of object refs whatever its size
+SPLIT_GROUP_ROWS = 10_000
+
+
+def _coalesce_refs(refs, rows, cpus: int) -> list[list]:
+    """Contiguous grouping of block refs into split tasks.
+
+    At most ``max(8, cpus)`` groups of about equal block counts; when
+    ``rows`` (each block's row count) is given and the input holds fewer
+    than that many times ``SPLIT_GROUP_ROWS`` rows, ``ceil(rows /
+    SPLIT_GROUP_ROWS)`` groups cut at equal shares of the rows instead, so
+    no group holds more than ``SPLIT_GROUP_ROWS`` rows plus one block.
+    ``rows=None`` (counts unknown) keeps the block-count rule."""
     n = len(refs)
-    g = min(n, max_groups)
-    bounds = np.linspace(0, n, g + 1).astype(int)
-    return [list(refs[bounds[i] : bounds[i + 1]]) for i in range(g) if bounds[i] < bounds[i + 1]]
+    g = min(n, max(8, cpus))
+    total = None if rows is None else int(sum(rows))
+    by_rows = None if total is None else max(1, -(-total // SPLIT_GROUP_ROWS))
+    if by_rows is not None and by_rows < g:
+        # block b joins group (rows before b) * by_rows // total
+        starts = np.cumsum(rows) - np.asarray(rows)
+        group = starts * by_rows // max(total, 1)
+        bounds = np.r_[0, np.flatnonzero(np.diff(group)) + 1, n]
+    else:
+        bounds = np.linspace(0, n, g + 1).astype(int)
+    return [list(refs[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
 def _ensure_table(block) -> pa.Table:
@@ -301,16 +330,18 @@ def _reduce_cogroup(fn, n_left: int, *subtables: pa.Table):
     return out, out.num_rows
 
 
-def _split_all(refs, key_cols: list[str], num_partitions: int, block_fn, cpus: int) -> list:
-    """Stage 1 over ``refs``: at most ``max(8, cpus)`` coalesced split
-    tasks, each ``block_fn`` first. ``result[b][p]`` is split b's
-    sub-table for partition p (a single ref per split when
-    ``num_partitions`` is 1)."""
+def _split_all(
+    refs, key_cols: list[str], num_partitions: int, block_fn, cpus: int, rows=None
+) -> list:
+    """Stage 1 over ``refs``: one split task per ``_coalesce_refs`` group
+    (``rows``: each ref's row count, when known), each ``block_fn``
+    first. ``result[b][p]`` is split b's sub-table for partition p (a
+    single ref per split when ``num_partitions`` is 1)."""
     return [
         _split_block.options(num_returns=num_partitions).remote(
             key_cols, num_partitions, block_fn, *group
         )
-        for group in _coalesce_refs(refs, max(8, cpus))
+        for group in _coalesce_refs(refs, rows, cpus)
     ]
 
 
@@ -351,8 +382,8 @@ def hash_exchange_cogroup(
     lb, rb = as_blocks(left), as_blocks(right)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, max(lb.count(), rb.count()), cpus)
-    l_splits = _split_all(lb.refs, left_keys, num_partitions, left_block_fn, cpus)
-    r_splits = _split_all(rb.refs, right_keys, num_partitions, right_block_fn, cpus)
+    l_splits = _split_all(lb.refs, left_keys, num_partitions, left_block_fn, cpus, lb.rows)
+    r_splits = _split_all(rb.refs, right_keys, num_partitions, right_block_fn, cpus, rb.rows)
     reduced, counts = [], []
     for p in range(num_partitions):
         lsub = _partition_subs(l_splits, p, num_partitions)
@@ -394,7 +425,7 @@ def exchange_partition_refs(
     blocks = as_blocks(data)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, blocks.count(), cpus)
-    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus)
+    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus, blocks.rows)
     return [
         _concat_parts.remote(*_partition_subs(splits, p, num_partitions))
         for p in range(num_partitions)
@@ -460,7 +491,7 @@ def hash_exchange_chained(
         )
     blocks = as_blocks(data)
     cpus = cluster_cpus()
-    splits1 = _split_all(blocks.refs, keys1, p1, block_fn, cpus)
+    splits1 = _split_all(blocks.refs, keys1, p1, block_fn, cpus, blocks.rows)
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     # stage-1 reduce → immediately a stage-2 split on the SAME ref: no
     # driver involvement between the waves
@@ -468,7 +499,10 @@ def hash_exchange_chained(
     for p in range(p1):
         t_ref, c_ref = _reduce_counted.remote(fn1, arrow_fns, *_partition_subs(splits1, p, p1))
         count_refs.append(c_ref)
-        splits2.append(_split_block.options(num_returns=p2).remote(keys2, p2, None, t_ref))
+        # with one stage-2 partition the reduce's table is its own sub-table
+        splits2.append(
+            t_ref if p2 == 1 else _split_block.options(num_returns=p2).remote(keys2, p2, None, t_ref)
+        )
     reduced, rows = [], []
     for q in range(p2):
         t_ref, n_ref = reduce_task.remote(fn2, *_partition_subs(splits2, q, p2))
@@ -501,7 +535,7 @@ def hash_exchange_map_groups(
     blocks = as_blocks(data)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, blocks.count(), cpus)
-    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus)
+    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus, blocks.rows)
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     reduced, counts = [], []
     for p in range(num_partitions):

@@ -29,7 +29,10 @@ _SCRIPT_RE = r"(?is)<script[^>]*>.*?</script>"
 _STYLE_RE = r"(?is)<style[^>]*>.*?</style>"
 _TITLE_RE = r"(?is)<title[^>]*>(?P<title>.*?)</title>"
 _TAG_RE = r"<[^>]*>"
-_WS_RE = r"[ \t\n\r]+"
+# the runs ``[ \t\n\r]+`` → " " changes: two or more whitespace chars, or
+# one that is not a space (a lone space is left alone, so most docs
+# rewrite a few runs instead of one per word)
+_WS_RE = r"[ \t\n\r]{2,}|[\t\n\r]"
 
 # (pattern-literal, replacement) applied in order — &amp; must come last
 _ENTITIES = [

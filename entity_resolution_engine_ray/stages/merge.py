@@ -102,12 +102,14 @@ def merge_partition(t: pa.Table) -> tuple[pa.Table, pa.Table]:
     """One hash partition of labeled pages → (one canonical row per
     cluster, one lineage row per member url).
 
-    Vectorized: one sort, pandas groupby aggregates; the only per-cluster
-    Python is the member-url content hash, computed once per cluster for
-    both tables, and the only per-url Python is the domain parse. A
-    zero-row partition returns both typed empty tables (pandas would type
-    their empty object columns as null); a zero-COLUMN one (a 0-row Dataset
-    input with no typed block) comes back as itself, twice."""
+    Vectorized: pandas groupby aggregates over one ``(cluster_label,
+    warc_ts, url)`` sort. The only per-cluster Python is the member-url
+    content hash: one ``cluster_entity_id`` per contiguous slice of one
+    ``(cluster_label, url)`` sort, used by both tables. The only per-url
+    Python is the domain parse. A zero-row partition returns both typed
+    empty tables (pandas would type their empty object columns as null);
+    a zero-COLUMN one (a 0-row Dataset input with no typed block) comes
+    back as itself, twice."""
     if t.num_rows == 0:
         if not set(_LABELED_COLS) <= set(t.column_names):
             return t, t
@@ -126,7 +128,15 @@ def merge_partition(t: pa.Table) -> tuple[pa.Table, pa.Table]:
     lc = pdf.groupby(["cluster_label", "lang"], sort=False).size().reset_index(name="c")
     lc = lc.sort_values(["cluster_label", "c", "lang"], ascending=[True, False, True], kind="mergesort")
     lang_top = lc.drop_duplicates("cluster_label").set_index("cluster_label")["lang"]
-    ids = g["url"].agg(lambda u: cluster_entity_id("PAGE", list(u)))
+    # one (cluster_label, url) sort serves both tables: each cluster's
+    # member urls are a contiguous sorted slice, hashed once
+    members = pdf.sort_values(["cluster_label", "url"], kind="mergesort")
+    labels = members["cluster_label"].to_numpy()
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    ends = np.r_[starts[1:], len(labels)]
+    urls = members["url"].tolist()
+    member_ids = np.array([cluster_entity_id("PAGE", urls[a:b]) for a, b in zip(starts, ends)], dtype=object)
+    ids = pd.Series(member_ids, index=labels[starts])
     entities = pd.DataFrame(
         {
             "cluster_label": agg.index.to_numpy(dtype=np.int64),
@@ -140,11 +150,10 @@ def merge_partition(t: pa.Table) -> tuple[pa.Table, pa.Table]:
             "last_seen": agg["last_seen"].to_numpy(),
         }
     )
-    members = pdf.sort_values(["cluster_label", "url"], kind="mergesort")
     lineage = pd.DataFrame(
         {
             "url": members["url"].to_numpy(),
-            "entity_id": members["cluster_label"].map(ids).to_numpy(),
+            "entity_id": np.repeat(member_ids, ends - starts),
             "source_domain": members["domain"].to_numpy(),
         }
     )
@@ -182,7 +191,7 @@ def merge_labeled(labeled, num_partitions: int | None = None):
     blocks = as_blocks(labeled)
     cpus = cluster_cpus()
     p = _width(num_partitions, blocks.count(), cpus)
-    splits = _split_all(blocks.refs, ["cluster_label"], p, None, cpus)
+    splits = _split_all(blocks.refs, ["cluster_label"], p, None, cpus, blocks.rows)
     outs = [_merge_reduce.remote(*_partition_subs(splits, i, p)) for i in range(p)]
     rows = ray.get([o[1] for o in outs] + [o[3] for o in outs])
     entities = _kept([o[0] for o in outs], rows[:p])

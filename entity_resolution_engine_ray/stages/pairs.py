@@ -110,7 +110,9 @@ def key_stats(
     rows exist only inside the split tasks.
 
     ``n_rows_hint`` (e.g. pages × bands, known upstream) sizes the summing
-    exchange without a separate counting pass over the exploded rows.
+    exchange without a separate counting pass over the exploded rows: one
+    partition per 500k key rows, at least one and at most 32 — below 500k
+    key rows the sum is one task.
 
     Returns ``(hot, pairable, n_pairable_rows)`` — the third element is the
     TOTAL row count across multi-member keys, i.e. the number of fat rows
@@ -127,8 +129,8 @@ def key_stats(
         return _key_counts(block_fn(t))
 
     # partial tables are ~n_distinct_keys rows; scale the summing exchange
-    # with the input instead of paying 32 fixed tasks at 100k
-    n_parts = int(min(32, max(4, n_rows_hint // 500_000)))
+    # with the input instead of paying a fixed task count for a small one
+    n_parts = int(min(32, max(1, n_rows_hint // 500_000)))
     summed = hash_exchange_map_groups(
         blocks, ["k"], _sum_multi, n_parts, arrow_fns=True, block_fn=partial
     )

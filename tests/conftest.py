@@ -46,6 +46,30 @@ def count_executions():
         yield counter
 
 
+@contextmanager
+def count_tasks():
+    """Count the Ray tasks submitted inside the block through remote
+    functions (``RemoteFunction._remote``, which ``f.remote`` and
+    ``f.options(...).remote`` both call): ``with count_tasks() as n: ...``
+    leaves the total in ``n["n"]`` and the count per function name in
+    ``n["by_name"]``."""
+    from collections import Counter
+
+    from ray.remote_function import RemoteFunction
+
+    counter = {"n": 0, "by_name": Counter()}
+    submit = RemoteFunction._remote
+
+    def counting_remote(self, *args, **kwargs):
+        counter["n"] += 1
+        counter["by_name"][self._function_name.rsplit(".", 1)[-1]] += 1
+        return submit(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RemoteFunction, "_remote", counting_remote)
+        yield counter
+
+
 # the ray.data constructors that wrap blocks or files in a Dataset
 WRAPS = ("from_arrow_refs", "from_arrow")
 READS = ("read_parquet",)

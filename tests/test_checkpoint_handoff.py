@@ -10,6 +10,7 @@ resumes.
   execution and build no Dataset: the input is read inside the featurize
   tasks, the stages hand each other block lists, and the result's handles
   are built only when read;
+- the Ray tasks each call submits stay at their pinned counts;
 - the one merge exchange writes the entities and lineage a plain
   per-cluster reference computes from the ``labeled`` checkpoint, and a
   zero-row partition gives both typed empty tables;
@@ -34,7 +35,7 @@ from entity_resolution_engine_ray.pipelines.pages_er import (
 )
 from entity_resolution_engine_ray.sources.pages import write_pages_fixture
 from entity_resolution_engine_ray.state.checkpoint import DONE_FILE, CheckpointStore
-from tests.conftest import count_datasets, count_executions
+from tests.conftest import count_datasets, count_executions, count_tasks
 
 # Ray Data executions per call on a Parquet path, for a full run and a
 # labelprop fold: the input is read and featurized by plain tasks, the
@@ -46,6 +47,12 @@ MAX_FOLD_EXECUTIONS = 0
 # Datasets per call, either kind: no block list is wrapped in a Dataset,
 # and the input is not read through ``read_parquet``
 DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 0}
+# Ray tasks per call (4 Ray CPUs, 400 pages): a split task per ~10k input
+# rows rather than max(8, cpus), one key_stats sum partition below 500k
+# key rows, and labelprop in one task below 2M directed edge rows (before:
+# 47 and 156, 54 of them split tasks on the fold)
+MAX_RUN_TASKS = 44
+MAX_FOLD_TASKS = 65
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -89,27 +96,33 @@ def runs(ray_session, tmp_path_factory):
         written[current["call"]][stage] = out
         return out
 
-    counts, datasets = {}, {}
+    counts, datasets, tasks = {}, {}, {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CheckpointStore, "write", recording_write)
         current["call"] = "run"
-        with count_executions() as n, count_datasets() as d:
+        with count_executions() as n, count_datasets() as d, count_tasks() as t:
             run_pages_er(fix["pages"], str(root / "run"))
-        counts["run"], datasets["run"] = n["n"], dict(d)
+        counts["run"], datasets["run"], tasks["run"] = n["n"], dict(d), t
         current["call"] = "fold"
-        with count_executions() as n, count_datasets() as d:
+        with count_executions() as n, count_datasets() as d, count_tasks() as t:
             run_pages_er_incremental(
                 str(root / "corpus"), str(root / "new.parquet"), str(root / "fold"), cfg_lp
             )
-        counts["fold"], datasets["fold"] = n["n"], dict(d)
+        counts["fold"], datasets["fold"], tasks["fold"] = n["n"], dict(d), t
     return {
-        "root": root, "written": written, "counts": counts, "datasets": datasets, "cfg_lp": cfg_lp,
+        "root": root, "written": written, "counts": counts, "datasets": datasets, "tasks": tasks,
+        "cfg_lp": cfg_lp,
     }
 
 
 def test_execution_count_per_call(runs):
     assert runs["counts"]["run"] <= MAX_RUN_EXECUTIONS, runs["counts"]
     assert runs["counts"]["fold"] <= MAX_FOLD_EXECUTIONS, runs["counts"]
+
+
+def test_task_count_per_call(runs):
+    assert runs["tasks"]["run"]["n"] <= MAX_RUN_TASKS, dict(runs["tasks"]["run"]["by_name"])
+    assert runs["tasks"]["fold"]["n"] <= MAX_FOLD_TASKS, dict(runs["tasks"]["fold"]["by_name"])
 
 
 @pytest.mark.parametrize("call", ["run", "fold"])

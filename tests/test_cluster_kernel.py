@@ -147,10 +147,9 @@ def test_labelprop_local_start_matches_kernel(ray_session, num_partitions):
         _assert_labelprop_matches_kernel(*_chained_graph(seed), num_partitions)
 
 
-def test_labelprop_one_partition_converges_in_the_first_round(ray_session, monkeypatch):
-    """One partition holds every edge, so the local roots are the component
-    minima: the first refine wave changes nothing and the delayed check
-    stops the loop after the one speculative wave."""
+def test_labelprop_one_partition_runs_no_round(ray_session, monkeypatch):
+    """One partition holds every edge, so its local roots are the component
+    minima: labelprop returns them with no refine wave."""
     from entity_resolution_engine_ray.stages import cluster
 
     waves = {"refines": 0}
@@ -164,4 +163,20 @@ def test_labelprop_one_partition_converges_in_the_first_round(ray_session, monke
 
     monkeypatch.setattr(cluster, "_lp_refine", CountingRefine)
     _assert_labelprop_matches_kernel(*_chained_graph(20), 1)
-    assert 1 <= waves["refines"] <= 2, waves
+    assert waves["refines"] == 0, waves
+
+
+@pytest.mark.parametrize(
+    "n_directed_rows, width",
+    [
+        # up to the 2M-row target: one partition at any CPU count
+        (0, 1), (15_900, 1), (2_000_000, 1),
+        # above it: auto_partitions' 1.5×CPU floor, one partition per 2M
+        # rows past that, capped at 1,024
+        (2_000_001, 6), (20_000_000, 11), (4_000_000_000, 1024),
+    ],
+)
+def test_lp_partitions_one_up_to_the_row_target(n_directed_rows, width):
+    from entity_resolution_engine_ray.stages.cluster import _lp_partitions
+
+    assert _lp_partitions(n_directed_rows, cpus=4) == width

@@ -5,6 +5,7 @@ the stage-1 counts it carries out of band must sum over all partitions."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def _stage1_rows(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -219,3 +220,43 @@ def test_exchange_survives_worker_death(ray_session, tmp_path):
     assert out["k"].tolist() == list(range(10))
     assert out["n"].tolist() == [20] * 10
     assert os.path.exists(sentinel)
+
+
+def test_split_groups_follow_the_rows():
+    """A small input runs one split task at any CPU count; an sf0.1-sized
+    one keeps the ``max(8, cpus)`` groups of equal block counts."""
+    from entity_resolution_engine_ray.stages.exchange import _coalesce_refs
+
+    refs = list(range(8))
+    for cpus in (1, 4, 32):
+        assert _coalesce_refs(refs, [250] * 8, cpus) == [refs]
+    refs = list(range(40))
+    for cpus in (1, 4):
+        assert _coalesce_refs(refs, [2_500] * 40, cpus) == [refs[i : i + 5] for i in range(0, 40, 5)]
+    # row counts unknown: the block-count rule
+    assert _coalesce_refs(list(range(8)), None, 1) == [[i] for i in range(8)]
+    # no rows at all: one group
+    assert _coalesce_refs([0, 1, 2], [0, 0, 0], 4) == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_groups_hold_the_row_floor_plus_one_block(seed):
+    """Groups are contiguous and in order; when the rows cut the group
+    count, each group holds at most ``SPLIT_GROUP_ROWS`` rows plus one
+    block, else the groups are the block-count rule's."""
+    from entity_resolution_engine_ray.stages.exchange import SPLIT_GROUP_ROWS, _coalesce_refs
+
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 6_000, int(rng.integers(1, 60))).tolist()
+    cpus = int(rng.integers(1, 33))
+    n = len(rows)
+    groups = _coalesce_refs(list(range(n)), rows, cpus)
+    assert [i for g in groups for i in g] == list(range(n))
+    assert all(groups)
+    most = min(n, max(8, cpus))
+    by_rows = max(1, -(-sum(rows) // SPLIT_GROUP_ROWS))
+    if by_rows < most:
+        assert len(groups) <= by_rows
+        assert max(sum(rows[i] for i in g) for g in groups) <= SPLIT_GROUP_ROWS + max(rows)
+    else:
+        assert groups == _coalesce_refs(list(range(n)), None, cpus)

@@ -335,3 +335,17 @@ def test_cents_lane_recombine_equals_bigint_reference(vals, nsplit):
     r_sum = sum(sum(p) % 10_000 for p in parts)
     got = _cents_from_lanes([w_sum], [r_sum])[0]
     assert int(got) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet=" \t\n\r\f\va<&", max_size=40), max_size=8))
+def test_whitespace_collapse_rewrites_only_the_runs_that_change(texts):
+    """``extract._WS_RE`` leaves lone spaces alone and gives the strings
+    that ``[ \\t\\n\\r]+`` → " " gives."""
+    import pyarrow.compute as pc
+
+    from entity_resolution_engine_ray.stages.extract import _WS_RE
+
+    arr = pa.array(texts, pa.string())
+    want = pc.replace_substring_regex(arr, r"[ \t\n\r]+", " ")
+    assert pc.replace_substring_regex(arr, _WS_RE, " ").equals(want)
