@@ -232,11 +232,13 @@ def run_scaling() -> dict:
     """Same fixture + pipeline at N=2 and 4N=8 CPUs in fresh processes
     (sandbox stand-in for N vs 4N nodes).
 
-    Why 2→8 and not 8→32: a pure-CPU calibration (reported below) shows this
-    host itself only scales ~0.56 from 8→32 claimed CPUs — 4× compute is
+    Why 2→8 and not 8→32: a pure-CPU calibration showed a 32-CPU host
+    itself only scaling ~0.56 from 8→32 claimed CPUs — 4× compute is
     physically unavailable in that range, so any pipeline number there
-    measures the host, not the engine. 2→8 (and 4→16) sit in the host's
-    linear region."""
+    measures the host, not the engine. 2→8 (and 4→16) sat in that host's
+    linear region. ``hardware_calibration`` times the same calibration on
+    the chosen (``SCALE_LO``, ``SCALE_HI``) pair only; pick a pair whose
+    high end the host has CPUs for."""
     lo = int(os.environ.get("SCALE_LO", "4"))
     hi = int(os.environ.get("SCALE_HI", "16"))
     n_reps = int(os.environ.get("SCALE_REPS", "3"))
@@ -259,7 +261,9 @@ def run_scaling() -> dict:
             ).stdout
             reps[ncpu].append(json.loads(out.strip().splitlines()[-1]))
     times = {c: min(rs, key=lambda r: r["value"]) for c, rs in reps.items()}
-    calib = _cpu_calibration([(lo, hi), (8, 32)])
+    # only the chosen pair: a fixed wider pair would start more Ray
+    # workers than a small host has CPUs, to measure the host
+    calib = _cpu_calibration([(lo, hi)])
     t_lo, t_hi = times[lo]["value"], times[hi]["value"]
     return {
         "metric": "pages_er_scaling",

@@ -45,12 +45,20 @@ from entity_resolution_engine_ray.stages.block import FEATURIZE_BATCH_ROWS, feat
 from entity_resolution_engine_ray.stages.block import feature_stage  # noqa: F401
 from entity_resolution_engine_ray.stages.extract import extract_stage  # noqa: F401
 
-from entity_resolution_engine_ray.stages.exchange import Blocks, as_blocks, map_blocks
+from entity_resolution_engine_ray.stages.exchange import (
+    Blocks,
+    _emit,
+    _ensure_table,
+    _kept,
+    as_blocks,
+    map_blocks,
+)
 from entity_resolution_engine_ray.stages.pairs import DroppedPairs
 from entity_resolution_engine_ray.stages.score import (
-    _dedup_edges_partition,
+    _decision_counts,
     fused_edges_stage,
     gate_metrics,
+    sum_decision_counts,
 )
 from entity_resolution_engine_ray.state.checkpoint import CheckpointStore
 
@@ -98,12 +106,16 @@ def run_pages_er(
     t_start = time.perf_counter()
     timed = _timer(timings)
 
-    # ---- stage 1+2: extract + features (checkpointed together: "block")
+    # ---- stage 1+2: extract + features (checkpointed together: "block");
+    # each stage's producing tasks write its parts, the driver commits it
     if resume and store.is_done("features", phash):
         features = store.read("features")
     else:
         with timed("features"):
-            features = store.write(_features_of(pages, cfg, pages_format), "features", phash)
+            sink = store.open_stage("features")
+            features = store.commit(
+                "features", sink, _features_of(pages, cfg, pages_format, sink), phash
+            )
 
     # ---- stage 3+4: candidate pairs + score + gate, fused into one
     # fat-block shuffle (stages/score.fused_edges_stage). Edges match the
@@ -116,10 +128,15 @@ def run_pages_er(
         dropped = _dropped_of(store.manifest("edges"))
     else:
         with timed("edges"):
+            sink = store.open_stage("edges")
+            # the compute includes the part writes of its dedup tasks; the
+            # write is the commit
             with timed("edges_compute"):
-                edges, dropped = fused_edges_stage(features, cfg, num_partitions=num_partitions)
+                edges, dropped = fused_edges_stage(
+                    features, cfg, num_partitions=num_partitions, sink=sink
+                )
             with timed("edges_write"):
-                edges = store.write(edges, "edges", phash, extra=_edges_manifest(dropped))
+                edges = store.commit("edges", sink, edges, phash, extra=_edges_manifest(dropped))
 
     data = {"features": features, "edges": edges}
     del features, edges
@@ -129,7 +146,7 @@ def run_pages_er(
     )
 
 
-def _features_of(pages, cfg: PagesERConfig, pages_format: str) -> Blocks:
+def _features_of(pages, cfg: PagesERConfig, pages_format: str, sink=None) -> Blocks:
     """Extract + featurize ``pages`` into ``Blocks`` with one kernel,
     ``block.featurize_pages``, entered two ways:
 
@@ -141,33 +158,35 @@ def _features_of(pages, cfg: PagesERConfig, pages_format: str) -> Blocks:
       first file's schema, which keeps the ``warc_ts`` unit;
     - a Dataset, or a path of another format (read by
       ``sources.pages.read_pages``): its blocks (one ``as_blocks``), each
-      featurized by one plain task."""
+      featurized by one plain task.
+
+    ``sink``: a ``state.checkpoint.PartSink`` each task writes its features
+    block to, in ``Blocks`` order."""
     if isinstance(pages, str) and pages_format == "parquet":
         fs, files = parquet_parts(pages)
         units = parquet_read_units(fs, files, FEATURIZE_BATCH_ROWS)
         if not units:
             empty = pq.read_schema(files[0], filesystem=fs).empty_table()
             return Blocks.of(featurize_pages(empty, cfg))
-        outs = [_featurize_unit.remote(fs, unit, cfg) for unit in units]
+        outs = [_featurize_unit.remote(fs, unit, cfg, sink, i) for i, unit in enumerate(units)]
         return Blocks(tuple(t for t, _ in outs), tuple(ray.get([n for _, n in outs])))
     if isinstance(pages, str):
         from entity_resolution_engine_ray.sources.pages import read_pages
 
         pages = read_pages(pages, format=pages_format)
-    return map_blocks(as_blocks(pages), functools.partial(_featurize_block, cfg=cfg))
+    return map_blocks(as_blocks(pages), functools.partial(_featurize_block, cfg=cfg), sink)
 
 
 @ray.remote(num_returns=2)
-def _featurize_unit(fs, unit, cfg: PagesERConfig):
+def _featurize_unit(fs, unit, cfg: PagesERConfig, sink, i: int):
     """The features of one Parquet read unit and their row count: its
     pages' ``FEATURE_INPUT_COLUMNS``, streamed in ``FEATURIZE_BATCH_ROWS``-row
-    slices."""
+    slices; written as part ``i`` of ``sink`` when one is given."""
     parts = [
         featurize_pages(t, cfg)
         for t in read_unit_slices(fs, unit, FEATURE_INPUT_COLUMNS, FEATURIZE_BATCH_ROWS)
     ]
-    out = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-    return out, out.num_rows
+    return _emit(pa.concat_tables(parts) if len(parts) > 1 else parts[0], sink, i)
 
 
 def _featurize_block(t: pa.Table, cfg: PagesERConfig) -> pa.Table:
@@ -234,20 +253,22 @@ def _cluster_merge_metrics(
 
                 edges = store.write(validate_gray_zone(edges), "validated", phash)
 
-    # ---- stage 5: cluster approved edges → fully-labeled pages checkpoint
+    # ---- stage 5: cluster approved edges → fully-labeled pages checkpoint;
+    # the pass that picks the approved edges also counts the decisions
+    decisions = None
     if resume and store.is_done("labeled", phash):
         labeled = store.read("labeled")
     else:
         with timed("labels"):
-            labeled = store.write(
-                _label_pages(features, edges, cfg, num_partitions), "labeled", phash
-            )
+            sink = store.open_stage("labeled")
+            labeled, decisions = _label_pages(features, edges, cfg, num_partitions, sink)
+            labeled = store.commit("labeled", sink, labeled, phash)
     del features
 
-    # decision counts while the edges are still in memory, so their blocks
-    # are released before the merge
+    # on resume the decision counts come while the edges are still in
+    # memory, so their blocks are released before the merge
     with timed("metrics"):
-        metrics = gate_metrics(edges)
+        metrics = gate_metrics(edges, decisions)
     del edges
 
     # ---- stage 6: survivorship merge + lineage
@@ -257,9 +278,10 @@ def _cluster_merge_metrics(
         with timed("entities"):
             from entity_resolution_engine_ray.stages.merge import merge_labeled
 
-            entities, lineage = merge_labeled(labeled)
-            n_entities = store.write(entities, "entities", phash).count()
-            store.write(lineage, "lineage", phash)
+            sinks = (store.open_stage("entities"), store.open_stage("lineage"))
+            entities, lineage = merge_labeled(labeled, sinks=sinks)
+            n_entities = store.commit("entities", sinks[0], entities, phash).count()
+            store.commit("lineage", sinks[1], lineage, phash)
             del entities, lineage
     del labeled
 
@@ -331,10 +353,15 @@ class ParquetHandle:
         return f"ParquetHandle({self.path!r})"
 
 
-def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None) -> Blocks:
-    """Cluster the approved edges and attach each page's cluster label: the
-    ``Blocks`` the ``labeled`` checkpoint stores. Its temporaries (the
-    approved edge ids, the broadcast roots) die when it returns.
+def _label_pages(
+    features, edges, cfg: PagesERConfig, num_partitions: int | None, sink=None
+) -> tuple[Blocks, dict[str, int]]:
+    """Cluster the approved edges and attach each page's cluster label:
+    the ``Blocks`` the ``labeled`` checkpoint stores, written as its parts
+    to ``sink`` by the labeling tasks, and the edges' decision counts
+    (``gate_metrics`` reads them), from the same per-block pass that picks
+    the approved edges. Its temporaries (the approved edge ids, the
+    broadcast roots) die when it returns.
 
     "auto": at or below ``cluster.DRIVER_EDGE_LIMIT`` approved edges, the
     approved edge ids are collected on the driver, the vectorised
@@ -346,19 +373,21 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
     Every step reads the in-memory edge and features blocks with plain
     tasks or inside an exchange — no Ray Data execution."""
     from entity_resolution_engine_ray.stages import cluster
-    from entity_resolution_engine_ray.stages.exchange import map_blocks
     from entity_resolution_engine_ray.stages.merge import (
         build_labeled,
         label_features_broadcast,
     )
 
-    # approved filter + ids-only projection, one task per edge block: the
-    # gate count below and both clustering paths read the slim blocks
-    approved = map_blocks(edges, _approved_ids)
-    # the count is the map tasks' row counts
+    # approved filter + ids-only projection and the decision counts, one
+    # task per edge block: the gate count below and both clustering paths
+    # read the slim blocks
+    outs = [_edge_pass.remote(r) for r in as_blocks(edges).refs]
+    approved = _kept([o[0] for o in outs], ray.get([o[1] for o in outs]))
+    decisions = sum_decision_counts(ray.get([o[2] for o in outs]))
+    # the count is the pass's row counts
     if cfg.cluster_method == "auto" and approved.count() <= cluster.DRIVER_EDGE_LIMIT:
         roots_ref = ray.put(cluster.cluster_label_map(approved))
-        return label_features_broadcast(features, roots_ref)
+        return label_features_broadcast(features, roots_ref, sink), decisions
     # ids-only CC: edges carry int64 url hashes, labels come back keyed by
     # hash, urls rejoin from the features side
     labels = cluster.connected_components_labelprop_ids(
@@ -366,7 +395,7 @@ def _label_pages(features, edges, cfg: PagesERConfig, num_partitions: int | None
         num_partitions=num_partitions,
         max_iterations=cfg.max_cc_iterations,
     )
-    return build_labeled(features, labels, num_partitions)
+    return build_labeled(features, labels, num_partitions, sink), decisions
 
 
 _APPROVED = pa.array(["auto_approve", "gray_approve", "llm_approve"])
@@ -381,6 +410,15 @@ def _approved_ids(t: pa.Table) -> pa.Table:
     return pa.table(
         {"left_id": pc.cast(t["left_id"], pa.int64()), "right_id": pc.cast(t["right_id"], pa.int64())}
     )
+
+
+@ray.remote(num_returns=3)
+def _edge_pass(block):
+    """An edge block → its approved ids (``_approved_ids``), their row
+    count and its decision counts (``score._decision_counts``)."""
+    t = _ensure_table(block)
+    ids = _approved_ids(t)
+    return ids, ids.num_rows, _decision_counts(t)
 
 
 def run_pages_er_incremental(
@@ -398,26 +436,30 @@ def run_pages_er_incremental(
     local, so only blocks containing at least one new page can produce new
     or changed edges. This path:
 
-    1. featurizes ONLY the new batch and unions it with the previous
-       ``features`` checkpoint;
+    1. featurizes ONLY the new batch. The ``features`` checkpoint is the
+       previous run's part files, hard-linked (or copied) unchanged — never
+       read back and rewritten — followed by the parts the new batch's
+       featurize tasks write; in memory it is the concatenation of the
+       previous checkpoint's blocks (read with one task per part file) and
+       the new ones;
     2. re-runs fused pair-scoring restricted (``key_filter``) to block keys
        the new batch touches — old-old pairs inside a touched block rescore
        to byte-identical edges; untouched blocks never enter the shuffle;
-    3. unions the new edges with the previous ``edges`` checkpoint and
-       dedups on (left_id, right_id) by the full run's rule
-       (``score._dedup_edges_partition``): both copies carry the same
-       scores and decision, and the one with the minimum ``block_key``
-       (the block the pair was scored in) survives;
-    4. writes both unions as checkpoints in ``out_dir`` and hands their
-       in-memory ``Blocks`` straight to clustering/merge/metrics, the same
-       code a full run ends with. The previous checkpoints are read with
-       one task per part file and each union is the concatenation of both
-       sides' block lists. With a Parquet batch the fold starts no Ray Data
-       execution and builds no Dataset (the batch is featurized inside
-       plain read tasks, as in a full run). A fold re-run on an
-       ``out_dir`` whose ``features``/``edges`` are already ``_DONE`` reads
-       them back and resumes from there, the contract the kill/resume
-       tests pin.
+    3. passes the previous ``edges`` checkpoint's blocks into that scoring
+       exchange's own edge dedup (``fold_in``), so ONE dedup pass over new
+       ∪ old edges keeps each (left_id, right_id) pair once by the full
+       run's rule (``score._dedup_edges_partition``): all copies carry the
+       same scores and decision, and the one with the minimum
+       ``block_key`` (the block the pair was scored in) survives — the
+       same edges as deduping the new edges first and the union after;
+    4. commits both checkpoints in ``out_dir`` (the dedup tasks wrote the
+       edges' parts) and hands their in-memory ``Blocks`` straight to
+       clustering/merge/metrics, the same code a full run ends with. With
+       a Parquet batch the fold starts no Ray Data execution and builds no
+       Dataset (the batch is featurized inside plain read tasks, as in a
+       full run). A fold re-run on an ``out_dir`` whose ``features``/
+       ``edges`` are already ``_DONE`` reads them back and resumes from
+       there, the contract the kill/resume tests pin.
 
     Equality contract (pinned in tests/test_incremental.py): the result
     equals a full run over old ∪ new — same edges, same cluster partitions
@@ -430,7 +472,6 @@ def run_pages_er_incremental(
     import numpy as np
 
     from entity_resolution_engine_ray.stages.exchange import union_blocks
-    from entity_resolution_engine_ray.stages.grouping import partition_map_groups
 
     cfg = cfg or PagesERConfig()
     phash = f"{config_hash(cfg)}-v{PIPELINE_VERSION}"
@@ -448,8 +489,12 @@ def run_pages_er_incremental(
         edges = store.read("edges")
         dropped = _dropped_of(store.manifest("edges"))
     else:
-        # ---- new-batch features + union checkpoint
-        features_new = _features_of(new_pages, cfg, pages_format)
+        # ---- new-batch features + union checkpoint: the previous parts
+        # first, then the ones the featurize tasks write
+        prev_features = prev.read("features")
+        sink = store.open_stage("features")
+        n_prev = prev.link_parts("features", sink)
+        features_new = _features_of(new_pages, cfg, pages_format, sink.after(n_prev))
 
         # ---- touched block keys (small side: |new| × bands int64 keys),
         # one task per in-memory features block
@@ -462,21 +507,21 @@ def run_pages_er_incremental(
             )
         )
 
-        features = union_blocks(prev.read("features"), features_new)
-        features = store.write(features, "features", phash)
-
-        # ---- rescore ONLY touched blocks over the unioned corpus
-        edges_new, dropped_new = fused_edges_stage(
-            features, cfg, num_partitions=num_partitions, key_filter=touched
+        features = store.commit(
+            "features", sink, union_blocks(prev_features, features_new), phash
         )
 
-        # ---- edge union + exact dedup on the id pair, min block_key kept
-        edges = partition_map_groups(
-            union_blocks(edges_new, prev.read("edges")),
-            ["left_id", "right_id"],
-            _dedup_edges_partition,
-            num_partitions,
-            arrow_fns=True,
+        # ---- rescore ONLY touched blocks over the unioned corpus; the
+        # previous edges join its edge dedup (exact on the id pair, min
+        # block_key kept), whose tasks write the union's parts
+        sink = store.open_stage("edges")
+        edges, dropped_new = fused_edges_stage(
+            features,
+            cfg,
+            num_partitions=num_partitions,
+            key_filter=touched,
+            fold_in=prev.read("edges"),
+            sink=sink,
         )
         # dropped-pair accounting accumulates ACROSS folds (keeping only
         # the new batch's would silently degrade the count over a chain of
@@ -490,9 +535,10 @@ def run_pages_er_incremental(
             dropped_prev.prefiltered + dropped_new.prefiltered,
             dropped_prev.prune_skipped or dropped_new.prune_skipped,
         )
-        edges = store.write(
-            edges,
+        edges = store.commit(
             "edges",
+            sink,
+            edges,
             phash,
             extra={
                 **_edges_manifest(dropped),
@@ -500,7 +546,7 @@ def run_pages_er_incremental(
                 "touched_blocks": int(len(touched)),
             },
         )
-        del features_new, edges_new
+        del prev_features, features_new
 
     # ---- clustering / merge / metrics: the tail of a full run
     data = {"features": features, "edges": edges}

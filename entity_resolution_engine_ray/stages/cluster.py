@@ -430,7 +430,12 @@ def cluster_label_map(edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 def attach_labels(
-    ds, id_col: str, labels_ds, num_partitions: int | None = None, columns: list[str] | None = None
+    ds,
+    id_col: str,
+    labels_ds,
+    num_partitions: int | None = None,
+    columns: list[str] | None = None,
+    sink=None,
 ):
     """Every row of ``ds`` gains ``cluster_label``: its ``id_col``'s label
     from a (node, cluster_label) table, or the id itself when the id has
@@ -442,7 +447,8 @@ def attach_labels(
 
     ``columns``: keep only these columns of ``ds`` (plus ``cluster_label``);
     the projection runs in the exchange's split tasks, so the dropped
-    columns never enter the shuffle."""
+    columns never enter the shuffle. ``sink``: a
+    ``state.checkpoint.PartSink`` each reduce task writes its rows to."""
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup, project_block
 
     keep = None if columns is None else list(dict.fromkeys([*columns, id_col]))
@@ -458,4 +464,5 @@ def attach_labels(
     return hash_exchange_cogroup(
         ds, labels_ds, [id_col], ["node"], attach, num_partitions,
         left_block_fn=None if keep is None else functools.partial(project_block, cols=keep),
+        sink=sink,
     )

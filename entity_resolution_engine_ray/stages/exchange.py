@@ -303,31 +303,37 @@ def _from_pandas(result: pd.DataFrame, *inputs: pa.Table) -> pa.Table:
     )
 
 
-@ray.remote(num_returns=2)
-def _reduce_partition(fn, *subtables: pa.Table):
-    merged = _merge_tables(subtables)
-    out = _from_pandas(fn(merged.to_pandas()), merged)
+def _emit(out: pa.Table, sink, i: int) -> tuple[pa.Table, int]:
+    """A producing task's (table, rows), after it writes the table as
+    part ``i`` of ``sink`` (a ``state.checkpoint.PartSink``) when one is
+    given — the task that makes a checkpoint's block writes it."""
+    if sink is not None:
+        sink.write(out, i)
     return out, out.num_rows
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition_arrow(fn, *subtables: pa.Table):
+def _reduce_partition(fn, sink, i: int, *subtables: pa.Table):
+    merged = _merge_tables(subtables)
+    return _emit(_from_pandas(fn(merged.to_pandas()), merged), sink, i)
+
+
+@ray.remote(num_returns=2)
+def _reduce_partition_arrow(fn, sink, i: int, *subtables: pa.Table):
     """Arrow-native reduce: ``fn(pa.Table) -> pa.Table`` with NO pandas
     round-trip. ``_reduce_partition``'s ``to_pandas()`` explodes list
     columns into one numpy object per row and copies every string — on a
     fat (token_ids list) partition that conversion costs more than the
     actual kernel work; partition fns that can consume Arrow directly
     skip it entirely."""
-    out = fn(_merge_tables(subtables))
-    return out.replace_schema_metadata(None), out.num_rows
+    return _emit(fn(_merge_tables(subtables)).replace_schema_metadata(None), sink, i)
 
 
 @ray.remote(num_returns=2)
-def _reduce_cogroup(fn, n_left: int, *subtables: pa.Table):
+def _reduce_cogroup(fn, n_left: int, sink, i: int, *subtables: pa.Table):
     left = _merge_tables(subtables[:n_left])
     right = _merge_tables(subtables[n_left:])
-    out = _from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right)
-    return out, out.num_rows
+    return _emit(_from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right), sink, i)
 
 
 def _split_all(
@@ -367,6 +373,7 @@ def hash_exchange_cogroup(
     num_partitions: int | None = None,
     left_block_fn=None,
     right_block_fn=None,
+    sink=None,
 ):
     """Co-partitioned two-sided exchange: rows of both inputs with the
     same key hash meet in one partition; ``fn(left_pdf, right_pdf)`` runs
@@ -378,7 +385,8 @@ def hash_exchange_cogroup(
 
     A side with no rows still reaches ``fn`` as a TYPED empty frame (see
     ``as_blocks``), so ``fn`` never gets the right side's sub-tables as its
-    left argument."""
+    left argument. ``sink``: a ``state.checkpoint.PartSink`` each
+    partition's reduce task writes its output to."""
     lb, rb = as_blocks(left), as_blocks(right)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, max(lb.count(), rb.count()), cpus)
@@ -388,7 +396,7 @@ def hash_exchange_cogroup(
     for p in range(num_partitions):
         lsub = _partition_subs(l_splits, p, num_partitions)
         rsub = _partition_subs(r_splits, p, num_partitions)
-        t_ref, c_ref = _reduce_cogroup.remote(fn, len(lsub), *(lsub + rsub))
+        t_ref, c_ref = _reduce_cogroup.remote(fn, len(lsub), sink, p, *(lsub + rsub))
         reduced.append(t_ref)
         counts.append(c_ref)
     return _as_given((left, right), _kept(reduced, ray.get(counts)))
@@ -457,6 +465,8 @@ def hash_exchange_chained(
     p2: int,
     arrow_fns: bool = False,
     block_fn=None,
+    fold_in=None,
+    sink=None,
 ):
     """Two chained hash exchanges with NO driver barrier between them.
 
@@ -476,6 +486,12 @@ def hash_exchange_chained(
     ``arrow_fns``: both fns take and return ``pa.Table`` (no pandas
     round-trip — see ``_reduce_partition_arrow``). ``block_fn``: the
     map-side function stage 1's split tasks apply to each input block.
+
+    ``fold_in``: rows (``Blocks`` or a Dataset) that join stage 2's input
+    beside stage 1's output, hashed on ``keys2`` by split tasks of their
+    own (none with one stage-2 partition) — the incremental fold's previous
+    edges meet the rescored ones in the one pair dedup. ``sink``: a
+    ``state.checkpoint.PartSink`` each stage-2 reduce writes its output to.
 
     Callers — every blocked-pair operator, each as block_fn = its explode,
     stage 1 = pair generation + verify with its dropped count, stage 2 =
@@ -503,9 +519,12 @@ def hash_exchange_chained(
         splits2.append(
             t_ref if p2 == 1 else _split_block.options(num_returns=p2).remote(keys2, p2, None, t_ref)
         )
+    if fold_in is not None:
+        extra = as_blocks(fold_in)
+        splits2 += extra.refs if p2 == 1 else _split_all(extra.refs, keys2, p2, None, cpus, extra.rows)
     reduced, rows = [], []
     for q in range(p2):
-        t_ref, n_ref = reduce_task.remote(fn2, *_partition_subs(splits2, q, p2))
+        t_ref, n_ref = reduce_task.remote(fn2, sink, q, *_partition_subs(splits2, q, p2))
         reduced.append(t_ref)
         rows.append(n_ref)
     out = _kept(reduced, ray.get(rows))
@@ -539,31 +558,34 @@ def hash_exchange_map_groups(
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     reduced, counts = [], []
     for p in range(num_partitions):
-        table_ref, count_ref = reduce_task.remote(fn, *_partition_subs(splits, p, num_partitions))
+        table_ref, count_ref = reduce_task.remote(
+            fn, None, p, *_partition_subs(splits, p, num_partitions)
+        )
         reduced.append(table_ref)
         counts.append(count_ref)
     return _as_given((data,), _kept(reduced, ray.get(counts)))
 
 
 @ray.remote(num_returns=2)
-def _map_block(fn, block):
-    out = fn(_ensure_table(block))
-    return out, out.num_rows
+def _map_block(fn, sink, i: int, block):
+    return _emit(fn(_ensure_table(block)), sink, i)
 
 
-def _map_block_refs(data, fn) -> list:
+def _map_block_refs(data, fn, sink=None) -> list:
     """One ``_map_block`` task per block of ``data`` → [(table ref, rows
-    ref)]."""
-    return [_map_block.remote(fn, r) for r in as_blocks(data).refs]
+    ref)]; with ``sink``, task i writes its output as part i."""
+    return [_map_block.remote(fn, sink, i, r) for i, r in enumerate(as_blocks(data).refs)]
 
 
-def map_blocks(data, fn):
+def map_blocks(data, fn, sink=None):
     """``fn(pa.Table) -> pa.Table`` over every block of ``data`` with one
     plain task per block — no Ray Data execution, for blocks that are
     already in the object store (a lazy Dataset executes once to produce
     them). The result, of the kind given, holds the non-empty outputs, or
-    the first output when all are empty, so it stays typed."""
-    outs = _map_block_refs(data, fn)
+    the first output when all are empty, so it stays typed. ``sink``: a
+    ``state.checkpoint.PartSink`` each task writes its output to, in block
+    order."""
+    outs = _map_block_refs(data, fn, sink)
     return _as_given((data,), _kept([t for t, _ in outs], ray.get([n for _, n in outs])))
 
 

@@ -39,13 +39,14 @@ _META_COLS = ["url", "warc_ts", "lang", "title_norm"]
 _LABELED_COLS = _META_COLS + ["cluster_label"]
 
 
-def label_features_broadcast(features, label_map_ref):
+def label_features_broadcast(features, label_map_ref, sink=None):
     """Fast path: attach cluster labels to every page with one plain task
     per in-memory features block (``exchange.map_blocks``; ``Blocks`` or a
     Dataset, returned in kind) against the broadcast ``(nodes, roots)``
     arrays of ``cluster_label_map`` (``ray.put`` once, read per task —
     never re-shipped per block). Singletons label with their own url
-    hash."""
+    hash. ``sink``: a ``state.checkpoint.PartSink`` each task writes its
+    labeled block to."""
     from entity_resolution_engine_ray.stages.cluster import label_of
     from entity_resolution_engine_ray.stages.exchange import map_blocks, project_block
 
@@ -59,20 +60,22 @@ def label_features_broadcast(features, label_map_ref):
             "cluster_label", pa.array(labels, type=pa.int64())
         )
 
-    return map_blocks(features, add_label)
+    return map_blocks(features, add_label, sink)
 
 
-def build_labeled(features, labels, num_partitions=None):
+def build_labeled(features, labels, num_partitions=None, sink=None):
     """Scale path: align page metadata with a labels table
     (``connected_components_labelprop_ids`` output: node:int64 =
     url_hash, cluster_label:int64) through ``cluster.attach_labels`` on the
     8-byte ``url_hash`` — one exchange, NO url strings on the join key, and
     the metadata projection runs in its split tasks. ``Blocks`` when both
     inputs are. Singletons (pages with no approved edge) label with their
-    own url_hash — the same label space the broadcast path uses."""
+    own url_hash — the same label space the broadcast path uses.
+    ``sink``: a ``state.checkpoint.PartSink`` the exchange's reduce tasks
+    write the labeled blocks to."""
     from entity_resolution_engine_ray.stages.cluster import attach_labels
 
-    return attach_labels(features, "url_hash", labels, num_partitions, columns=_META_COLS)
+    return attach_labels(features, "url_hash", labels, num_partitions, columns=_META_COLS, sink=sink)
 
 
 def _entity_schema(labeled: pa.Schema) -> pa.Schema:
@@ -165,19 +168,22 @@ def _arrow(df: pd.DataFrame) -> pa.Table:
 
 
 @ray.remote(num_returns=4)
-def _merge_reduce(*subtables: pa.Table):
-    from entity_resolution_engine_ray.stages.exchange import _merge_tables
+def _merge_reduce(sinks, i: int, *subtables: pa.Table):
+    from entity_resolution_engine_ray.stages.exchange import _emit, _merge_tables
 
     entities, lineage = merge_partition(_merge_tables(subtables))
-    return entities, entities.num_rows, lineage, lineage.num_rows
+    ent_sink, lin_sink = sinks or (None, None)
+    return (*_emit(entities, ent_sink, i), *_emit(lineage, lin_sink, i))
 
 
-def merge_labeled(labeled, num_partitions: int | None = None):
+def merge_labeled(labeled, num_partitions: int | None = None, sinks=None):
     """``(entities, lineage)`` of ``labeled`` (``Blocks`` or a Dataset, each
     returned in kind): one survivorship row per cluster and one lineage row
     per page, from ONE hash exchange on ``cluster_label`` whose reduce task
     per partition emits both tables (``merge_partition``).
-    ``num_partitions=None`` → ``grouping.auto_partitions`` of the rows."""
+    ``num_partitions=None`` → ``grouping.auto_partitions`` of the rows.
+    ``sinks``: an (entities, lineage) pair of ``state.checkpoint.PartSink``
+    each reduce task writes its two tables to."""
     from entity_resolution_engine_ray.stages.exchange import (
         _as_given,
         _kept,
@@ -192,7 +198,7 @@ def merge_labeled(labeled, num_partitions: int | None = None):
     cpus = cluster_cpus()
     p = _width(num_partitions, blocks.count(), cpus)
     splits = _split_all(blocks.refs, ["cluster_label"], p, None, cpus, blocks.rows)
-    outs = [_merge_reduce.remote(*_partition_subs(splits, i, p)) for i in range(p)]
+    outs = [_merge_reduce.remote(sinks, i, *_partition_subs(splits, i, p)) for i in range(p)]
     rows = ray.get([o[1] for o in outs] + [o[3] for o in outs])
     entities = _kept([o[0] for o in outs], rows[:p])
     lineage = _kept([o[2] for o in outs], rows[p:])

@@ -20,7 +20,8 @@ verify + score) and the pair-dedup function. It runs:
 4. one ``exchange.hash_exchange_chained``: its split tasks run the fat
    explode, the singleton prune and ``_salt_batch``; stage 1 runs the
    pair function per (block_key, salt) bucket and returns its drop counts
-   out of band of the rows; stage 2 dedups the (left_id, right_id) pairs.
+   out of band of the rows; stage 2 dedups the (left_id, right_id) pairs,
+   together with any previous edges the caller folds in (``fold_in``).
 
 ``_salt_batch`` — vectorized salting of hot keys:
 ``salt = (mix64(row_hash ^ block_key) & INT63) % n_splits`` (0 for cold
@@ -323,6 +324,8 @@ def blocked_pair_edges(
     n_key_rows: int,
     num_partitions: int | None = None,
     key_filter=None,
+    fold_in=None,
+    sink=None,
 ):
     """(data with a ``band_keys`` list column) → ``(edges, DroppedPairs)``.
 
@@ -340,6 +343,13 @@ def blocked_pair_edges(
     with those keys are paired (the incremental-resolution path). Broadcast
     once via ``ray.put`` and applied in the split tasks, so other blocks
     never enter the shuffle at all.
+
+    ``fold_in``: previous edges (each pair once) to fold into the result —
+    they join the pair dedup beside the new pairs, so a pair found in both
+    keeps the row ``dedup_fn`` picks over all its copies (the incremental
+    fold's union). The dedup partitions are then sized for them too.
+    ``sink``: a ``state.checkpoint.PartSink`` the dedup tasks write the
+    edges to.
 
     ``edges`` is of the kind given (``exchange.Blocks`` or a Dataset)."""
     import ray
@@ -360,10 +370,11 @@ def blocked_pair_edges(
         block_fn=functools.partial(_key_rows, filter_ref=filter_ref),
     )
     split = functools.partial(_fat_split, payload=payload, hash_col=hash_col, hot=hot)
-    if pairable is not None and len(pairable) == 0:
+    if pairable is not None and len(pairable) == 0 and fold_in is None:
         # no bucket has ≥ 2 members ⇒ no candidate pair, nothing dropped:
         # the pair function's own typed empty, so downstream filters see
-        # the schema
+        # the schema (with ``fold_in`` the exchange still runs: its split
+        # tasks keep no row and its dedup tasks make the result)
         empty, _ = pair_fn(split(blocks.schema().empty_table(), keep_ref=None))
         return _as_given((data,), Blocks.of(empty)), DroppedPairs()
     # singleton-bucket prune: fat rows whose key can never pair (35% of
@@ -375,6 +386,11 @@ def blocked_pair_edges(
     # key row — size for it.
     keep_ref = filter_ref if pairable is None else ray.put(pairable)
     parts = pair_partitions(n_key_rows if pairable is None else n_pruned, num_partitions)
+    dedup_parts = parts
+    if fold_in is not None and num_partitions is None:
+        from entity_resolution_engine_ray.stages.grouping import auto_partitions
+
+        dedup_parts = max(parts, auto_partitions(as_blocks(fold_in).count()))
     edges, counts = hash_exchange_chained(
         blocks,
         ["block_key", "salt"],
@@ -382,9 +398,11 @@ def blocked_pair_edges(
         parts,
         ["left_id", "right_id"],
         dedup_fn,
-        parts,
+        dedup_parts,
         arrow_fns=True,
         block_fn=functools.partial(split, keep_ref=keep_ref),
+        fold_in=fold_in,
+        sink=sink,
     )
     return _as_given((data,), edges), DroppedPairs(
         counts.get("dropped", 0), counts.get("prefiltered", 0), prune_skipped=pairable is None

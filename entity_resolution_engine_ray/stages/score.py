@@ -253,6 +253,8 @@ def fused_edges_stage(
     cfg: PagesERConfig | None = None,
     num_partitions: int | None = None,
     key_filter=None,
+    fold_in=None,
+    sink=None,
 ):
     """features → scored+gated edges through the one blocked-pair driver
     (``pairs.blocked_pair_edges``): ``PAGE_PAYLOAD`` fat rows salted by
@@ -276,6 +278,10 @@ def fused_edges_stage(
     ``key_filter``: optional sorted int64 array of block keys — only blocks
     with those keys are paired/scored (the incremental-resolution path:
     blocks untouched by a new batch keep their previously-scored edges).
+    ``fold_in``: those previous edges, deduped together with the rescored
+    ones in the edge-dedup exchange (min ``block_key`` kept), so the result
+    is the fold's whole edge set. ``sink``: a ``state.checkpoint.PartSink``
+    the edge-dedup tasks write the edges to.
 
     ``num_partitions=None`` scales with BOTH the cluster and the data
     (``pairs.pair_partitions``, the width rule of every blocked-pair
@@ -306,6 +312,8 @@ def fused_edges_stage(
         n_key_rows=features.count() * cfg.bands,
         num_partitions=num_partitions,
         key_filter=key_filter,
+        fold_in=fold_in,
+        sink=sink,
     )
 
 
@@ -318,23 +326,31 @@ def _decision_counts(t: pa.Table) -> pa.Table:
     return pa.table({"decision": vc.field("values"), "n": pc.cast(vc.field("counts"), pa.int64())})
 
 
-def gate_metrics(edges) -> dict:
-    """Per-run routing metrics mirroring the reference's
-    pipeline_run_metrics fields (validation/router.py:227-245).
-
-    Decision counts come from one plain task per block of the edges
-    (``Blocks`` or a Dataset; ``value_counts`` of the ``decision`` column)
-    — the edges are already in memory when the pipeline asks, so no Ray
-    Data execution runs."""
-    import ray
-
-    from entity_resolution_engine_ray.stages.exchange import _map_block_refs
-
-    tables = ray.get([t for t, _ in _map_block_refs(edges, _decision_counts)])
+def sum_decision_counts(tables) -> dict[str, int]:
+    """decision → edges, summed over ``_decision_counts`` tables."""
     counts: dict[str, int] = {}
     for t in tables:
         for d, n in zip(t["decision"].to_pylist(), t["n"].to_pylist()):
             counts[d] = counts.get(d, 0) + n
+    return counts
+
+
+def gate_metrics(edges, counts: dict[str, int] | None = None) -> dict:
+    """Per-run routing metrics mirroring the reference's
+    pipeline_run_metrics fields (validation/router.py:227-245).
+
+    ``counts``: the edges' decision counts when a pass over them already
+    made them (the pages pipeline's approved-ids pass does). Without it
+    they come from one plain task per block of the edges (``Blocks`` or a
+    Dataset; ``value_counts`` of the ``decision`` column) — the edges are
+    already in memory when the pipeline asks, so no Ray Data execution
+    runs."""
+    if counts is None:
+        import ray
+
+        from entity_resolution_engine_ray.stages.exchange import _map_block_refs
+
+        counts = sum_decision_counts(ray.get([t for t, _ in _map_block_refs(edges, _decision_counts)]))
     # post-validation edges carry llm_approve/llm_reject (stages/validate
     # rewrites gray-zone 'review' rows) — they must count toward totals and
     # the gray-zone figures, or every metric shrinks when validation is on

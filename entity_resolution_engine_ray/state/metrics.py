@@ -24,6 +24,7 @@ import time
 import uuid
 from statistics import mean, stdev
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -31,6 +32,30 @@ import pyarrow.parquet as pq
 from entity_resolution_engine_ray.config import QualityGateConfig
 
 _RATE_FIELDS = ["gray_zone_rate", "llm_review_rate", "auto_match_rate", "auto_reject_rate"]
+
+
+# a key a row lacks: NaN, as in a pandas frame of the rows
+_MISSING = float("nan")
+
+
+def _is_bool(v) -> bool:
+    return isinstance(v, (bool, np.bool_))
+
+
+def _history_column(values: list) -> pa.Array:
+    """One run-metrics history column, typed as a pandas frame of the rows
+    typed it (the readers, ``_num`` among them, rely on these types):
+    all bools → bool; all ints → int64; ints and floats, with or without
+    None → float64, None and NaN null; anything else, a column of None
+    included → string of each value's ``str`` (so None is ``"None"``)."""
+    if values and all(_is_bool(v) for v in values):
+        return pa.array(values, pa.bool_())
+    nums = [v for v in values if v is not None]
+    if nums and all(isinstance(v, (int, float, np.number)) and not _is_bool(v) for v in nums):
+        if len(nums) == len(values) and all(isinstance(v, (int, np.integer)) for v in values):
+            return pa.array(values, pa.int64())
+        return pa.array([None if v is None else float(v) for v in values], pa.float64(), from_pandas=True)
+    return pa.array([str(v) for v in values], pa.string())
 
 
 class MetricsStore:
@@ -44,12 +69,15 @@ class MetricsStore:
         os.makedirs(os.path.join(history_dir, "anomaly_events"), exist_ok=True)
 
     def append_run_metrics(self, run_id: str, rows: list[dict]) -> None:
-        df = pd.DataFrame(rows)
-        df["run_id"] = run_id
-        df["recorded_at"] = time.time()
-        df = df.astype({c: str for c in df.columns if df[c].dtype == object})
+        """One Parquet file of ``rows`` plus ``run_id`` and ``recorded_at``
+        columns, each column typed by ``_history_column`` — built with
+        pyarrow directly (a pandas frame cost most of the append)."""
+        names = list(dict.fromkeys(k for row in rows for k in row))
+        cols = {k: [row.get(k, _MISSING) for row in rows] for k in names}
+        cols["run_id"] = [run_id] * len(rows)
+        cols["recorded_at"] = [time.time()] * len(rows)
         pq.write_table(
-            pa.Table.from_pandas(df, preserve_index=False),
+            pa.table({k: _history_column(v) for k, v in cols.items()}),
             os.path.join(self.dir, "run_metrics", f"{run_id}.parquet"),
         )
 

@@ -1,9 +1,14 @@
-"""Checkpoint hand-off: ``CheckpointStore.write`` takes a stage's in-memory
-blocks and returns them, so a run reads Parquet only for the stages it
-resumes.
+"""Checkpoint hand-off: the tasks that make a stage's blocks write its part
+files, ``CheckpointStore.commit`` publishes them and returns the same
+in-memory blocks, so a run reads Parquet only for the stages it resumes.
 
-- the ``Blocks`` a write returns equal what ``store.read`` gets back from
-  disk (same schema, same rows), including a zero-row typed input;
+- the ``Blocks`` every commit returns equal what ``store.read`` gets back
+  from disk (same schema, same rows), including a zero-row typed input;
+- no call ships a block to a separate write task, and the fold's
+  ``features`` checkpoint holds the previous run's part files unchanged;
+- a stage that raises after ``features`` leaves no ``_DONE`` of its own,
+  and a resumed run ignores its leftover temp dir and ends with a clean
+  run's checkpoints;
 - ``store.read`` (one ``pq.read_table`` task per part file) equals a plain
   ``pq.read_table`` of the stage directory;
 - a full run and an incremental fold of a Parquet path start no Ray Data
@@ -49,10 +54,12 @@ MAX_FOLD_EXECUTIONS = 0
 DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 0}
 # Ray tasks per call (4 Ray CPUs, 400 pages): a split task per ~10k input
 # rows rather than max(8, cpus), one key_stats sum partition below 500k
-# key rows, and labelprop in one task below 2M directed edge rows (before:
-# 47 and 156, 54 of them split tasks on the fold)
-MAX_RUN_TASKS = 44
-MAX_FOLD_TASKS = 65
+# key rows, labelprop in one task below 2M directed edge rows, every
+# checkpoint part written by the task that makes it, one edge dedup on the
+# fold and the decision counts from the approved-ids pass (before: 44 and
+# 65)
+MAX_RUN_TASKS = 26
+MAX_FOLD_TASKS = 39
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -76,8 +83,8 @@ def _sorted(tbl: pa.Table, stage: str) -> pa.Table:
 @pytest.fixture(scope="module")
 def runs(ray_session, tmp_path_factory):
     """One full run and one labelprop fold, recording the blocks every
-    ``CheckpointStore.write`` returns, and the executions and Datasets of
-    each call."""
+    ``CheckpointStore.commit`` returns, and the executions, Datasets and
+    tasks of each call."""
     root = tmp_path_factory.mktemp("handoff")
     fix = write_pages_fixture(str(root / "fx"), 400, seed=9)
     tbl = pads.dataset(fix["pages"]).to_table()
@@ -89,16 +96,16 @@ def runs(ray_session, tmp_path_factory):
 
     written: dict[str, dict[str, object]] = {"run": {}, "fold": {}}
     current = {"call": None}
-    write = CheckpointStore.write
+    commit = CheckpointStore.commit
 
-    def recording_write(self, ds, stage, *args, **kwargs):
-        out = write(self, ds, stage, *args, **kwargs)
+    def recording_commit(self, stage, *args, **kwargs):
+        out = commit(self, stage, *args, **kwargs)
         written[current["call"]][stage] = out
         return out
 
     counts, datasets, tasks = {}, {}, {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CheckpointStore, "write", recording_write)
+        mp.setattr(CheckpointStore, "commit", recording_commit)
         current["call"] = "run"
         with count_executions() as n, count_datasets() as d, count_tasks() as t:
             run_pages_er(fix["pages"], str(root / "run"))
@@ -111,7 +118,7 @@ def runs(ray_session, tmp_path_factory):
         counts["fold"], datasets["fold"], tasks["fold"] = n["n"], dict(d), t
     return {
         "root": root, "written": written, "counts": counts, "datasets": datasets, "tasks": tasks,
-        "cfg_lp": cfg_lp,
+        "cfg_lp": cfg_lp, "pages": fix["pages"],
     }
 
 
@@ -123,6 +130,30 @@ def test_execution_count_per_call(runs):
 def test_task_count_per_call(runs):
     assert runs["tasks"]["run"]["n"] <= MAX_RUN_TASKS, dict(runs["tasks"]["run"]["by_name"])
     assert runs["tasks"]["fold"]["n"] <= MAX_FOLD_TASKS, dict(runs["tasks"]["fold"]["by_name"])
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+def test_no_separate_write_tasks(runs, call):
+    """Every checkpoint part is written by the task that makes its block:
+    no block goes to a ``_write_block`` task."""
+    by_name = runs["tasks"][call]["by_name"]
+    assert by_name["_write_block"] == 0, dict(by_name)
+
+
+def test_fold_links_the_previous_features_parts(runs):
+    """The fold's ``features`` checkpoint starts with the previous run's part
+    files, byte for byte and in order, and reads each of them at most once
+    (to score) — never reads and rewrites them."""
+    import filecmp
+
+    old = CheckpointStore(str(runs["root"] / "corpus"))._part_files("features")
+    new = CheckpointStore(str(runs["root"] / "fold"))._part_files("features")
+    assert 0 < len(old) < len(new)
+    for a, b in zip(old, new):
+        assert os.path.basename(a) == os.path.basename(b)
+        assert filecmp.cmp(a, b, shallow=False), (a, b)
+    n_edges = len(CheckpointStore(str(runs["root"] / "corpus"))._part_files("edges"))
+    assert runs["tasks"]["fold"]["by_name"]["_read_part"] == len(old) + n_edges
 
 
 @pytest.mark.parametrize("call", ["run", "fold"])
@@ -252,3 +283,53 @@ def test_zero_row_merge_partition_gives_typed_tables(runs):
         assert got.num_rows == 0
         want = pq.read_schema(os.path.join(store.stage_dir(stage), "part-00000.parquet"))
         assert got.schema.equals(want, check_metadata=False), (stage, got.schema, want)
+
+
+def test_failed_stage_leaves_no_done_and_resume_ignores_its_temp_dir(runs):
+    """A stage after ``features`` raises once its tasks have written their
+    parts: ``features`` is committed, the failed stage has no ``_DONE`` (nor
+    a stage dir), and its parts sit in a leftover temp dir. A resumed run
+    never lists or reads that dir — its parts are overwritten with garbage
+    first — and ends with the checkpoints of a clean run on the same
+    input."""
+    from entity_resolution_engine_ray.pipelines import pages_er
+
+    out = runs["root"] / "failed"
+    shutil.rmtree(out, ignore_errors=True)
+    score = pages_er.fused_edges_stage
+
+    def score_then_fail(*args, **kwargs):
+        score(*args, **kwargs)
+        raise RuntimeError("injected edges failure")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pages_er, "fused_edges_stage", score_then_fail)
+        with pytest.raises(RuntimeError, match="injected edges failure"):
+            run_pages_er(runs["pages"], str(out))
+    assert (out / "features" / DONE_FILE).exists()
+    assert not (out / "edges").exists()
+    leftovers = [d for d in os.listdir(out) if d.startswith("edges.tmp-")]
+    assert len(leftovers) == 1, os.listdir(out)
+    parts = [p for p in (out / leftovers[0]).iterdir() if p.suffix == ".parquet"]
+    assert parts, "the edge-dedup tasks write their parts before the stage returns"
+    for p in parts:
+        p.write_bytes(b"not a parquet file")
+
+    listed: list[str] = []
+    part_files = CheckpointStore._part_files
+
+    def recording_part_files(self, stage):
+        files = part_files(self, stage)
+        listed.extend(files)
+        return files
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CheckpointStore, "_part_files", recording_part_files)
+        run_pages_er(runs["pages"], str(out))
+    assert listed and not any(".tmp-" in f for f in listed), listed
+    for stage in sorted(SORT_KEYS):
+        assert (out / stage / DONE_FILE).exists(), stage
+        got = pq.read_table(str(out / stage))
+        want = pq.read_table(str(runs["root"] / "run" / stage))
+        assert got.num_rows == want.num_rows > 0, stage
+        assert _sorted(got, stage).equals(_sorted(want, stage)), stage

@@ -66,6 +66,51 @@ def test_quality_gates_empty_metrics():
     assert res["gate_values"]["total_candidates"] == 0
 
 
+def test_run_metrics_history_row_schema(tmp_path):
+    """A history row keeps the column names, types and values the pandas
+    frame it used to be built from gave it: ints int64, floats float64,
+    strings as they are, and None as the string "None" that ``_num`` and
+    the API readers expect."""
+    import pyarrow.parquet as pq
+
+    store = MetricsStore(str(tmp_path))
+    row = {
+        "entity_type": "page",
+        "total_candidates": 120,
+        "llm_avg_latency_ms": None,
+        "wall_s": 0.25,
+        "np_count": np.int64(7),
+        "llm_disabled_reason": "llm_unavailable",
+    }
+    store.append_run_metrics("r1", [row])
+    got = pq.read_table(tmp_path / "run_metrics" / "r1.parquet")
+    want_schema = pa.schema(
+        [
+            ("entity_type", pa.string()),
+            ("total_candidates", pa.int64()),
+            ("llm_avg_latency_ms", pa.string()),
+            ("wall_s", pa.float64()),
+            ("np_count", pa.int64()),
+            ("llm_disabled_reason", pa.string()),
+            ("run_id", pa.string()),
+            ("recorded_at", pa.float64()),
+        ]
+    )
+    assert got.schema.equals(want_schema, check_metadata=False), got.schema
+    values = got.to_pylist()[0]
+    assert values.pop("recorded_at") > 0
+    assert values == {
+        "entity_type": "page",
+        "total_candidates": 120,
+        "llm_avg_latency_ms": "None",
+        "wall_s": 0.25,
+        "np_count": 7,
+        "llm_disabled_reason": "llm_unavailable",
+        "run_id": "r1",
+    }
+    assert store.run_metrics()["llm_avg_latency_ms"].tolist() == ["None"]
+
+
 # ---------------------------------------------------------------- anomalies
 
 
