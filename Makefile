@@ -79,10 +79,12 @@ check-pairs:
 	$(PY) scripts/check_queries.py /root/testdata/sf0.01 $(PAIR_QUERIES)
 
 # the incremental fold, checkpoint read/write and clustering kernels: the
-# fold's equality and chain tests, the execution-count and checkpoint
-# hand-off pins, kill/resume, empty inputs, the CC/labelprop kernels and
-# the benchmark tracer's hooks on those functions — a fast gate for a
-# change to pipelines/pages_er, state/checkpoint or stages/cluster
+# fold's equality and chain tests (its batch-pair rule against rescoring
+# every pair of the touched blocks among them), the execution-count and
+# checkpoint hand-off pins, kill/resume, empty inputs, the CC/labelprop
+# kernels and the benchmark tracer's hooks on those functions — a fast
+# gate for a change to pipelines/pages_er, state/checkpoint, stages/pairs
+# or stages/cluster
 FOLD_TESTS := tests/test_incremental.py tests/test_checkpoint_handoff.py tests/test_kill_resume.py \
 	tests/test_empty_inputs.py tests/test_cluster_kernel.py tests/test_erbench_tracing.py \
 	tests/test_parquet_features.py
@@ -95,7 +97,7 @@ bench:
 
 # per-kernel microbenchmarks (no Ray session, ~15 s): extract and
 # featurize ms per 1,024-doc batch, the pair-score ms on the 2,000-page
-# dense seed-7 partition and the merge ms on its labeled table, as one
-# JSON line
+# dense seed-7 partition and on a fold's partition of it, and the merge ms
+# on its labeled table, as one JSON line
 bench-kernels:
 	$(PY) scripts/bench_kernels.py

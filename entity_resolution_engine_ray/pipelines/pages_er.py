@@ -20,11 +20,11 @@ Usage::
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -38,7 +38,7 @@ from entity_resolution_engine_ray.sources.pages import (
     parquet_read_units,
     read_unit_slices,
 )
-from entity_resolution_engine_ray.stages.block import FEATURIZE_BATCH_ROWS, featurize_pages
+from entity_resolution_engine_ray.stages.block import FEATURIZE_BATCH_ROWS, _comb, featurize_pages
 
 # The Ray Data form of the features step. No call here runs it; the names
 # stay on this module because erbench's tracer wraps them here.
@@ -51,7 +51,6 @@ from entity_resolution_engine_ray.stages.exchange import (
     _ensure_table,
     _kept,
     as_blocks,
-    map_blocks,
 )
 from entity_resolution_engine_ray.stages.pairs import DroppedPairs
 from entity_resolution_engine_ray.stages.score import (
@@ -158,42 +157,83 @@ def _features_of(pages, cfg: PagesERConfig, pages_format: str, sink=None) -> Blo
       first file's schema, which keeps the ``warc_ts`` unit;
     - a Dataset, or a path of another format (read by
       ``sources.pages.read_pages``): its blocks (one ``as_blocks``), each
-      featurized by one plain task.
+      featurized by one plain task (``_featurize_block``).
 
     ``sink``: a ``state.checkpoint.PartSink`` each task writes its features
     block to, in ``Blocks`` order."""
+    return _featurize(pages, cfg, pages_format, sink, batch=False)[0]
+
+
+def _batch_features_of(pages, cfg: PagesERConfig, pages_format: str, sink):
+    """``_features_of`` for a fold's batch → (features, the sorted block
+    keys it touches, (its url hashes, its block keys, one per page and
+    band)). The featurize tasks return each block's keys and hashes beside
+    it, so no second pass reads the new blocks."""
+    features, refs = _featurize(pages, cfg, pages_format, sink, batch=True)
+    parts = ray.get(refs) if refs else [_batch_keys(ray.get(features.refs[0]))]
+    keys = np.concatenate([k for k, _ in parts])
+    return features, np.unique(keys), (np.concatenate([h for _, h in parts]), keys)
+
+
+def _featurize(pages, cfg: PagesERConfig, pages_format: str, sink, batch: bool):
+    """The featurize tasks of ``_features_of`` → (features, the refs of
+    their ``_batch_keys`` when ``batch``, else of None)."""
     if isinstance(pages, str) and pages_format == "parquet":
         fs, files = parquet_parts(pages)
         units = parquet_read_units(fs, files, FEATURIZE_BATCH_ROWS)
         if not units:
             empty = pq.read_schema(files[0], filesystem=fs).empty_table()
-            return Blocks.of(featurize_pages(empty, cfg))
-        outs = [_featurize_unit.remote(fs, unit, cfg, sink, i) for i, unit in enumerate(units)]
-        return Blocks(tuple(t for t, _ in outs), tuple(ray.get([n for _, n in outs])))
-    if isinstance(pages, str):
-        from entity_resolution_engine_ray.sources.pages import read_pages
+            return Blocks.of(featurize_pages(empty, cfg)), []
+        outs = [
+            _featurize_unit.remote(fs, unit, cfg, sink, i, batch) for i, unit in enumerate(units)
+        ]
+    else:
+        if isinstance(pages, str):
+            from entity_resolution_engine_ray.sources.pages import read_pages
 
-        pages = read_pages(pages, format=pages_format)
-    return map_blocks(as_blocks(pages), functools.partial(_featurize_block, cfg=cfg), sink)
+            pages = read_pages(pages, format=pages_format)
+        refs = as_blocks(pages).refs
+        outs = [_featurize_block.remote(r, cfg, sink, i, batch) for i, r in enumerate(refs)]
+    features = _kept([t for t, _, _ in outs], ray.get([n for _, n, _ in outs]))
+    return features, [k for _, _, k in outs]
 
 
-@ray.remote(num_returns=2)
-def _featurize_unit(fs, unit, cfg: PagesERConfig, sink, i: int):
-    """The features of one Parquet read unit and their row count: its
-    pages' ``FEATURE_INPUT_COLUMNS``, streamed in ``FEATURIZE_BATCH_ROWS``-row
-    slices; written as part ``i`` of ``sink`` when one is given."""
+def _batch_keys(features: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """A features block → (its block keys, one per page and band, its url
+    hashes)."""
+    keys = _comb(features["band_keys"]).flatten().to_numpy(zero_copy_only=False)
+    ids = features["url_hash"].to_numpy()
+    return keys.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
+
+
+def _featurized(out: pa.Table, sink, i: int, batch: bool):
+    """A featurize task's returns: (features, rows) after ``_emit``, and
+    its ``_batch_keys`` when ``batch``."""
+    return (*_emit(out, sink, i), _batch_keys(out) if batch else None)
+
+
+@ray.remote(num_returns=3)
+def _featurize_unit(fs, unit, cfg: PagesERConfig, sink, i: int, batch: bool):
+    """The features of one Parquet read unit (its pages'
+    ``FEATURE_INPUT_COLUMNS``, streamed in ``FEATURIZE_BATCH_ROWS``-row
+    slices) as ``_featurized`` returns them, written as part ``i`` of
+    ``sink`` when one is given."""
     parts = [
         featurize_pages(t, cfg)
         for t in read_unit_slices(fs, unit, FEATURE_INPUT_COLUMNS, FEATURIZE_BATCH_ROWS)
     ]
-    return _emit(pa.concat_tables(parts) if len(parts) > 1 else parts[0], sink, i)
+    return _featurized(pa.concat_tables(parts) if len(parts) > 1 else parts[0], sink, i, batch)
 
 
-def _featurize_block(t: pa.Table, cfg: PagesERConfig) -> pa.Table:
-    """``featurize_pages`` of one in-memory pages block. A zero-column
-    block (a 0-row Dataset whose schema is unknown) featurizes as an empty
-    ``PAGES_SCHEMA`` table, so the result is still typed."""
-    return featurize_pages(t if t.num_columns else PAGES_SCHEMA.empty_table(), cfg)
+@ray.remote(num_returns=3)
+def _featurize_block(block, cfg: PagesERConfig, sink, i: int, batch: bool):
+    """``featurize_pages`` of one in-memory pages block, as ``_featurized``
+    returns it. A zero-column block (a 0-row Dataset whose schema is
+    unknown) featurizes as an empty ``PAGES_SCHEMA`` table, so the result
+    is still typed."""
+    t = _ensure_table(block)
+    out = featurize_pages(t if t.num_columns else PAGES_SCHEMA.empty_table(), cfg)
+    return _featurized(out, sink, i, batch)
 
 
 def _drop_counts(dropped) -> dict:
@@ -441,10 +481,18 @@ def run_pages_er_incremental(
        read back and rewritten — followed by the parts the new batch's
        featurize tasks write; in memory it is the concatenation of the
        previous checkpoint's blocks (read with one task per part file) and
-       the new ones;
-    2. re-runs fused pair-scoring restricted (``key_filter``) to block keys
-       the new batch touches — old-old pairs inside a touched block rescore
-       to byte-identical edges; untouched blocks never enter the shuffle;
+       the new ones. The featurize tasks also return the batch's block keys
+       (the touched keys) and url hashes, so nothing reads the new blocks
+       a second time;
+    2. re-runs fused pair-scoring restricted (``key_filter``) to the touched
+       keys, where it scores only the pairs the batch can change
+       (``batch``, ``pairs.batch_pairs``): a pair with a new page, and
+       every pair of a hot key the batch re-splits or of a bucket over
+       ``pair_sample_cap``. Any other pair is old-old in a bucket the
+       previous run formed with fewer members and scored whole, so its
+       edge is in the previous edges with a ``block_key`` no larger, and
+       step 3 keeps that row either way. Untouched blocks never enter the
+       shuffle;
     3. passes the previous ``edges`` checkpoint's blocks into that scoring
        exchange's own edge dedup (``fold_in``), so ONE dedup pass over new
        ∪ old edges keeps each (left_id, right_id) pair once by the full
@@ -463,14 +511,15 @@ def run_pages_er_incremental(
 
     Equality contract (pinned in tests/test_incremental.py): the result
     equals a full run over old ∪ new — same edges, same cluster partitions
-    — while scoring only O(touched blocks) pairs. Assumes the new batch's
-    urls are NEW (a re-crawled url would union two feature rows; dedup by
-    url upstream if re-ingestion is possible). Cost at 100 TB: a small
-    daily batch touches a small fraction of blocks, so step 2 is ~|new| ×
-    avg-block-size pair scores instead of |corpus|²-shaped work; steps 3-5
-    stay O(corpus) but shuffle-light (labels move O(|V|) rows)."""
-    import numpy as np
-
+    — when no bucket goes over a cap. Assumes the new batch's urls are NEW
+    (a re-crawled url would union two feature rows; dedup by url upstream
+    if re-ingestion is possible). Cost: step 2 scores about |new| × bands
+    × avg-block-size pairs plus the pairs of re-split keys and capped
+    buckets, not every pair of a touched block (erbench's 2,000-page fold, seed 1:
+    1,560 distinct pairs scored in place of 7,029). Forming the pairs
+    still explodes every corpus features row and sorts the touched
+    blocks' rows, and steps 3-5 stay O(corpus) but shuffle-light (labels
+    move O(|V|) rows)."""
     from entity_resolution_engine_ray.stages.exchange import union_blocks
 
     cfg = cfg or PagesERConfig()
@@ -490,30 +539,23 @@ def run_pages_er_incremental(
         dropped = _dropped_of(store.manifest("edges"))
     else:
         # ---- new-batch features + union checkpoint: the previous parts
-        # first, then the ones the featurize tasks write
+        # first, then the ones the featurize tasks write; those tasks also
+        # return the batch's block keys (small side: |new| × bands int64
+        # keys) and url hashes
         prev_features = prev.read("features")
         sink = store.open_stage("features")
         n_prev = prev.link_parts("features", sink)
-        features_new = _features_of(new_pages, cfg, pages_format, sink.after(n_prev))
-
-        # ---- touched block keys (small side: |new| × bands int64 keys),
-        # one task per in-memory features block
-        from entity_resolution_engine_ray.stages.block import block_keys_stage
-
-        key_blocks = ray.get(list(block_keys_stage(features_new).refs))
-        touched = np.unique(
-            np.concatenate(
-                [np.empty(0, np.int64)] + [t["block_key"].to_numpy() for t in key_blocks]
-            )
+        features_new, touched, batch = _batch_features_of(
+            new_pages, cfg, pages_format, sink.after(n_prev)
         )
-
         features = store.commit(
             "features", sink, union_blocks(prev_features, features_new), phash
         )
 
-        # ---- rescore ONLY touched blocks over the unioned corpus; the
-        # previous edges join its edge dedup (exact on the id pair, min
-        # block_key kept), whose tasks write the union's parts
+        # ---- rescore the pairs the batch can change, in touched blocks
+        # only, over the unioned corpus; the previous edges join its edge
+        # dedup (exact on the id pair, min block_key kept), whose tasks
+        # write the union's parts
         sink = store.open_stage("edges")
         edges, dropped_new = fused_edges_stage(
             features,
@@ -521,6 +563,7 @@ def run_pages_er_incremental(
             num_partitions=num_partitions,
             key_filter=touched,
             fold_in=prev.read("edges"),
+            batch=batch,
             sink=sink,
         )
         # dropped-pair accounting accumulates ACROSS folds (keeping only

@@ -30,7 +30,9 @@ hot/pairable count pass) and ``fat_block_rows`` (one row of the caller's
 payload columns per key, for the pair exchange). Both run inside the split
 tasks of the exchange that consumes them (stages/pairs.blocked_pair_edges),
 so the exploded rows are never materialized as a Dataset; ``block_keys_stage`` runs
-``block_keys`` as one plain task per block where no exchange follows.
+``block_keys`` as one plain task per block where no exchange follows (no
+pipeline call does since the fold's featurize tasks return its batch's
+keys; the name stays because erbench's tracer wraps it).
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ both tables — block lists in the object store, never a driver dict
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from entity_resolution_engine_ray.functions.ids import cluster_entity_id
@@ -105,66 +105,80 @@ def merge_partition(t: pa.Table) -> tuple[pa.Table, pa.Table]:
     """One hash partition of labeled pages → (one canonical row per
     cluster, one lineage row per member url).
 
-    Vectorized: pandas groupby aggregates over one ``(cluster_label,
-    warc_ts, url)`` sort. The only per-cluster Python is the member-url
-    content hash: one ``cluster_entity_id`` per contiguous slice of one
-    ``(cluster_label, url)`` sort, used by both tables. The only per-url
-    Python is the domain parse. A zero-row partition returns both typed
-    empty tables (pandas would type their empty object columns as null);
-    a zero-COLUMN one (a 0-row Dataset input with no typed block) comes
-    back as itself, twice."""
+    Vectorized over two Arrow sorts. The ``(cluster_label, warc_ts, url)``
+    sort gives each cluster's representative (its first row) and, by
+    numpy segment reductions over its contiguous slice, ``n_members`` and
+    ``first_seen`` / ``last_seen`` (nulls sort last, so they are skipped as
+    a min / max skips them). The ``(cluster_label, url)`` sort gives each
+    cluster's member urls as one contiguous sorted slice: one
+    ``cluster_entity_id`` per cluster, used by both tables. The majority
+    ``lang`` is an Arrow group-by count of the non-null langs, ties to the
+    lexicographically smaller. The only per-url Python is the domain
+    parse. A zero-row partition returns both typed empty tables; a
+    zero-COLUMN one (a 0-row Dataset input with no typed block) comes back
+    as itself, twice."""
     if t.num_rows == 0:
         if not set(_LABELED_COLS) <= set(t.column_names):
             return t, t
         return _entity_schema(t.schema).empty_table(), _lineage_schema(t.schema).empty_table()
-    pdf = t.to_pandas()
-    pdf = pdf.assign(domain=[normalize_domain(u) for u in pdf["url"]])
-    pdf = pdf.sort_values(["cluster_label", "warc_ts", "url"], kind="mergesort")
-    g = pdf.groupby("cluster_label", sort=False)
-    rep = g.head(1).set_index("cluster_label")  # min (warc_ts, url) member
-    agg = g.agg(
-        n_members=("url", "size"),
-        first_seen=("warc_ts", "min"),
-        last_seen=("warc_ts", "max"),
+    domains = pa.array([normalize_domain(u) for u in t["url"].to_pylist()], pa.string())
+    by_time = pc.sort_indices(
+        t,
+        sort_keys=[("cluster_label", "ascending"), ("warc_ts", "ascending"), ("url", "ascending")],
     )
-    # majority lang, ties lexicographic
-    lc = pdf.groupby(["cluster_label", "lang"], sort=False).size().reset_index(name="c")
-    lc = lc.sort_values(["cluster_label", "c", "lang"], ascending=[True, False, True], kind="mergesort")
-    lang_top = lc.drop_duplicates("cluster_label").set_index("cluster_label")["lang"]
-    # one (cluster_label, url) sort serves both tables: each cluster's
-    # member urls are a contiguous sorted slice, hashed once
-    members = pdf.sort_values(["cluster_label", "url"], kind="mergesort")
-    labels = members["cluster_label"].to_numpy()
+    labels = t["cluster_label"].take(by_time).to_numpy()
     starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
-    ends = np.r_[starts[1:], len(labels)]
-    urls = members["url"].tolist()
-    member_ids = np.array([cluster_entity_id("PAGE", urls[a:b]) for a, b in zip(starts, ends)], dtype=object)
-    ids = pd.Series(member_ids, index=labels[starts])
-    entities = pd.DataFrame(
-        {
-            "cluster_label": agg.index.to_numpy(dtype=np.int64),
-            "entity_id": ids.reindex(agg.index).to_numpy(),
-            "canonical_url": rep["url"].reindex(agg.index).to_numpy(),
-            "canonical_title": rep["title_norm"].reindex(agg.index).to_numpy(),
-            "domain": rep["domain"].reindex(agg.index).to_numpy(),
-            "lang": lang_top.reindex(agg.index).to_numpy(),
-            "n_members": agg["n_members"].to_numpy(dtype=np.int64),
-            "first_seen": agg["first_seen"].to_numpy(),
-            "last_seen": agg["last_seen"].to_numpy(),
-        }
+    sizes = np.diff(np.r_[starts, len(labels)])
+    first = by_time.take(pa.array(starts))
+    seen = t["warc_ts"].take(by_time)
+    n_seen = np.add.reduceat(seen.is_valid().to_numpy().astype(np.int64), starts)
+    by_url = pc.sort_indices(t, sort_keys=[("cluster_label", "ascending"), ("url", "ascending")])
+    urls = t["url"].take(by_url).to_pylist()
+    entity_ids = pa.array(
+        [cluster_entity_id("PAGE", urls[a : a + n]) for a, n in zip(starts, sizes)], pa.string()
     )
-    lineage = pd.DataFrame(
+    entities = pa.table(
         {
-            "url": members["url"].to_numpy(),
-            "entity_id": np.repeat(member_ids, ends - starts),
-            "source_domain": members["domain"].to_numpy(),
-        }
+            "cluster_label": pa.array(labels[starts], pa.int64()),
+            "entity_id": entity_ids,
+            "canonical_url": t["url"].take(first),
+            "canonical_title": t["title_norm"].take(first),
+            "domain": domains.take(first),
+            "lang": _majority_lang(t, labels[starts]),
+            "n_members": pa.array(sizes, pa.int64()),
+            "first_seen": seen.take(pa.array(starts)),
+            "last_seen": seen.take(pa.array(starts + np.maximum(n_seen, 1) - 1)),
+        },
+        schema=_entity_schema(t.schema),
     )
-    return _arrow(entities), _arrow(lineage)
+    lineage = pa.table(
+        {
+            "url": t["url"].take(by_url),
+            "entity_id": entity_ids.take(pa.array(np.repeat(np.arange(len(starts)), sizes))),
+            "source_domain": domains.take(by_url),
+        },
+        schema=_lineage_schema(t.schema),
+    )
+    return entities, lineage
 
 
-def _arrow(df: pd.DataFrame) -> pa.Table:
-    return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+def _majority_lang(t: pa.Table, labels: np.ndarray):
+    """Each of the sorted cluster ``labels``' most frequent non-null
+    ``lang`` in ``t``, ties to the lexicographically smaller; null for a
+    cluster with none."""
+    known = t.filter(pc.is_valid(t["lang"]))
+    counts = known.group_by(["cluster_label", "lang"], use_threads=False).aggregate(
+        [([], "count_all")]
+    )
+    order = [("cluster_label", "ascending"), ("count_all", "descending"), ("lang", "ascending")]
+    counts = counts.take(pc.sort_indices(counts, sort_keys=order))
+    if counts.num_rows == 0:
+        return pa.nulls(len(labels), t["lang"].type)
+    counts_labels = counts["cluster_label"].to_numpy()
+    top = np.flatnonzero(np.r_[True, counts_labels[1:] != counts_labels[:-1]])
+    at = np.minimum(np.searchsorted(counts_labels[top], labels), len(top) - 1)
+    missing = counts_labels[top[at]] != labels
+    return counts["lang"].take(pa.array(top[at], mask=missing))
 
 
 @ray.remote(num_returns=4)

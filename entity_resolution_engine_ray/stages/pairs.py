@@ -23,6 +23,14 @@ verify + score) and the pair-dedup function. It runs:
    out of band of the rows; stage 2 dedups the (left_id, right_id) pairs,
    together with any previous edges the caller folds in (``fold_in``).
 
+A fold (``fold_in`` with the ``batch`` of rows it adds) forms every pair
+of the touched buckets, but its pair function keeps only those the batch
+can change (``batch_pairs``): a pair with a new row, and every pair of a
+key the batch re-splits (``resplit_keys``) or of a bucket over the pair
+cap. The previous edges hold every other pair at a block key no larger,
+so the result is that of rescoring every pair; the cap's ``dropped`` and
+the prefilter's counts still cover every bucket and distinct pair.
+
 ``_salt_batch`` — vectorized salting of hot keys:
 ``salt = (mix64(row_hash ^ block_key) & INT63) % n_splits`` (0 for cold
 keys), the same deterministic assignment as the serial oracle's
@@ -33,7 +41,7 @@ The pair functions share three kernels from here: ``key_buckets`` (rows
 sorted into (key, salt) buckets; ``bucket_layout`` adds the flat token
 layout), ``bucket_pairs`` (every within-bucket pair, in bucket order, with
 the cap's drop count) and ``_distinct`` (the first row of each distinct
-(left, right) pair).
+(left, right) pair); the pages scorer also uses ``batch_pairs``.
 """
 
 from __future__ import annotations
@@ -115,13 +123,15 @@ def key_stats(
     partition per 500k key rows, at least one and at most 32 — below 500k
     key rows the sum is one task.
 
-    Returns ``(hot, pairable, n_pairable_rows)`` — the third element is the
-    TOTAL row count across multi-member keys, i.e. the number of fat rows
-    that survive the singleton prune. Callers size the pair exchange from
-    it: a measured 1M-page sweep (BASELINE r5) showed the old
-    50k-rows/partition target paying ~0.1 s of task/ref overhead per
-    partition (P=421: 107 s vs P=96: 50 s, identical edges), so the fused
-    exchange targets ~200k PRUNED rows per partition instead."""
+    Returns ``(hot, pairable, n_pairable_rows, hot_members)`` — the third
+    element is the TOTAL row count across multi-member keys, i.e. the
+    number of fat rows that survive the singleton prune. Callers size the
+    pair exchange from it: a measured 1M-page sweep (BASELINE r5) showed
+    the old 50k-rows/partition target paying ~0.1 s of task/ref overhead
+    per partition (P=421: 107 s vs P=96: 50 s, identical edges), so the
+    fused exchange targets ~200k PRUNED rows per partition instead. The
+    fourth is each hot key's member count (a fold compares it with the
+    count before its batch, ``resplit_keys``)."""
     import ray
 
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_map_groups
@@ -136,6 +146,7 @@ def key_stats(
         blocks, ["k"], _sum_multi, n_parts, arrow_fns=True, block_fn=partial
     )
     hot: dict[int, int] = {}
+    members: dict[int, int] = {}
     key_chunks: list[np.ndarray] = []
     n_pairable = 0
     n_rows_multi = 0
@@ -146,14 +157,15 @@ def key_stats(
         ns = batch["n"].to_numpy()
         for i in np.flatnonzero(ns > cap):
             hot[int(ks[i])] = n_splits_for(int(ns[i]), cap)
+            members[int(ks[i])] = int(ns[i])
         n_pairable += len(ks)
         n_rows_multi += int(ns.sum())
         if n_pairable <= pairable_limit:
             key_chunks.append(ks.astype(np.int64, copy=True))
     if n_pairable > pairable_limit:
-        return hot, None, n_rows_multi
+        return hot, None, n_rows_multi, members
     pairable = np.sort(np.concatenate(key_chunks)) if key_chunks else np.empty(0, dtype=np.int64)
-    return hot, pairable, n_rows_multi
+    return hot, pairable, n_rows_multi, members
 
 
 def pair_partitions(n_exchange: int, num_partitions: int | None = None) -> int:
@@ -274,6 +286,55 @@ def bucket_pairs(
     return left, right, bucket, dropped
 
 
+def batch_pairs(
+    ids: np.ndarray,
+    lidx: np.ndarray,
+    ridx: np.ndarray,
+    bucket: np.ndarray,
+    sizes: np.ndarray,
+    bucket_keys: np.ndarray,
+    pair_cap: int | None,
+    batch: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """Mask of the ``bucket_pairs`` (rows ``lidx``, ``ridx`` of the sorted
+    ``ids``, in buckets ``bucket``) a fold's batch can change. ``batch``
+    is (the batch's sorted ids, the sorted ``resplit_keys``). A pair is
+    kept when one of its members is a new id, its bucket's key is re-split
+    by the batch, or its bucket has more pairs than ``pair_cap``.
+
+    Every other pair is old-old, in a bucket the cap leaves whole, of a
+    key whose split count the batch left as it was. So before the batch
+    the two members had the same salt (it depends only on the id, the key
+    and the split count) and shared a bucket of fewer members, which the
+    cap left whole too: the pair was scored there, and the previous edges
+    hold it with a ``block_key`` no larger than this bucket's. The edge
+    dedup keeps that row whether or not this one is formed. By induction
+    this holds along a chain of folds."""
+    new_ids, resplit = batch
+    whole = in_sorted(bucket_keys, resplit)
+    if pair_cap is not None:
+        whole |= sizes * (sizes - 1) // 2 > pair_cap
+    new_row = in_sorted(ids, new_ids)
+    return whole[bucket] | new_row[lidx] | new_row[ridx]
+
+
+def resplit_keys(
+    hot: dict[int, int], hot_members: dict[int, int], batch_keys: np.ndarray, cap: int
+) -> np.ndarray:
+    """The sorted hot keys whose split count (``n_splits_for``) the batch
+    changed: their member count before the batch is ``hot_members`` less
+    their rows among ``batch_keys`` (the batch's block keys, one per row
+    and band)."""
+    keys, added = np.unique(np.asarray(batch_keys, dtype=np.int64), return_counts=True)
+    out = []
+    for k, n_splits in hot.items():
+        i = np.searchsorted(keys, k)
+        before = hot_members[k] - (int(added[i]) if i < len(keys) and keys[i] == k else 0)
+        if n_splits_for(before, cap) != n_splits:
+            out.append(k)
+    return np.array(sorted(out), dtype=np.int64)
+
+
 class DroppedPairs(int):
     """The pairs the sample cap dropped — an int, as every caller reads it —
     with the pairs the SimHash prefilter dropped in ``prefiltered``, and
@@ -313,6 +374,14 @@ def _fat_split(t: pa.Table, payload: tuple, hash_col: str, hot: dict[int, int], 
     return _salt_batch(fat_block_rows(t, payload, allowed), hot, hash_col=hash_col)
 
 
+def _batch_pair_fn(tbl: pa.Table, pair_fn, batch_refs: tuple):
+    """Stage-1 function of a fold: ``pair_fn`` with the broadcast (batch
+    ids, re-split keys) as its ``batch``."""
+    import ray
+
+    return pair_fn(tbl, batch=tuple(ray.get(list(batch_refs))))
+
+
 def blocked_pair_edges(
     data,
     pair_fn,
@@ -325,6 +394,7 @@ def blocked_pair_edges(
     num_partitions: int | None = None,
     key_filter=None,
     fold_in=None,
+    batch=None,
     sink=None,
 ):
     """(data with a ``band_keys`` list column) → ``(edges, DroppedPairs)``.
@@ -348,8 +418,13 @@ def blocked_pair_edges(
     they join the pair dedup beside the new pairs, so a pair found in both
     keeps the row ``dedup_fn`` picks over all its copies (the incremental
     fold's union). The dedup partitions are then sized for them too.
-    ``sink``: a ``state.checkpoint.PartSink`` the dedup tasks write the
-    edges to.
+    ``batch``: with ``fold_in``, the rows the fold adds, as (their
+    ``hash_col`` values, their block keys, one per row and band). The pair
+    function then forms only the pairs the batch can change
+    (``batch_pairs``; it takes them as ``batch=``): the previous edges
+    already hold every other one. The batch's sorted ids and its
+    ``resplit_keys`` are broadcast once each via ``ray.put``. ``sink``: a
+    ``state.checkpoint.PartSink`` the dedup tasks write the edges to.
 
     ``edges`` is of the kind given (``exchange.Blocks`` or a Dataset)."""
     import ray
@@ -361,9 +436,11 @@ def blocked_pair_edges(
         hash_exchange_chained,
     )
 
+    if batch is not None and fold_in is None:
+        raise ValueError("batch needs fold_in: the previous edges hold the pairs it skips")
     blocks = as_blocks(data)
     filter_ref = None if key_filter is None else ray.put(np.asarray(key_filter, dtype=np.int64))
-    hot, pairable, n_pruned = key_stats(
+    hot, pairable, n_pruned, hot_members = key_stats(
         blocks,
         cap,
         n_rows_hint=n_key_rows,
@@ -391,6 +468,13 @@ def blocked_pair_edges(
         from entity_resolution_engine_ray.stages.grouping import auto_partitions
 
         dedup_parts = max(parts, auto_partitions(as_blocks(fold_in).count()))
+    if batch is not None:
+        ids, batch_keys = batch
+        batch_refs = (
+            ray.put(np.sort(np.asarray(ids, dtype=np.int64))),
+            ray.put(resplit_keys(hot, hot_members, batch_keys, cap)),
+        )
+        pair_fn = functools.partial(_batch_pair_fn, pair_fn=pair_fn, batch_refs=batch_refs)
     edges, counts = hash_exchange_chained(
         blocks,
         ["block_key", "salt"],

@@ -17,7 +17,10 @@ SimHash via uint64 XOR + popcount, Jaccard via the chunked packed-key
 ``searchsorted`` kernel (``_grouped_jaccard_flat``), Jaro-Winkler via the
 length-bucketed batch kernel over unique title pairs. It is the only
 pair-scoring path: candidate pairs are generated from the block keys
-inside the exchange, never joined in from a url-keyed pair list.
+inside the exchange, never joined in from a url-keyed pair list. On an
+incremental fold it scores only the pairs the fold's batch can change
+(``pairs.batch_pairs``): the previous edges, folded into the same edge
+dedup, already hold every other pair of the touched blocks.
 
 The gate reproduces the reference router's three-way semantics
 (validation/router.py:165-170): ``score < low → reject``;
@@ -41,6 +44,7 @@ from entity_resolution_engine_ray.stages.block import _comb, low32_codes
 from entity_resolution_engine_ray.stages.pairs import (
     _distinct,
     _int64,
+    batch_pairs,
     blocked_pair_edges,
     bucket_layout,
     bucket_pairs,
@@ -151,7 +155,9 @@ def _grouped_jaccard_flat(
     return jac
 
 
-def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, dict]:
+def _pair_score_partition(
+    tbl: pa.Table, cfg: PagesERConfig, batch: tuple | None = None
+) -> tuple[pa.Table, dict]:
     """One hash partition of fat (block_key, salt) sub-blocks → (scored,
     gated edges, counts): ``counts`` holds the pairs the cap dropped
     (``dropped``) and those the SimHash prefilter dropped (``prefiltered``),
@@ -168,7 +174,12 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
     dictionary-encoded in C++ so only UNIQUE title strings ever
     materialize as Python objects), and the pairs of every bucket come
     from one ``pairs.bucket_pairs`` call in the bucket-by-bucket,
-    row-major order of the oracle's per-block loop."""
+    row-major order of the oracle's per-block loop.
+
+    ``batch``: on a fold, (the batch's sorted url hashes, the sorted keys
+    it re-splits). Only the pairs ``pairs.batch_pairs`` keeps are scored;
+    the previous edges hold the rest. ``dropped`` still counts every bucket,
+    and ``prefiltered`` every distinct pair, as without ``batch``."""
     import pyarrow.compute as pc
 
     if tbl.num_rows == 0:
@@ -180,13 +191,22 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
     tdict = np.asarray(tenc.dictionary.to_pylist(), dtype=object)
 
     lidx, ridx, bucket, dropped = bucket_pairs(starts, sizes, cfg.pair_sample_cap)
-    okey = bucket_keys[bucket]
     counts = {"dropped": dropped, "prefiltered": 0}
+    keep = None
+    if batch is not None:
+        keep = batch_pairs(
+            url_hashes, lidx, ridx, bucket, sizes, bucket_keys, cfg.pair_sample_cap, batch
+        )
+        if cfg.simhash_prefilter is None:
+            lidx, ridx, bucket, keep = lidx[keep], ridx[keep], bucket[keep], None
+    okey = bucket_keys[bucket]
     if lidx.size == 0:
         return _EDGE_SCHEMA.empty_table(), counts
     # partition-local pre-dedup (same pair emitted by several bands that
     # hashed into this partition): keep min block_key, skip re-scoring.
-    # The global cross-partition dedup still runs downstream.
+    # The global cross-partition dedup still runs downstream. Dropping a
+    # pair ``batch_pairs`` skips before or after it gives the same final
+    # edges: the previous edges hold that pair at a block_key no larger.
     sel = _distinct(url_hashes[lidx], url_hashes[ridx], okey)
     lidx, ridx, okey = lidx[sel], ridx[sel], okey[sel]
     n = len(lidx)
@@ -204,6 +224,8 @@ def _pair_score_partition(tbl: pa.Table, cfg: PagesERConfig) -> tuple[pa.Table, 
         # test_simhash_prefilter_parity_and_pruning).
         keepm = sim_sim >= cfg.simhash_prefilter
         counts["prefiltered"] = int(n - keepm.sum())
+        if keep is not None:
+            keepm &= keep[sel]
         if not keepm.all():
             lidx, ridx, okey, sim_sim = lidx[keepm], ridx[keepm], okey[keepm], sim_sim[keepm]
             n = len(lidx)
@@ -254,6 +276,7 @@ def fused_edges_stage(
     num_partitions: int | None = None,
     key_filter=None,
     fold_in=None,
+    batch=None,
     sink=None,
 ):
     """features → scored+gated edges through the one blocked-pair driver
@@ -278,10 +301,16 @@ def fused_edges_stage(
     ``key_filter``: optional sorted int64 array of block keys — only blocks
     with those keys are paired/scored (the incremental-resolution path:
     blocks untouched by a new batch keep their previously-scored edges).
-    ``fold_in``: those previous edges, deduped together with the rescored
-    ones in the edge-dedup exchange (min ``block_key`` kept), so the result
-    is the fold's whole edge set. ``sink``: a ``state.checkpoint.PartSink``
-    the edge-dedup tasks write the edges to.
+    ``fold_in``: those previous edges, deduped together with the new ones
+    in the edge-dedup exchange (min ``block_key`` kept), so the result is
+    the fold's whole edge set. ``batch``: the pages the fold adds, as
+    (their url hashes, their block keys). Inside the touched blocks only
+    the pairs the batch can change are scored (``pairs.batch_pairs``):
+    those with a new page, and every pair of a hot key the batch re-splits
+    or of a bucket over ``pair_sample_cap``. Every other pair is old-old
+    in a bucket that was scored whole before, so its edge is already in
+    ``fold_in`` and the result is the same. ``sink``: a
+    ``state.checkpoint.PartSink`` the edge-dedup tasks write the edges to.
 
     ``num_partitions=None`` scales with BOTH the cluster and the data
     (``pairs.pair_partitions``, the width rule of every blocked-pair
@@ -313,6 +342,7 @@ def fused_edges_stage(
         num_partitions=num_partitions,
         key_filter=key_filter,
         fold_in=fold_in,
+        batch=batch,
         sink=sink,
     )
 

@@ -90,9 +90,15 @@ class MetricsStore:
             os.path.join(self.dir, "anomaly_events", f"{run_id}.parquet"),
         )
 
+    def _files(self, sub: str) -> list[str]:
+        return [f for f in os.listdir(os.path.join(self.dir, sub)) if f.endswith(".parquet")]
+
+    def run_ids(self) -> list[str]:
+        """The runs with a metrics file, without reading one."""
+        return [f[: -len(".parquet")] for f in self._files("run_metrics")]
+
     def _read_dir(self, sub: str) -> pd.DataFrame:
-        path = os.path.join(self.dir, sub)
-        files = [os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet")]
+        files = [os.path.join(self.dir, sub, f) for f in self._files(sub)]
         if not files:
             return pd.DataFrame()
         return pd.concat([pq.read_table(f).to_pandas() for f in files], ignore_index=True)
@@ -121,6 +127,10 @@ def detect_anomalies(
     lookback: int = 8,
     z_threshold: float = 2.0,
 ) -> list[dict]:
+    if not set(store.run_ids()) - {run_id}:
+        # no other run to compare with (a first run in its out_dir): skip
+        # reading and converting the current run's own file
+        return []
     hist = store.run_metrics()
     if hist.empty:
         return []

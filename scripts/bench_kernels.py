@@ -13,6 +13,11 @@ Prints one JSON object:
   ``dense`` fixture (seed 7) as one partition — the pruned, salted fat
   rows the pair exchange hands its score task on one CPU;
 - the partition's fat rows and the pairs it scores;
+- ``fold_pair_score_ms``: the same function on a fold's partition, run
+  with the batch's ids: the fixture's fixed random 10% is the batch, and
+  the partition holds the fat rows of the block keys it touches, with the
+  batch's url hashes and the hot keys as ``batch``; its fat rows and the
+  pairs it scores;
 - ``merge_partition_ms``: ``merge.merge_partition`` on the same fixture's
   labeled table (each page's cluster from the partition's approved edges)
   as one partition, and its row and cluster counts.
@@ -62,16 +67,22 @@ def _median_ms(fn, reps: int) -> float:
     return statistics.median(times) * 1e3
 
 
-def score_partition(features: pa.Table, cfg: PagesERConfig) -> pa.Table:
-    """The fat rows of a features table as one pair partition: the band
-    explode pruned to keys with ≥ 2 members, hot keys salted."""
+def score_partition(
+    features: pa.Table, cfg: PagesERConfig, touched: np.ndarray | None = None
+) -> tuple[pa.Table, np.ndarray]:
+    """The fat rows of a features table as one pair partition — the band
+    explode pruned to keys with ≥ 2 members (and to the sorted ``touched``
+    keys when given), hot keys salted — and the sorted hot keys."""
     keys, counts = np.unique(
         features["band_keys"].combine_chunks().flatten().to_numpy(), return_counts=True
     )
+    if touched is not None:
+        keep = np.isin(keys, touched)
+        keys, counts = keys[keep], counts[keep]
     cap = cfg.max_block_size
     hot = {int(k): n_splits_for(int(n), cap) for k, n in zip(keys, counts) if n > cap}
     fat = fat_block_rows(features, PAGE_PAYLOAD, keys[counts >= 2])
-    return _salt_batch(fat, hot)
+    return _salt_batch(fat, hot), np.array(sorted(hot), dtype=np.int64)
 
 
 def labeled_table(features: pa.Table, edges: pa.Table) -> pa.Table:
@@ -96,11 +107,22 @@ def main(argv: list[str] | None = None) -> int:
         batch = extract_batch(pages)
         out["featurize_ms_per_batch"][kind] = _median_ms(lambda: featurize_batch(batch, cfg), args.reps)
     features = featurize_pages(generate_pages(2000, seed=7)[0], cfg)
-    part = score_partition(features, cfg)
+    part, _ = score_partition(features, cfg)
     edges, _ = _pair_score_partition(part, cfg)
     out["pair_score_ms"] = _median_ms(lambda: _pair_score_partition(part, cfg), args.reps)
     out["pair_score_fat_rows"] = part.num_rows
     out["pair_score_pairs"] = edges.num_rows
+    n = features.num_rows
+    new = features.take(np.sort(np.random.default_rng(7).permutation(n)[: n // 10]))
+    touched = np.unique(new["band_keys"].combine_chunks().flatten().to_numpy())
+    fold_part, hot_keys = score_partition(features, cfg, touched)
+    batch = (np.sort(new["url_hash"].to_numpy()), hot_keys)
+    fold_edges, _ = _pair_score_partition(fold_part, cfg, batch)
+    out["fold_pair_score_ms"] = _median_ms(
+        lambda: _pair_score_partition(fold_part, cfg, batch), args.reps
+    )
+    out["fold_pair_score_fat_rows"] = fold_part.num_rows
+    out["fold_pair_score_pairs"] = fold_edges.num_rows
     labeled = labeled_table(features, edges)
     out["merge_partition_ms"] = _median_ms(lambda: merge_partition(labeled), args.reps)
     out["merge_rows"] = labeled.num_rows

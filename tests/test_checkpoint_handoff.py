@@ -56,10 +56,10 @@ DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 0}
 # rows rather than max(8, cpus), one key_stats sum partition below 500k
 # key rows, labelprop in one task below 2M directed edge rows, every
 # checkpoint part written by the task that makes it, one edge dedup on the
-# fold and the decision counts from the approved-ids pass (before: 44 and
-# 65)
+# fold, the decision counts from the approved-ids pass and the fold's
+# touched keys from its featurize tasks (before: 44 and 65)
 MAX_RUN_TASKS = 26
-MAX_FOLD_TASKS = 39
+MAX_FOLD_TASKS = 38
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {

@@ -132,6 +132,22 @@ def test_anomaly_detection(tmp_path):
     assert detect_anomalies(store2, "only", "page") == []
 
 
+def test_anomaly_detection_reads_nothing_without_another_run(tmp_path, monkeypatch):
+    """A history that holds only the current run's file has no baseline:
+    ``detect_anomalies`` returns [] without reading it; one more run's
+    file and it reads the history."""
+    store = MetricsStore(str(tmp_path))
+    store.append_run_metrics("first", [_metric_row(gray=60)])
+    reads = []
+    read = MetricsStore.run_metrics
+    monkeypatch.setattr(MetricsStore, "run_metrics", lambda self: reads.append(1) or read(self))
+    assert detect_anomalies(store, "first", "page") == []
+    assert reads == []
+    store.append_run_metrics("second", [_metric_row(gray=60)])
+    assert detect_anomalies(store, "second", "page") == []
+    assert reads == [1]
+
+
 def test_quality_report(tmp_path):
     store = MetricsStore(str(tmp_path))
     for i in range(3):
