@@ -7,7 +7,7 @@
 PY ?= python
 MYPY := $(shell command -v mypy 2>/dev/null)
 
-.PHONY: ci lint typecheck compile test test-coverage coverage security check check-sf0.1 check-pairs check-fold bench bench-kernels
+.PHONY: ci lint typecheck compile test test-coverage coverage security check check-sf0.1 check-pairs check-fold bench bench-kernels task-counts
 
 # make stops at the first failing gate, so reaching the summary means every
 # gate that ran passed; a gate whose tool is missing says so instead
@@ -81,13 +81,14 @@ check-pairs:
 # the incremental fold, checkpoint read/write and clustering kernels: the
 # fold's equality and chain tests (its batch-pair rule against rescoring
 # every pair of the touched blocks among them), the execution-count and
-# checkpoint hand-off pins, kill/resume, empty inputs, the CC/labelprop
+# checkpoint hand-off pins (the width-1 run and fold among them), the
+# exchange at width 1 and 2, kill/resume, empty inputs, the CC/labelprop
 # kernels and the benchmark tracer's hooks on those functions — a fast
-# gate for a change to pipelines/pages_er, state/checkpoint, stages/pairs
-# or stages/cluster
+# gate for a change to pipelines/pages_er, state/checkpoint,
+# stages/exchange, stages/pairs or stages/cluster
 FOLD_TESTS := tests/test_incremental.py tests/test_checkpoint_handoff.py tests/test_kill_resume.py \
 	tests/test_empty_inputs.py tests/test_cluster_kernel.py tests/test_erbench_tracing.py \
-	tests/test_parquet_features.py
+	tests/test_parquet_features.py tests/test_exchange.py
 
 check-fold:
 	$(PY) -m pytest $(FOLD_TESTS) -x -q
@@ -101,3 +102,12 @@ bench:
 # on its labeled table, as one JSON line
 bench-kernels:
 	$(PY) scripts/bench_kernels.py
+
+# Ray tasks per pipeline call by function name, and task-execution time
+# against wall time from ray.timeline(), for a dense full run and a 10%
+# labelprop fold (its own Ray session; ~15 s): one JSON line. Override
+# the inputs with TASK_COUNTS_ARGS="--cpus 4 --pages 2000 --seed 1"
+TASK_COUNTS_ARGS ?= --cpus 1 --pages 2000 --seed 1
+
+task-counts:
+	$(PY) scripts/task_counts.py $(TASK_COUNTS_ARGS)

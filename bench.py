@@ -18,8 +18,9 @@ aggregate query stats; the complete per-query timing dict is written to
 ``BENCH_DETAIL.json`` next to this file (committed to the repo, so the
 judge reads the full breakdown there).
 
-``--scaling``: runs the headline twice in fresh processes at
-RAY_GRAFT_CPUS=8 and 32 on the SAME fixture and reports both throughputs and
+``--scaling``: runs the headline in fresh processes at N and 4N Ray CPUs
+(by default this host's CPUs and a quarter of them; ``SCALE_LO`` /
+``SCALE_HI`` override) on the SAME fixture and reports both throughputs and
 the scaling efficiency (sandbox stand-in for N vs 4N nodes).
 """
 
@@ -229,18 +230,20 @@ def _cpu_calibration(pairs: list[tuple[int, int]]) -> dict:
 
 
 def run_scaling() -> dict:
-    """Same fixture + pipeline at N=2 and 4N=8 CPUs in fresh processes
-    (sandbox stand-in for N vs 4N nodes).
+    """Same fixture + pipeline at N and 4N CPUs in fresh processes
+    (sandbox stand-in for N vs 4N nodes): by default 4N is the CPUs this
+    process may run on (``os.sched_getaffinity``) and N a quarter of them
+    (at least 1), so no level asks Ray for more CPUs than the host has;
+    ``SCALE_LO`` / ``SCALE_HI`` override either.
 
-    Why 2→8 and not 8→32: a pure-CPU calibration showed a 32-CPU host
-    itself only scaling ~0.56 from 8→32 claimed CPUs — 4× compute is
-    physically unavailable in that range, so any pipeline number there
-    measures the host, not the engine. 2→8 (and 4→16) sat in that host's
-    linear region. ``hardware_calibration`` times the same calibration on
-    the chosen (``SCALE_LO``, ``SCALE_HI``) pair only; pick a pair whose
-    high end the host has CPUs for."""
-    lo = int(os.environ.get("SCALE_LO", "4"))
-    hi = int(os.environ.get("SCALE_HI", "16"))
+    Why not more CPUs than the host has: a pure-CPU calibration showed a
+    32-CPU host itself only scaling ~0.56 from 8→32 claimed CPUs — 4×
+    compute is physically unavailable there, so any pipeline number
+    measures the host, not the engine. ``hardware_calibration`` times the
+    same calibration on the chosen pair only."""
+    host = len(os.sched_getaffinity(0))
+    hi = int(os.environ.get("SCALE_HI", str(host)))
+    lo = int(os.environ.get("SCALE_LO", str(max(1, hi // 4))))
     n_reps = int(os.environ.get("SCALE_REPS", "3"))
     reps: dict[int, list[dict]] = {lo: [], hi: []}
     # interleaved best-of-N: host load on this shared box is bursty, so

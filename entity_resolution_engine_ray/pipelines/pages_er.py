@@ -51,6 +51,7 @@ from entity_resolution_engine_ray.stages.exchange import (
     _ensure_table,
     _kept,
     as_blocks,
+    cpus_read_once,
 )
 from entity_resolution_engine_ray.stages.pairs import DroppedPairs
 from entity_resolution_engine_ray.stages.score import (
@@ -81,6 +82,7 @@ def _timer(timings: dict[str, float]):
     return timed
 
 
+@cpus_read_once()
 def run_pages_er(
     pages,
     out_dir: str,
@@ -94,6 +96,8 @@ def run_pages_er(
     ``pages``: a path/dir (``pages_format``: parquet|jsonl|csv|warc|orc,
     normalized to the input_hint schema by sources.pages.read_pages) or an
     existing Dataset with that schema (url, warc_ts, html, text, lang).
+    The cluster's CPU count is read once per call, and every exchange and
+    width rule in the call sizes itself from that reading.
     """
     cfg = cfg or PagesERConfig()
     # the code version is part of the checkpoint identity: stage semantics /
@@ -319,7 +323,7 @@ def _cluster_merge_metrics(
             from entity_resolution_engine_ray.stages.merge import merge_labeled
 
             sinks = (store.open_stage("entities"), store.open_stage("lineage"))
-            entities, lineage = merge_labeled(labeled, sinks=sinks)
+            entities, lineage = merge_labeled(labeled, num_partitions, sinks=sinks)
             n_entities = store.commit("entities", sinks[0], entities, phash).count()
             store.commit("lineage", sinks[1], lineage, phash)
             del entities, lineage
@@ -461,6 +465,7 @@ def _edge_pass(block):
     return ids, ids.num_rows, _decision_counts(t)
 
 
+@cpus_read_once()
 def run_pages_er_incremental(
     prev_out_dir: str,
     new_pages,

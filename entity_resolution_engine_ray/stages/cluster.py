@@ -308,7 +308,7 @@ def _lp_run(edge_parts: list, labels_parts: list, P: int, max_iterations: int, c
     def _subs_per_partition(refs, key):
         """Candidate refs → per-partition sub-ref lists (subs[p]): the
         exchange's stage 1 hashed on ``key`` into the P label owners."""
-        splits = _split_all(refs, [key], P, None, cpus)
+        splits, _ = _split_all(refs, [key], P, None, cpus)
         return [_partition_subs(splits, p, P) for p in range(P)]
 
     def _refine_with(cand_refs, parts):

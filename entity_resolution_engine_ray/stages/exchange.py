@@ -64,12 +64,27 @@ Scale notes (both matter at 100 TB and were measured locally):
   tasks over a block or two each, which cost more to schedule than to
   run (192 ms of task bodies in a 422 ms call). 100k rows keep the
   ``max(8, cpus)`` groups up to 10 CPUs.
-- With one stage-2 partition, ``hash_exchange_chained`` hands each stage-1
-  reduce's table straight to the stage-2 reduce, with no split task.
+- The width-1 rule (``_split_all``): when an exchange's stage 1 has one
+  partition fed by one split group, there is no split task. Its reduce
+  task applies the map-side function to the raw input blocks itself
+  (``_mapped_input``), so it gets the rows a split task would have handed
+  it, in the same order, without the key hash, the argsort over
+  all-zero partition ids and the ``take`` copy (token-id lists included),
+  and without the split task's scheduling gap. That covers every
+  exchange of a small input on one Ray CPU, any call with
+  ``num_partitions=1`` and the ``key_stats`` sum below 500k key rows.
+  Without a map-side function a split task has nothing to do at one
+  partition whatever the group count, so none runs then either:
+  ``hash_exchange_chained`` hands each stage-1 reduce's table and the
+  ``fold_in`` blocks straight to a single stage-2 reduce. With more than
+  one partition, or a ``block_fn`` over more than one group, the split
+  tasks run (they spread the map-side work over the CPUs).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +134,34 @@ def _partition_hash(tbl: pa.Table, key_cols: list[str], num_partitions: int) -> 
         return (h % np.uint64(num_partitions)).astype(np.int64)
 
 
+# the CPU count read at the start of the current pipeline call, if any
+_CALL_CPUS: ContextVar[int | None] = ContextVar("call_cpus", default=None)
+
+
 def cluster_cpus() -> int:
     """The cluster's CPU count, 8 before ``ray.init``. A GCS round trip, so
-    each exchange or labelprop call reads it once and passes it down."""
+    each exchange or labelprop call reads it once and passes it down, and
+    inside ``cpus_read_once`` it is the count read when the call began."""
+    pinned = _CALL_CPUS.get()
+    if pinned is not None:
+        return pinned
     return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
+@contextmanager
+def cpus_read_once():
+    """Read the cluster's CPU count once for the block (or, as a decorator,
+    for each call): every ``cluster_cpus()`` inside returns that reading,
+    so a pipeline call's exchanges and width rules make one GCS round trip
+    between them instead of one each. Scoped to the call, not cached for
+    the process: an autoscaling cluster changes size between calls. Before
+    ``ray.init`` nothing is pinned, so a call whose first task starts Ray
+    reads the started cluster."""
+    token = _CALL_CPUS.set(cluster_cpus() if ray.is_initialized() else None)
+    try:
+        yield
+    finally:
+        _CALL_CPUS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -259,7 +298,11 @@ def _merge_tables(tbls) -> pa.Table:
 
 
 def _mapped_input(block_fn, tbls) -> pa.Table:
-    """A split task's input: its blocks, each through ``block_fn``."""
+    """A split task's input, or a reduce task's: its blocks as Arrow tables
+    (a ``from_pandas`` Dataset hands over pandas blocks), each through
+    ``block_fn`` when one is given, concatenated. A reduce task passes the
+    ``map_fn`` from ``_split_all``: the ``block_fn`` when it was handed the
+    raw blocks (the width-1 rule), else None."""
     tbls = [_ensure_table(t) for t in tbls]
     if block_fn is not None:
         tbls = [block_fn(t) for t in tbls]
@@ -268,6 +311,11 @@ def _mapped_input(block_fn, tbls) -> pa.Table:
 
 @ray.remote
 def _split_block(key_cols: list[str], num_partitions: int, block_fn, *tbls: pa.Table):
+    """Stage 1 of an exchange over one group of blocks: ``block_fn`` over
+    each, then one compact sub-table per partition by key hash. Not
+    submitted at one partition over one group, nor at one partition
+    without a ``block_fn`` (``_split_all``'s width-1 rule): the reduce
+    task maps the raw blocks itself."""
     tbl = _mapped_input(block_fn, tbls)
     if tbl.num_rows == 0:
         # nothing to hash — and a column-less block would KeyError on the
@@ -313,42 +361,54 @@ def _emit(out: pa.Table, sink, i: int) -> tuple[pa.Table, int]:
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition(fn, sink, i: int, *subtables: pa.Table):
-    merged = _merge_tables(subtables)
+def _reduce_partition(fn, map_fn, sink, i: int, *subtables: pa.Table):
+    merged = _mapped_input(map_fn, subtables)
     return _emit(_from_pandas(fn(merged.to_pandas()), merged), sink, i)
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition_arrow(fn, sink, i: int, *subtables: pa.Table):
+def _reduce_partition_arrow(fn, map_fn, sink, i: int, *subtables: pa.Table):
     """Arrow-native reduce: ``fn(pa.Table) -> pa.Table`` with NO pandas
     round-trip. ``_reduce_partition``'s ``to_pandas()`` explodes list
     columns into one numpy object per row and copies every string — on a
     fat (token_ids list) partition that conversion costs more than the
     actual kernel work; partition fns that can consume Arrow directly
     skip it entirely."""
-    return _emit(fn(_merge_tables(subtables)).replace_schema_metadata(None), sink, i)
+    return _emit(fn(_mapped_input(map_fn, subtables)).replace_schema_metadata(None), sink, i)
 
 
 @ray.remote(num_returns=2)
-def _reduce_cogroup(fn, n_left: int, sink, i: int, *subtables: pa.Table):
-    left = _merge_tables(subtables[:n_left])
-    right = _merge_tables(subtables[n_left:])
+def _reduce_cogroup(fn, n_left: int, map_fns: tuple, sink, i: int, *subtables: pa.Table):
+    left = _mapped_input(map_fns[0], subtables[:n_left])
+    right = _mapped_input(map_fns[1], subtables[n_left:])
     return _emit(_from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right), sink, i)
 
 
 def _split_all(
     refs, key_cols: list[str], num_partitions: int, block_fn, cpus: int, rows=None
-) -> list:
-    """Stage 1 over ``refs``: one split task per ``_coalesce_refs`` group
-    (``rows``: each ref's row count, when known), each ``block_fn``
-    first. ``result[b][p]`` is split b's sub-table for partition p (a
-    single ref per split when ``num_partitions`` is 1)."""
+) -> tuple[list, object]:
+    """Stage 1 over ``refs`` → ``(splits, map_fn)``. Partition p's reduce
+    task reads ``_partition_subs(splits, p, num_partitions)`` through
+    ``_mapped_input(map_fn, ...)``.
+
+    The width-1 rule, the one place it is decided: with one partition fed
+    by one ``_coalesce_refs`` group (``rows``: each ref's row count, when
+    known), or by any number of groups when there is no ``block_fn``, no
+    split task runs. ``splits`` is ``refs`` itself and ``map_fn`` is
+    ``block_fn``, so the reduce task maps the raw blocks and sees the rows
+    a split task would have handed it, in the same order. Otherwise one
+    ``_split_block`` task per group applies ``block_fn`` first,
+    ``splits[b][p]`` is split b's sub-table for partition p (a single ref
+    per split when ``num_partitions`` is 1) and ``map_fn`` is None."""
+    groups = _coalesce_refs(refs, rows, cpus)
+    if num_partitions == 1 and (len(groups) == 1 or block_fn is None):
+        return list(refs), block_fn
     return [
         _split_block.options(num_returns=num_partitions).remote(
             key_cols, num_partitions, block_fn, *group
         )
-        for group in _coalesce_refs(refs, rows, cpus)
-    ]
+        for group in groups
+    ], None
 
 
 def _partition_subs(splits: list, p: int, num_partitions: int) -> list:
@@ -386,17 +446,21 @@ def hash_exchange_cogroup(
     A side with no rows still reaches ``fn`` as a TYPED empty frame (see
     ``as_blocks``), so ``fn`` never gets the right side's sub-tables as its
     left argument. ``sink``: a ``state.checkpoint.PartSink`` each
-    partition's reduce task writes its output to."""
+    partition's reduce task writes its output to. With one partition a
+    side fed by one split group has no split task: the reduce applies
+    that side's block fn to its raw blocks (``_split_all``)."""
     lb, rb = as_blocks(left), as_blocks(right)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, max(lb.count(), rb.count()), cpus)
-    l_splits = _split_all(lb.refs, left_keys, num_partitions, left_block_fn, cpus, lb.rows)
-    r_splits = _split_all(rb.refs, right_keys, num_partitions, right_block_fn, cpus, rb.rows)
+    l_splits, l_map = _split_all(lb.refs, left_keys, num_partitions, left_block_fn, cpus, lb.rows)
+    r_splits, r_map = _split_all(rb.refs, right_keys, num_partitions, right_block_fn, cpus, rb.rows)
     reduced, counts = [], []
     for p in range(num_partitions):
         lsub = _partition_subs(l_splits, p, num_partitions)
         rsub = _partition_subs(r_splits, p, num_partitions)
-        t_ref, c_ref = _reduce_cogroup.remote(fn, len(lsub), sink, p, *(lsub + rsub))
+        t_ref, c_ref = _reduce_cogroup.remote(
+            fn, len(lsub), (l_map, r_map), sink, p, *(lsub + rsub)
+        )
         reduced.append(t_ref)
         counts.append(c_ref)
     return _as_given((left, right), _kept(reduced, ray.get(counts)))
@@ -415,8 +479,8 @@ def typed_to_pandas(data) -> pd.DataFrame:
 
 
 @ray.remote
-def _concat_parts(*subtables: pa.Table) -> pa.Table:
-    return _merge_tables(subtables)
+def _concat_parts(map_fn, *subtables: pa.Table) -> pa.Table:
+    return _mapped_input(map_fn, subtables)
 
 
 def exchange_partition_refs(
@@ -429,25 +493,27 @@ def exchange_partition_refs(
     are partitioned once; only labels/candidates move per round).
     ``num_partitions=None`` → ``grouping.auto_partitions(rows)`` sized by
     the input row count. ``block_fn``: the map-side function each split
-    task applies to its blocks."""
+    task applies to its blocks; at one partition over one split group the
+    one concat task applies it instead (``_split_all``)."""
     blocks = as_blocks(data)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, blocks.count(), cpus)
-    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus, blocks.rows)
+    splits, map_fn = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus, blocks.rows)
     return [
-        _concat_parts.remote(*_partition_subs(splits, p, num_partitions))
+        _concat_parts.remote(map_fn, *_partition_subs(splits, p, num_partitions))
         for p in range(num_partitions)
     ]
 
 
 @ray.remote(num_returns=2)
-def _reduce_counted(fn, arrow_fns: bool, *subtables: pa.Table):
+def _reduce_counted(fn, arrow_fns: bool, map_fn, *subtables: pa.Table):
     """Stage-1 reduce of the chained exchange: (table, counts).
 
     ``fn`` may return ``(table, counts)``, a dict of int counts carried out
     of band of the rows, so a partition that emits no row still reports
-    them."""
-    merged = _merge_tables(subtables)
+    them. ``map_fn``: the map-side function when the task gets the raw
+    blocks (``_split_all``'s width-1 rule), else None."""
+    merged = _mapped_input(map_fn, subtables)
     res = fn(merged if arrow_fns else merged.to_pandas())
     out, counts = res if isinstance(res, tuple) else (res, {})
     if not arrow_fns:
@@ -485,7 +551,9 @@ def hash_exchange_chained(
 
     ``arrow_fns``: both fns take and return ``pa.Table`` (no pandas
     round-trip — see ``_reduce_partition_arrow``). ``block_fn``: the
-    map-side function stage 1's split tasks apply to each input block.
+    map-side function stage 1's split tasks apply to each input block; with
+    ``p1 == 1`` over one split group the one stage-1 reduce applies it
+    instead (``_split_all``).
 
     ``fold_in``: rows (``Blocks`` or a Dataset) that join stage 2's input
     beside stage 1's output, hashed on ``keys2`` by split tasks of their
@@ -507,24 +575,24 @@ def hash_exchange_chained(
         )
     blocks = as_blocks(data)
     cpus = cluster_cpus()
-    splits1 = _split_all(blocks.refs, keys1, p1, block_fn, cpus, blocks.rows)
+    splits1, map_fn = _split_all(blocks.refs, keys1, p1, block_fn, cpus, blocks.rows)
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     # stage-1 reduce → immediately a stage-2 split on the SAME ref: no
-    # driver involvement between the waves
+    # driver involvement between the waves (and with one stage-2
+    # partition no split: the reduce's table is its own sub-table)
     splits2, count_refs = [], []
     for p in range(p1):
-        t_ref, c_ref = _reduce_counted.remote(fn1, arrow_fns, *_partition_subs(splits1, p, p1))
-        count_refs.append(c_ref)
-        # with one stage-2 partition the reduce's table is its own sub-table
-        splits2.append(
-            t_ref if p2 == 1 else _split_block.options(num_returns=p2).remote(keys2, p2, None, t_ref)
+        t_ref, c_ref = _reduce_counted.remote(
+            fn1, arrow_fns, map_fn, *_partition_subs(splits1, p, p1)
         )
+        count_refs.append(c_ref)
+        splits2 += _split_all([t_ref], keys2, p2, None, cpus)[0]
     if fold_in is not None:
         extra = as_blocks(fold_in)
-        splits2 += extra.refs if p2 == 1 else _split_all(extra.refs, keys2, p2, None, cpus, extra.rows)
+        splits2 += _split_all(extra.refs, keys2, p2, None, cpus, extra.rows)[0]
     reduced, rows = [], []
     for q in range(p2):
-        t_ref, n_ref = reduce_task.remote(fn2, sink, q, *_partition_subs(splits2, q, p2))
+        t_ref, n_ref = reduce_task.remote(fn2, None, sink, q, *_partition_subs(splits2, q, p2))
         reduced.append(t_ref)
         rows.append(n_ref)
     out = _kept(reduced, ray.get(rows))
@@ -550,16 +618,18 @@ def hash_exchange_map_groups(
     returns ``pa.Table`` (no pandas round-trip). ``num_partitions=None`` →
     ``grouping.auto_partitions(rows)`` sized by the input row count.
     ``block_fn``: the map-side function the split tasks apply to each input
-    block before hashing. Returns the kind it was given."""
+    block before hashing; at one partition over one split group the one
+    reduce task applies it instead (``_split_all``). Returns the kind it
+    was given."""
     blocks = as_blocks(data)
     cpus = cluster_cpus()
     num_partitions = _width(num_partitions, blocks.count(), cpus)
-    splits = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus, blocks.rows)
+    splits, map_fn = _split_all(blocks.refs, key_cols, num_partitions, block_fn, cpus, blocks.rows)
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     reduced, counts = [], []
     for p in range(num_partitions):
         table_ref, count_ref = reduce_task.remote(
-            fn, None, p, *_partition_subs(splits, p, num_partitions)
+            fn, map_fn, None, p, *_partition_subs(splits, p, num_partitions)
         )
         reduced.append(table_ref)
         counts.append(count_ref)

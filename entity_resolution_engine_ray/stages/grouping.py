@@ -70,7 +70,8 @@ def partition_map_groups(
     returns ``pa.Table`` directly — use for partitions carrying list or
     string payloads, where the pandas conversion allocates one Python
     object per row. ``block_fn``: a per-block Arrow function (explode,
-    filter, projection) run inside the exchange's split tasks instead of as
+    filter, projection) run inside the exchange's split tasks (at one
+    partition over one split group, inside its reduce task) instead of as
     a separate ``map_batches`` execution (see stages/exchange)."""
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_map_groups
 

@@ -183,9 +183,11 @@ def _majority_lang(t: pa.Table, labels: np.ndarray):
 
 @ray.remote(num_returns=4)
 def _merge_reduce(sinks, i: int, *subtables: pa.Table):
-    from entity_resolution_engine_ray.stages.exchange import _emit, _merge_tables
+    from entity_resolution_engine_ray.stages.exchange import _emit, _mapped_input
 
-    entities, lineage = merge_partition(_merge_tables(subtables))
+    # at one partition the raw labeled blocks, which a from_pandas Dataset
+    # hands over as pandas
+    entities, lineage = merge_partition(_mapped_input(None, subtables))
     ent_sink, lin_sink = sinks or (None, None)
     return (*_emit(entities, ent_sink, i), *_emit(lineage, lin_sink, i))
 
@@ -197,7 +199,9 @@ def merge_labeled(labeled, num_partitions: int | None = None, sinks=None):
     per partition emits both tables (``merge_partition``).
     ``num_partitions=None`` → ``grouping.auto_partitions`` of the rows.
     ``sinks``: an (entities, lineage) pair of ``state.checkpoint.PartSink``
-    each reduce task writes its two tables to."""
+    each reduce task writes its two tables to. At one partition no split
+    task runs: the one reduce gets the labeled blocks themselves
+    (``exchange._split_all``)."""
     from entity_resolution_engine_ray.stages.exchange import (
         _as_given,
         _kept,
@@ -211,7 +215,7 @@ def merge_labeled(labeled, num_partitions: int | None = None, sinks=None):
     blocks = as_blocks(labeled)
     cpus = cluster_cpus()
     p = _width(num_partitions, blocks.count(), cpus)
-    splits = _split_all(blocks.refs, ["cluster_label"], p, None, cpus, blocks.rows)
+    splits, _ = _split_all(blocks.refs, ["cluster_label"], p, None, cpus, blocks.rows)
     outs = [_merge_reduce.remote(sinks, i, *_partition_subs(splits, i, p)) for i in range(p)]
     rows = ray.get([o[1] for o in outs] + [o[3] for o in outs])
     entities = _kept([o[0] for o in outs], rows[:p])

@@ -20,7 +20,10 @@ in-memory blocks, so a run reads Parquet only for the stages it resumes.
   per-cluster reference computes from the ``labeled`` checkpoint, and a
   zero-row partition gives both typed empty tables;
 - a fold resumed on an ``out_dir`` whose ``features``/``edges`` are already
-  complete writes the same ``labeled`` checkpoint as a fresh fold.
+  complete writes the same ``labeled`` checkpoint as a fresh fold;
+- a full run and a fold at ``num_partitions=1`` submit no split task (the
+  one reduce of each exchange maps its raw blocks) and write the
+  checkpoints and edges manifest counts of the default width.
 """
 
 import os
@@ -57,9 +60,13 @@ DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 0}
 # key rows, labelprop in one task below 2M directed edge rows, every
 # checkpoint part written by the task that makes it, one edge dedup on the
 # fold, the decision counts from the approved-ids pass and the fold's
-# touched keys from its featurize tasks (before: 44 and 65)
-MAX_RUN_TASKS = 26
-MAX_FOLD_TASKS = 38
+# touched keys from its featurize tasks, and no split task ahead of the
+# one-partition key_stats sum (before: 44 and 65)
+MAX_RUN_TASKS = 25
+MAX_FOLD_TASKS = 37
+# the same calls at num_partitions=1 (4 Ray CPUs, 400 pages): one task per
+# exchange, its reduce, and no split task
+WIDTH_ONE_TASKS = {"run": 7, "fold": 13}
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {
@@ -120,6 +127,50 @@ def runs(ray_session, tmp_path_factory):
         "root": root, "written": written, "counts": counts, "datasets": datasets, "tasks": tasks,
         "cfg_lp": cfg_lp, "pages": fix["pages"],
     }
+
+
+@pytest.fixture(scope="module")
+def width_one(runs):
+    """The fixture's full run and labelprop fold again at
+    ``num_partitions=1``, with the tasks of each call."""
+    root, tasks = runs["root"], {}
+    with count_tasks() as t:
+        run_pages_er(runs["pages"], str(root / "run_w1"), num_partitions=1)
+    tasks["run"] = t
+    with count_tasks() as t:
+        run_pages_er_incremental(
+            str(root / "corpus"), str(root / "new.parquet"), str(root / "fold_w1"),
+            runs["cfg_lp"], num_partitions=1,
+        )
+    tasks["fold"] = t
+    return {"root": root, "tasks": tasks}
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+@pytest.mark.parametrize("stage", sorted(SORT_KEYS))
+def test_width_one_checkpoints_equal_the_default_widths(width_one, call, stage):
+    root = width_one["root"]
+    got = pq.read_table(CheckpointStore(str(root / f"{call}_w1")).stage_dir(stage))
+    want = pq.read_table(CheckpointStore(str(root / call)).stage_dir(stage))
+    assert got.num_rows == want.num_rows > 0
+    assert got.schema.equals(want.schema, check_metadata=False), (got.schema, want.schema)
+    assert _sorted(got, stage).equals(_sorted(want, stage))
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+def test_width_one_edges_manifest_counts(width_one, call):
+    root = width_one["root"]
+    got = CheckpointStore(str(root / f"{call}_w1")).manifest("edges")
+    want = CheckpointStore(str(root / call)).manifest("edges")
+    for key in ("dropped_pairs", "prefiltered_pairs", "prune_skipped", "touched_blocks"):
+        assert got.get(key) == want.get(key), key
+
+
+@pytest.mark.parametrize("call", ["run", "fold"])
+def test_width_one_task_count_per_call(width_one, call):
+    by_name = width_one["tasks"][call]["by_name"]
+    assert by_name["_split_block"] == 0, dict(by_name)
+    assert width_one["tasks"][call]["n"] <= WIDTH_ONE_TASKS[call], dict(by_name)
 
 
 def test_execution_count_per_call(runs):
