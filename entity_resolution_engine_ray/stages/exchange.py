@@ -76,9 +76,12 @@ Scale notes (both matter at 100 TB and were measured locally):
   Without a map-side function a split task has nothing to do at one
   partition whatever the group count, so none runs then either:
   ``hash_exchange_chained`` hands each stage-1 reduce's table and the
-  ``fold_in`` blocks straight to a single stage-2 reduce. With more than
-  one partition, or a ``block_fn`` over more than one group, the split
-  tasks run (they spread the map-side work over the CPUs).
+  ``fold_in`` blocks straight to a single stage-2 reduce, and when both
+  of its stages have one partition the one stage-1 reduce runs stage 2
+  too (``_reduce_chained``): its table never goes through the object
+  store, and the stage-2 task's dispatch is saved. With more than one
+  partition, or a ``block_fn`` over more than one group, the split tasks
+  run (they spread the map-side work over the CPUs).
 """
 
 from __future__ import annotations
@@ -378,10 +381,16 @@ def _reduce_partition_arrow(fn, map_fn, sink, i: int, *subtables: pa.Table):
 
 
 @ray.remote(num_returns=2)
-def _reduce_cogroup(fn, n_left: int, map_fns: tuple, sink, i: int, *subtables: pa.Table):
+def _reduce_cogroup(
+    fn, arrow_fns: bool, n_left: int, map_fns: tuple, sink, i: int, *subtables: pa.Table
+):
     left = _mapped_input(map_fns[0], subtables[:n_left])
     right = _mapped_input(map_fns[1], subtables[n_left:])
-    return _emit(_from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right), sink, i)
+    if arrow_fns:
+        out = fn(left, right).replace_schema_metadata(None)
+    else:
+        out = _from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right)
+    return _emit(out, sink, i)
 
 
 def _split_all(
@@ -434,6 +443,7 @@ def hash_exchange_cogroup(
     left_block_fn=None,
     right_block_fn=None,
     sink=None,
+    arrow_fns: bool = False,
 ):
     """Co-partitioned two-sided exchange: rows of both inputs with the
     same key hash meet in one partition; ``fn(left_pdf, right_pdf)`` runs
@@ -442,6 +452,8 @@ def hash_exchange_cogroup(
     ``grouping.auto_partitions(rows)`` sized by the LARGER side's row
     count. ``left_block_fn`` / ``right_block_fn``: map-side functions
     applied to each block of that side in its split tasks.
+    ``arrow_fns=True``: ``fn`` takes and returns ``pa.Table`` (no pandas
+    round-trip, see ``_reduce_partition_arrow``).
 
     A side with no rows still reaches ``fn`` as a TYPED empty frame (see
     ``as_blocks``), so ``fn`` never gets the right side's sub-tables as its
@@ -459,7 +471,7 @@ def hash_exchange_cogroup(
         lsub = _partition_subs(l_splits, p, num_partitions)
         rsub = _partition_subs(r_splits, p, num_partitions)
         t_ref, c_ref = _reduce_cogroup.remote(
-            fn, len(lsub), (l_map, r_map), sink, p, *(lsub + rsub)
+            fn, arrow_fns, len(lsub), (l_map, r_map), sink, p, *(lsub + rsub)
         )
         reduced.append(t_ref)
         counts.append(c_ref)
@@ -505,9 +517,9 @@ def exchange_partition_refs(
     ]
 
 
-@ray.remote(num_returns=2)
-def _reduce_counted(fn, arrow_fns: bool, map_fn, *subtables: pa.Table):
-    """Stage-1 reduce of the chained exchange: (table, counts).
+def _counted(fn, arrow_fns: bool, map_fn, subtables) -> tuple[pa.Table, dict]:
+    """Stage 1 of the chained exchange over one partition's input:
+    (table, counts).
 
     ``fn`` may return ``(table, counts)``, a dict of int counts carried out
     of band of the rows, so a partition that emits no row still reports
@@ -519,6 +531,24 @@ def _reduce_counted(fn, arrow_fns: bool, map_fn, *subtables: pa.Table):
     if not arrow_fns:
         out = _from_pandas(out, merged)
     return out.replace_schema_metadata(None), dict(counts)
+
+
+@ray.remote(num_returns=2)
+def _reduce_counted(fn, arrow_fns: bool, map_fn, *subtables: pa.Table):
+    """Stage-1 reduce of the chained exchange: ``_counted``."""
+    return _counted(fn, arrow_fns, map_fn, subtables)
+
+
+@ray.remote(num_returns=3)
+def _reduce_chained(fn1, fn2, arrow_fns: bool, map_fn, sink, n1: int, *subtables: pa.Table):
+    """Both stages of a chained exchange of one partition each, in one
+    task: (stage 2's table, its rows, stage 1's counts). Stage 1 reads the
+    first ``n1`` sub-tables; stage 2 reads its table followed by the rest
+    (the ``fold_in`` blocks), the input its own reduce would get."""
+    t1, counts = _counted(fn1, arrow_fns, map_fn, subtables[:n1])
+    merged = _mapped_input(None, (t1, *subtables[n1:]))
+    out = fn2(merged) if arrow_fns else _from_pandas(fn2(merged.to_pandas()), merged)
+    return (*_emit(out.replace_schema_metadata(None), sink, 0), counts)
 
 
 def hash_exchange_chained(
@@ -561,6 +591,10 @@ def hash_exchange_chained(
     edges meet the rescored ones in the one pair dedup. ``sink``: a
     ``state.checkpoint.PartSink`` each stage-2 reduce writes its output to.
 
+    With ``p1 == p2 == 1`` one task runs both stages (``_reduce_chained``):
+    stage 2 reads stage 1's table and the ``fold_in`` blocks, in the order
+    its own reduce would, so the output is the same.
+
     Callers — every blocked-pair operator, each as block_fn = its explode,
     stage 1 = pair generation + verify with its dropped count, stage 2 =
     pair dedup: ``pairs.blocked_pair_edges`` (``score.fused_edges_stage``
@@ -576,6 +610,14 @@ def hash_exchange_chained(
     blocks = as_blocks(data)
     cpus = cluster_cpus()
     splits1, map_fn = _split_all(blocks.refs, keys1, p1, block_fn, cpus, blocks.rows)
+    if p1 == 1 and p2 == 1:
+        subs1 = _partition_subs(splits1, 0, 1)
+        extra = () if fold_in is None else as_blocks(fold_in).refs
+        t_ref, n_ref, c_ref = _reduce_chained.remote(
+            fn1, fn2, arrow_fns, map_fn, sink, len(subs1), *subs1, *extra
+        )
+        n, totals = ray.get([n_ref, c_ref])
+        return _as_given((data,), Blocks((t_ref,), (n,))), totals
     reduce_task = _reduce_partition_arrow if arrow_fns else _reduce_partition
     # stage-1 reduce → immediately a stage-2 split on the SAME ref: no
     # driver involvement between the waves (and with one stage-2

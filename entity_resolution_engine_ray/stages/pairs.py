@@ -375,12 +375,12 @@ def _fat_split(t: pa.Table, payload: tuple, hash_col: str, hot: dict[int, int], 
     return _salt_batch(fat_block_rows(t, payload, allowed), hot, hash_col=hash_col)
 
 
-def _batch_pair_fn(tbl: pa.Table, pair_fn, batch_refs: tuple):
+def _batch_pair_fn(tbl: pa.Table, pair_fn, batch_ref):
     """Stage-1 function of a fold: ``pair_fn`` with the broadcast (batch
     ids, re-split keys) as its ``batch``."""
     import ray
 
-    return pair_fn(tbl, batch=tuple(ray.get(list(batch_refs))))
+    return pair_fn(tbl, batch=ray.get(batch_ref))
 
 
 def blocked_pair_edges(
@@ -424,8 +424,9 @@ def blocked_pair_edges(
     function then forms only the pairs the batch can change
     (``batch_pairs``; it takes them as ``batch=``): the previous edges
     already hold every other one. The batch's sorted ids and its
-    ``resplit_keys`` are broadcast once each via ``ray.put``. ``sink``: a
-    ``state.checkpoint.PartSink`` the dedup tasks write the edges to.
+    ``resplit_keys`` are broadcast once, together, via ``ray.put``.
+    ``sink``: a ``state.checkpoint.PartSink`` the dedup tasks write the
+    edges to.
 
     ``edges`` is of the kind given (``exchange.Blocks`` or a Dataset)."""
     import ray
@@ -471,11 +472,10 @@ def blocked_pair_edges(
         dedup_parts = max(parts, auto_partitions(as_blocks(fold_in).count()))
     if batch is not None:
         ids, batch_keys = batch
-        batch_refs = (
-            ray.put(np.sort(np.asarray(ids, dtype=np.int64))),
-            ray.put(resplit_keys(hot, hot_members, batch_keys, cap)),
+        batch_ref = ray.put(
+            (np.sort(np.asarray(ids, dtype=np.int64)), resplit_keys(hot, hot_members, batch_keys, cap))
         )
-        pair_fn = functools.partial(_batch_pair_fn, pair_fn=pair_fn, batch_refs=batch_refs)
+        pair_fn = functools.partial(_batch_pair_fn, pair_fn=pair_fn, batch_ref=batch_ref)
     edges, counts = hash_exchange_chained(
         blocks,
         ["block_key", "salt"],

@@ -65,8 +65,9 @@ DATASETS_PER_CALL = {"wraps": 0, "read_parquet": 0}
 MAX_RUN_TASKS = 25
 MAX_FOLD_TASKS = 37
 # the same calls at num_partitions=1 (4 Ray CPUs, 400 pages): one task per
-# exchange, its reduce, and no split task
-WIDTH_ONE_TASKS = {"run": 7, "fold": 13}
+# exchange, its reduce, and no split task; one task for both stages of the
+# pair exchange (before: 7 and 13)
+WIDTH_ONE_TASKS = {"run": 6, "fold": 12}
 
 # a key that orders each checkpoint's rows uniquely
 SORT_KEYS = {

@@ -311,6 +311,19 @@ def _sum_by_k_pandas(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.groupby("k", as_index=False)[["v", "n_toks"]].sum().astype(np.int64)
 
 
+def _sum_by_k_counted_pandas(pdf: pd.DataFrame):
+    """``_sum_by_k_counted`` on a pandas frame, with its column names."""
+    out = pdf.groupby("k", as_index=False).agg(v_sum=("v", "sum"), n_toks_sum=("n_toks", "sum"))
+    return out.astype(np.int64), {"rows": len(pdf)}
+
+
+def _max_by_k_pandas(pdf: pd.DataFrame) -> pd.DataFrame:
+    out = pdf.groupby("k", as_index=False).agg(
+        v_sum_max=("v_sum", "max"), n_toks_sum_sum=("n_toks_sum", "sum")
+    )
+    return out.astype(np.int64)
+
+
 def _sorted_rows(tbl: pa.Table) -> pd.DataFrame:
     pdf = tbl.to_pandas()
     return pdf.sort_values(list(pdf.columns), kind="mergesort").reset_index(drop=True)
@@ -353,15 +366,19 @@ def test_map_groups_with_block_fn_at_each_width(ray_session, num_partitions, arr
 
 
 @pytest.mark.parametrize("num_partitions", [1, 2])
-def test_chained_with_block_fn_and_fold_in_at_each_width(ray_session, num_partitions):
+@pytest.mark.parametrize("arrow_fns", [True, False])
+def test_chained_with_block_fn_and_fold_in_at_each_width(ray_session, num_partitions, arrow_fns):
+    """At width 1 one task runs both stages (``_reduce_chained``)."""
     from entity_resolution_engine_ray.stages.exchange import Blocks, hash_exchange_chained
 
     tbl = _rows_table(3_000, seed=2)
     old = _sum_by_k(_keep_odd(_rows_table(500, seed=3)))
+    fn1, fn2 = (
+        (_sum_by_k_counted, _max_by_k) if arrow_fns else (_sum_by_k_counted_pandas, _max_by_k_pandas)
+    )
     out, totals = hash_exchange_chained(
-        _two_blocks(tbl), ["k"], _sum_by_k_counted, num_partitions,
-        ["k"], _max_by_k, num_partitions,
-        arrow_fns=True, block_fn=_keep_odd, fold_in=Blocks.of(old),
+        _two_blocks(tbl), ["k"], fn1, num_partitions, ["k"], fn2, num_partitions,
+        arrow_fns=arrow_fns, block_fn=_keep_odd, fold_in=Blocks.of(old),
     )
     mapped = _keep_odd(tbl)
     want = _max_by_k(pa.concat_tables([_sum_by_k(mapped), old]))
@@ -370,7 +387,9 @@ def test_chained_with_block_fn_and_fold_in_at_each_width(ray_session, num_partit
 
 
 @pytest.mark.parametrize("num_partitions", [1, 2])
-def test_cogroup_with_each_sides_block_fn_at_each_width(ray_session, num_partitions):
+@pytest.mark.parametrize("arrow_fns", [True, False])
+def test_cogroup_with_each_sides_block_fn_at_each_width(ray_session, num_partitions, arrow_fns):
+    """``arrow_fns=True`` hands ``fn`` the tables themselves."""
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
 
     left, right = _rows_table(2_000, seed=4), _rows_table(1_500, seed=5)
@@ -383,9 +402,13 @@ def test_cogroup_with_each_sides_block_fn_at_each_width(ray_session, num_partiti
     def joined(lpdf: pd.DataFrame, rpdf: pd.DataFrame) -> pd.DataFrame:
         return lpdf.merge(rpdf, on="k")[["k", "v", "n_toks", "w"]]
 
+    def joined_arrow(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt.join(rt, "k").select(["k", "v", "n_toks", "w"])
+
     out = hash_exchange_cogroup(
-        _two_blocks(left), _two_blocks(right), ["k"], ["k"], joined, num_partitions,
-        left_block_fn=_keep_odd, right_block_fn=doubled,
+        _two_blocks(left), _two_blocks(right), ["k"], ["k"],
+        joined_arrow if arrow_fns else joined, num_partitions,
+        left_block_fn=_keep_odd, right_block_fn=doubled, arrow_fns=arrow_fns,
     )
     want = joined(_keep_odd(left).to_pandas(), doubled(right).to_pandas())
     pd.testing.assert_frame_equal(
@@ -524,7 +547,8 @@ def test_zero_row_and_column_less_input_reach_fn_typed_at_each_width(ray_session
 
 def test_width_one_submits_no_split_task(ray_session):
     """One partition fed by one split group: no ``_split_block`` task at any
-    entry point, and one reduce task each; at width 2 the splits run."""
+    entry point, and one reduce task each (the chained exchange's two
+    stages share one, ``_reduce_chained``); at width 2 the splits run."""
     import ray
 
     from entity_resolution_engine_ray.stages.exchange import (
@@ -558,8 +582,8 @@ def test_width_one_submits_no_split_task(ray_session):
         calls(1)
     assert one["by_name"]["_split_block"] == 0, dict(one["by_name"])
     assert dict(one["by_name"]) == {
-        "_reduce_partition_arrow": 2,
-        "_reduce_counted": 1,
+        "_reduce_partition_arrow": 1,
+        "_reduce_chained": 1,
         "_reduce_cogroup": 1,
         "_concat_parts": 1,
         "_merge_reduce": 1,
@@ -569,6 +593,7 @@ def test_width_one_submits_no_split_task(ray_session):
     # map_groups 1, chained 1 + 1 per stage-1 reduce + 1 fold_in, cogroup 2,
     # partition refs 1, merge 1
     assert two["by_name"]["_split_block"] == 9, dict(two["by_name"])
+    assert two["by_name"]["_reduce_chained"] == 0, dict(two["by_name"])
 
 
 def test_cpus_read_once_pins_the_count_for_the_call(ray_session, monkeypatch):
