@@ -548,9 +548,6 @@ def run_pages_er_incremental(
         # return the batch's block keys (small side: |new| × bands int64
         # keys) and url hashes
         prev_features = prev.read("features")
-        # submitted now, the edges read runs while the driver waits for
-        # the featurize tasks, not after them
-        prev_edges = prev.read("edges")
         sink = store.open_stage("features")
         n_prev = prev.link_parts("features", sink)
         features_new, touched, batch = _batch_features_of(
@@ -570,7 +567,7 @@ def run_pages_er_incremental(
             cfg,
             num_partitions=num_partitions,
             key_filter=touched,
-            fold_in=prev_edges,
+            fold_in=prev.read("edges"),
             batch=batch,
             sink=sink,
         )
@@ -597,7 +594,7 @@ def run_pages_er_incremental(
                 "touched_blocks": int(len(touched)),
             },
         )
-        del prev_features, prev_edges, features_new
+        del prev_features, features_new
 
     # ---- clustering / merge / metrics: the tail of a full run
     data = {"features": features, "edges": edges}

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 
@@ -452,19 +453,16 @@ def attach_labels(
 
     keep = None if columns is None else list(dict.fromkeys([*columns, id_col]))
 
-    def attach(rows: pa.Table, labels: pa.Table) -> pa.Table:
-        nodes = _np_col(labels, "node").astype(np.int64, copy=False)
+    def attach(rows: pd.DataFrame, labels: pd.DataFrame) -> pd.DataFrame:
+        nodes = labels["node"].to_numpy(dtype=np.int64)
         order = np.argsort(nodes, kind="stable")
-        roots = _np_col(labels, "cluster_label").astype(np.int64, copy=False)[order]
-        ids = _np_col(rows, id_col)
-        out = rows.append_column(
-            "cluster_label", pa.array(label_of(nodes[order], roots, ids), pa.int64())
-        )
-        return out if columns is None else out.select([*columns, "cluster_label"])
+        roots = labels["cluster_label"].to_numpy(dtype=np.int64)[order]
+        ids = rows[id_col].to_numpy(dtype=np.int64)
+        out = rows.assign(cluster_label=label_of(nodes[order], roots, ids))
+        return out if columns is None else out[[*columns, "cluster_label"]]
 
     return hash_exchange_cogroup(
         ds, labels_ds, [id_col], ["node"], attach, num_partitions,
         left_block_fn=None if keep is None else functools.partial(project_block, cols=keep),
         sink=sink,
-        arrow_fns=True,
     )

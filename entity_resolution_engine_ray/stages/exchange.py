@@ -70,13 +70,15 @@ Scale notes (both matter at 100 TB and were measured locally):
   (``_mapped_input``), so it gets the rows a split task would have handed
   it, in the same order, without the key hash, the argsort over
   all-zero partition ids and the ``take`` copy (token-id lists included),
-  and without the split task's scheduling gap. That covers every
-  exchange of a small input on one Ray CPU, any call with
-  ``num_partitions=1`` and the ``key_stats`` sum below 500k key rows.
-  Without a map-side function a split task has nothing to do at one
-  partition whatever the group count, so none runs then either:
-  ``hash_exchange_chained`` hands each stage-1 reduce's table and the
-  ``fold_in`` blocks straight to a single stage-2 reduce, and when both
+  and without the split task's scheduling gap. One split group means
+  one input block, or known row counts summing to at most
+  ``SPLIT_GROUP_ROWS`` (``_coalesce_refs``); a ``num_partitions=1`` call
+  or a 1-CPU cluster over a larger input with a map-side function still
+  runs a split task per group. Without a map-side function a split task
+  has nothing to do at one partition whatever the group count, so none
+  runs then either: ``hash_exchange_chained`` hands each stage-1
+  reduce's table and the ``fold_in`` blocks straight to a single stage-2
+  reduce, and when both
   of its stages have one partition the one stage-1 reduce runs stage 2
   too (``_reduce_chained``): its table never goes through the object
   store, and the stage-2 task's dispatch is saved. With more than one
@@ -381,16 +383,10 @@ def _reduce_partition_arrow(fn, map_fn, sink, i: int, *subtables: pa.Table):
 
 
 @ray.remote(num_returns=2)
-def _reduce_cogroup(
-    fn, arrow_fns: bool, n_left: int, map_fns: tuple, sink, i: int, *subtables: pa.Table
-):
+def _reduce_cogroup(fn, n_left: int, map_fns: tuple, sink, i: int, *subtables: pa.Table):
     left = _mapped_input(map_fns[0], subtables[:n_left])
     right = _mapped_input(map_fns[1], subtables[n_left:])
-    if arrow_fns:
-        out = fn(left, right).replace_schema_metadata(None)
-    else:
-        out = _from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right)
-    return _emit(out, sink, i)
+    return _emit(_from_pandas(fn(left.to_pandas(), right.to_pandas()), left, right), sink, i)
 
 
 def _split_all(
@@ -401,8 +397,9 @@ def _split_all(
     ``_mapped_input(map_fn, ...)``.
 
     The width-1 rule, the one place it is decided: with one partition fed
-    by one ``_coalesce_refs`` group (``rows``: each ref's row count, when
-    known), or by any number of groups when there is no ``block_fn``, no
+    by one ``_coalesce_refs`` group (one ref, or ``rows``, each ref's
+    row count when known, summing to at most ``SPLIT_GROUP_ROWS``), or by
+    any number of groups when there is no ``block_fn``, no
     split task runs. ``splits`` is ``refs`` itself and ``map_fn`` is
     ``block_fn``, so the reduce task maps the raw blocks and sees the rows
     a split task would have handed it, in the same order. Otherwise one
@@ -443,7 +440,6 @@ def hash_exchange_cogroup(
     left_block_fn=None,
     right_block_fn=None,
     sink=None,
-    arrow_fns: bool = False,
 ):
     """Co-partitioned two-sided exchange: rows of both inputs with the
     same key hash meet in one partition; ``fn(left_pdf, right_pdf)`` runs
@@ -452,8 +448,6 @@ def hash_exchange_cogroup(
     ``grouping.auto_partitions(rows)`` sized by the LARGER side's row
     count. ``left_block_fn`` / ``right_block_fn``: map-side functions
     applied to each block of that side in its split tasks.
-    ``arrow_fns=True``: ``fn`` takes and returns ``pa.Table`` (no pandas
-    round-trip, see ``_reduce_partition_arrow``).
 
     A side with no rows still reaches ``fn`` as a TYPED empty frame (see
     ``as_blocks``), so ``fn`` never gets the right side's sub-tables as its
@@ -471,7 +465,7 @@ def hash_exchange_cogroup(
         lsub = _partition_subs(l_splits, p, num_partitions)
         rsub = _partition_subs(r_splits, p, num_partitions)
         t_ref, c_ref = _reduce_cogroup.remote(
-            fn, arrow_fns, len(lsub), (l_map, r_map), sink, p, *(lsub + rsub)
+            fn, len(lsub), (l_map, r_map), sink, p, *(lsub + rsub)
         )
         reduced.append(t_ref)
         counts.append(c_ref)

@@ -109,7 +109,8 @@ def key_stats(
 
     Two-level aggregation: per-block ``value_counts`` partials, computed
     on the map side of ONE hash exchange summing per key (in its split
-    tasks, or in its one reduce task below 500k key rows) → only
+    tasks, or in its one reduce task when one partition is fed by one
+    split group, ``exchange._split_all``) → only
     multi-member keys reach the driver (a driver-side concat of partials is
     ~n_distinct_keys rows — measured 21 s at 21M block rows; the n ≥ 2 set
     is the pair-producing minority, the hot (> cap) set a few thousand).
@@ -121,8 +122,8 @@ def key_stats(
 
     ``n_rows_hint`` (e.g. pages × bands, known upstream) sizes the summing
     exchange without a separate counting pass over the exploded rows: one
-    partition per 500k key rows, at least one and at most 32 — below 500k
-    key rows the sum is one task.
+    partition per 500k key rows, at least one and at most 32 — below 1M
+    key rows the sum has one partition.
 
     Returns ``(hot, pairable, n_pairable_rows, hot_members)`` — the third
     element is the TOTAL row count across multi-member keys, i.e. the
@@ -375,12 +376,12 @@ def _fat_split(t: pa.Table, payload: tuple, hash_col: str, hot: dict[int, int], 
     return _salt_batch(fat_block_rows(t, payload, allowed), hot, hash_col=hash_col)
 
 
-def _batch_pair_fn(tbl: pa.Table, pair_fn, batch_ref):
+def _batch_pair_fn(tbl: pa.Table, pair_fn, batch_refs: tuple):
     """Stage-1 function of a fold: ``pair_fn`` with the broadcast (batch
     ids, re-split keys) as its ``batch``."""
     import ray
 
-    return pair_fn(tbl, batch=ray.get(batch_ref))
+    return pair_fn(tbl, batch=tuple(ray.get(list(batch_refs))))
 
 
 def blocked_pair_edges(
@@ -424,9 +425,8 @@ def blocked_pair_edges(
     function then forms only the pairs the batch can change
     (``batch_pairs``; it takes them as ``batch=``): the previous edges
     already hold every other one. The batch's sorted ids and its
-    ``resplit_keys`` are broadcast once, together, via ``ray.put``.
-    ``sink``: a ``state.checkpoint.PartSink`` the dedup tasks write the
-    edges to.
+    ``resplit_keys`` are broadcast once each via ``ray.put``. ``sink``: a
+    ``state.checkpoint.PartSink`` the dedup tasks write the edges to.
 
     ``edges`` is of the kind given (``exchange.Blocks`` or a Dataset)."""
     import ray
@@ -472,10 +472,11 @@ def blocked_pair_edges(
         dedup_parts = max(parts, auto_partitions(as_blocks(fold_in).count()))
     if batch is not None:
         ids, batch_keys = batch
-        batch_ref = ray.put(
-            (np.sort(np.asarray(ids, dtype=np.int64)), resplit_keys(hot, hot_members, batch_keys, cap))
+        batch_refs = (
+            ray.put(np.sort(np.asarray(ids, dtype=np.int64))),
+            ray.put(resplit_keys(hot, hot_members, batch_keys, cap)),
         )
-        pair_fn = functools.partial(_batch_pair_fn, pair_fn=pair_fn, batch_ref=batch_ref)
+        pair_fn = functools.partial(_batch_pair_fn, pair_fn=pair_fn, batch_refs=batch_refs)
     edges, counts = hash_exchange_chained(
         blocks,
         ["block_key", "salt"],

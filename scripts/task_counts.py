@@ -1,13 +1,13 @@
 """Ray tasks per pipeline call, by function name, from ``ray.timeline()``.
 
-    python scripts/task_counts.py [--cpus 1] [--pages 2000] [--seed 1] [--calls 3]
+    python scripts/task_counts.py [--cpus 1] [--pages 2000] [--seed 1]
 
 Starts its own Ray session with ``--cpus`` CPUs and builds two inputs from
 ``sources.pages.generate_pages(--pages, seed=--seed)``, laid out as the ER
 benchmark lays out its ``dense`` and ``fold-labelprop`` workloads: the pages
 in 8 Parquet shards, and a seeded random 10% of them as a one-file new
 batch beside a 90% corpus in 8 shards. After one untimed warm-up call of
-each, it makes ``--calls`` calls of each:
+each, it makes ``CALLS`` (3) calls of each:
 
 - ``dense``: ``run_pages_er`` over all the pages with the default config;
 - ``fold-labelprop``: ``run_pages_er_incremental`` of the new batch into a
@@ -40,6 +40,8 @@ import pyarrow.parquet as pq
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 FOLD_NEW_FRAC = 0.10
+# calls per workload the medians are taken over
+CALLS = 3
 # task events reach the GCS in batches, about once a second
 EVENT_FLUSH_S = 3.0
 
@@ -118,7 +120,6 @@ def main() -> None:
     ap.add_argument("--cpus", type=int, default=1)
     ap.add_argument("--pages", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--calls", type=int, default=3)
     args = ap.parse_args()
 
     import ray
@@ -137,7 +138,7 @@ def main() -> None:
         DataContext.get_current().enable_progress_bars = False
         calls = _calls(work, inputs)
         windows: dict[str, list[tuple[float, float]]] = {name: [] for name in calls}
-        for rep in range(args.calls + 1):
+        for rep in range(CALLS + 1):
             for name, call in calls.items():
                 out = os.path.join(work, f"{name}-{rep}")
                 t0 = time.time()
@@ -148,7 +149,7 @@ def main() -> None:
                     windows[name].append((t0, t1))
         time.sleep(EVENT_FLUSH_S)
         events = ray.timeline()
-        report = {"cpus": args.cpus, "pages": args.pages, "seed": args.seed, "calls": args.calls}
+        report = {"cpus": args.cpus, "pages": args.pages, "seed": args.seed, "calls": CALLS}
         report.update({name: summarize(w, events) for name, w in windows.items()})
         print(json.dumps(report))
     finally:

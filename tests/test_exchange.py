@@ -387,9 +387,7 @@ def test_chained_with_block_fn_and_fold_in_at_each_width(ray_session, num_partit
 
 
 @pytest.mark.parametrize("num_partitions", [1, 2])
-@pytest.mark.parametrize("arrow_fns", [True, False])
-def test_cogroup_with_each_sides_block_fn_at_each_width(ray_session, num_partitions, arrow_fns):
-    """``arrow_fns=True`` hands ``fn`` the tables themselves."""
+def test_cogroup_with_each_sides_block_fn_at_each_width(ray_session, num_partitions):
     from entity_resolution_engine_ray.stages.exchange import hash_exchange_cogroup
 
     left, right = _rows_table(2_000, seed=4), _rows_table(1_500, seed=5)
@@ -402,13 +400,9 @@ def test_cogroup_with_each_sides_block_fn_at_each_width(ray_session, num_partiti
     def joined(lpdf: pd.DataFrame, rpdf: pd.DataFrame) -> pd.DataFrame:
         return lpdf.merge(rpdf, on="k")[["k", "v", "n_toks", "w"]]
 
-    def joined_arrow(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        return lt.join(rt, "k").select(["k", "v", "n_toks", "w"])
-
     out = hash_exchange_cogroup(
-        _two_blocks(left), _two_blocks(right), ["k"], ["k"],
-        joined_arrow if arrow_fns else joined, num_partitions,
-        left_block_fn=_keep_odd, right_block_fn=doubled, arrow_fns=arrow_fns,
+        _two_blocks(left), _two_blocks(right), ["k"], ["k"], joined, num_partitions,
+        left_block_fn=_keep_odd, right_block_fn=doubled,
     )
     want = joined(_keep_odd(left).to_pandas(), doubled(right).to_pandas())
     pd.testing.assert_frame_equal(
